@@ -4,4 +4,4 @@ from .instances import DualInstance, PrimalInstance, SpaceCoverInstance, random_
 
 __all__ = ["SpaceCoverInstance", "PrimalInstance", "DualInstance", "random_instance"]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -14,7 +14,7 @@ from . import dual_solver, hardness, oracle, pgm_solver
 from .dual_solver import RecursParams, reduce_terminals_dual, vertex_types
 from .fileio import (FormatError, parse_file, parse_report, report_from_solution,
                      serialize_instance, verify_report)
-from .instances import DualInstance, PrimalInstance, random_instance
+from .instances import DualInstance, random_instance
 
 __all__ = ["main"]
 
@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--oracle", action="store_true",
                          help="solve by brute force instead of the production pipeline")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--det", action="store_true",
-                         help="force fully deterministic subroutines")
     p_solve.add_argument("--q-override", type=int, default=None,
                          help="separation size threshold override (dual recursion)")
     p_solve.add_argument("--p-override", type=int, default=None,
@@ -203,7 +201,10 @@ def _cmd_bench(args) -> int:
             status = EXIT_ERROR
             continue
         agree = (result is None) == (ref is None)
-        t, _ = vertex_types(inst.p)
+        if inst.mode == "primal":
+            t, _ = pgm_solver.edge_types(inst.p)
+        else:
+            t, _ = vertex_types(inst.p)
         writer.writerow([path, inst.mode, inst.graph.n, inst.graph.num_edges,
                          inst.k, inst.r, t,
                          "yes" if result is not None else "no",

@@ -6,9 +6,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from functools import reduce
+from operator import or_
+from typing import List, Tuple
 
 __all__ = [
     "HashFamily",
@@ -157,44 +157,51 @@ def _universal_demands(n: int, k: int, p: int):
 def build_universal_set(n: int, k: int, p: int, seed: int = 0) -> UniversalSet:
     """Greedy conditional-expectation construction of an (n,k,p)-universal set.
 
-    Vectorized over the (subset, pattern) demand space; falls back to seeded
-    random sampling when that space exceeds DEMAND_CAP.
+    Demands are int bitsets; falls back to seeded random sampling when the
+    demand space exceeds DEMAND_CAP.
     """
     if not 0 <= p <= k <= n:
         raise ValueError("need 0 <= p <= k <= n")
-    n_demands = math.comb(n, k) * math.comb(k, p)
-    if n_demands > DEMAND_CAP:
+    patterns = list(itertools.combinations(range(k), p))
+    width = len(patterns)
+    n_subsets = math.comb(n, k)
+    if n_subsets * width > DEMAND_CAP:
         return _random_universal(n, k, p, seed)
-    idx_mat = np.empty((n_demands, k), dtype=np.int16)
-    bit_mat = np.empty((n_demands, k), dtype=np.int8)
-    for row, (subset, pattern) in enumerate(_universal_demands(n, k, p)):
-        idx_mat[row] = subset
-        bit_mat[row] = pattern
-    contains = [(idx_mat == i) for i in range(n)]  # D x k boolean
-    req = [np.where(c.any(axis=1), (bit_mat * c).sum(axis=1), 0).astype(np.int8)
-           for c in contains]
-    has = [c.any(axis=1) for c in contains]
-    weight_pow = np.power(2.0, -np.arange(k + 1))
-    alive = np.ones(n_demands, dtype=bool)
+    # Demand (subset s, pattern j) is bit s * width + j, in the order of
+    # _universal_demands.  Under pattern j the member at position pos of a
+    # subset wants bit 1 iff bit j of ones[pos] is set.
+    ones = [sum(1 << j for j, pat in enumerate(patterns) if pos in pat) for pos in range(k)]
+    block = (1 << width) - 1
+    first = [[bytearray(n_subsets * width // 8 + 1) for _ in range(k)] for _ in range(n)]
+    for s, subset in enumerate(itertools.combinations(range(n), k)):
+        bit = s * width
+        for pos, i in enumerate(subset):
+            first[i][pos][bit >> 3] |= 1 << (bit & 7)
+    # wants[i][b][pos]: the demands holding i at position pos that want bit b at i
+    wants = []
+    for i in range(n):
+        spreads = [int.from_bytes(first[i][pos], "little") for pos in range(k)]
+        wants.append(([sp * (block ^ ones[pos]) for pos, sp in enumerate(spreads)],
+                      [sp * ones[pos] for pos, sp in enumerate(spreads)]))
+    # refuse[i][b]: the demands that bit b at i leaves unrealized
+    refuse = [[reduce(or_, wants[i][1 - b], 0) for b in (0, 1)] for i in range(n)]
+    alive = (1 << (n_subsets * width)) - 1
     functions: List[Tuple[int, ...]] = []
-    while alive.any():
-        ok = alive.copy()
-        rem = np.full(n_demands, k, dtype=np.int16)
+    while alive:
+        ok = alive
         func = []
         for i in range(n):
-            h = has[i]
-            live = ok & h
-            w = weight_pow[np.minimum(rem - 1, k).clip(0)]
-            score1 = float(np.sum(w[live & (req[i] == 1)]))
-            score0 = float(np.sum(w[live & (req[i] == 0)]))
-            b = 1 if score1 > score0 else 0
+            # a live demand with i at position pos is realized with
+            # probability 2^-(k-1-pos) under uniform bits for the rest;
+            # scaled by 2^(k-1) that is the integer weight 2^pos
+            score = [sum((ok & bits).bit_count() << pos for pos, bits in enumerate(wants[i][b]))
+                     for b in (0, 1)]
+            b = 1 if score[1] > score[0] else 0
             func.append(b)
-            ok &= ~(h & (req[i] != b))
-            rem[h] -= 1
-        covered = ok  # no conflicts and all members assigned
-        if not covered.any():
+            ok &= ~refuse[i][b]
+        if not ok:
             raise RuntimeError("greedy universal set construction stalled")
-        alive &= ~covered
+        alive &= ~ok
         functions.append(tuple(func))
     return UniversalSet(n, k, p, functions)
 

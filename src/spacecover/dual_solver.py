@@ -13,7 +13,7 @@ from .derand import build_universal_set
 from .gf2 import Gf2Matrix, Gf2Vector, basis, distinct_rows
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
-                         good_edge_separation, is_connected)
+                         good_edge_separation, is_connected, signed_components)
 
 __all__ = [
     "EscTerminal",
@@ -207,33 +207,6 @@ def _multiplicity_reduce(inst: EdgeSetCoverInstance) -> EdgeSetCoverInstance:
     return EdgeSetCoverInstance(g2, inst.k, inst.t, inst.classes, terms, inst.blocked)
 
 
-def _component_partition(inst: EdgeSetCoverInstance, term: EscTerminal,
-                         comp: List[int], comp_edges: List[int]) -> Optional[Dict[int, int]]:
-    """The unique (up to flip) non-contributing side assignment of one component."""
-    side = {comp[0]: 0}
-    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in comp}
-    for eid in comp_edges:
-        u, v = inst.g.endpoints(eid)
-        fe = term.f.get(eid, 0)
-        if u == v:
-            if fe == 1:
-                return None  # a loop with flip 1 contributes under every partition
-            continue
-        adj[u].append((v, fe))
-        adj[v].append((u, fe))
-    stack = [comp[0]]
-    while stack:
-        v = stack.pop()
-        for w, fe in adj[v]:
-            want = side[v] ^ fe  # flip 0 -> same side, flip 1 -> opposite
-            if w not in side:
-                side[w] = want
-                stack.append(w)
-            elif side[w] != want:
-                return None
-    return side
-
-
 def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
     """Branch (a): enumerate F and propagate per-component side assignments."""
     params.bump("small")
@@ -243,7 +216,6 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
     table = {key: None for key in keys}
     unsolved = set(keys)
     nonblocked = [eid for eid in inst.g.edge_ids() if eid not in inst.blocked]
-    vertices = list(range(inst.g.n))
     for size in range(min(inst.k, len(nonblocked)) + 1):
         if not unsolved:
             break
@@ -251,26 +223,22 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
             if not unsolved:
                 break
             f_set = frozenset(f_sub)
-            removed = set(f_sub) | set(inst.blocked)
-            comps = _components_without(inst.g, removed)
-            # candidate partitions per terminal
+            alive = [(eid, inst.g.endpoints(eid)) for eid in inst.g.edge_ids()
+                     if eid not in f_set and eid not in inst.blocked]
+            # candidate partitions per terminal: on each component of G - F - blocked
+            # the non-contributing side assignment is unique up to a flip
             per_term: List[List[Tuple[FrozenSet[int], Tuple[int, ...]]]] = []
             ok = True
             for term in inst.terminals:
-                sides = []
-                for comp, comp_edges in comps:
-                    sides.append(_component_partition(inst, term, comp, comp_edges))
-                if any(s is None for s in sides):
+                sides = signed_components(range(inst.g.n), [(u, v, term.f.get(eid, 0))
+                                                             for eid, (u, v) in alive])
+                if sides is None:
                     ok = False
                     break
                 options = []
-                for flips in itertools.product((0, 1), repeat=len(comps)):
-                    x = set()
-                    for (comp, _), base, flip in zip(comps, sides, flips):
-                        for v in comp:
-                            if base[v] ^ flip:
-                                x.add(v)
-                    fx = frozenset(x)
+                for flips in itertools.product((0, 1), repeat=len(sides)):
+                    fx = frozenset(v for side, flip in zip(sides, flips)
+                                   for v, c in side.items() if c ^ flip)
                     c = cont(term, fx, inst)
                     want = set() if term.edge is None else {term.edge}
                     if (c & set(inst.blocked)) != want:
@@ -309,36 +277,6 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
                     table[key] = (f_set, choice)
                     unsolved.discard(key)
     return table
-
-
-def _components_without(g: MultiGraph, removed_edges: Set[int]):
-    """Components of g minus the given edges: list of (vertex list, edge id list)."""
-    alive = [eid for eid in g.edge_ids() if eid not in removed_edges]
-    adj: Dict[int, List[int]] = {v: [] for v in range(g.n)}
-    for eid in alive:
-        u, v = g.endpoints(eid)
-        adj[u].append(v)
-        adj[v].append(u)
-    seen: Set[int] = set()
-    out = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comp_sorted = sorted(comp)
-        comp_edges = [eid for eid in alive
-                      if g.endpoints(eid)[0] in comp and g.endpoints(eid)[1] in comp]
-        out.append((comp_sorted, comp_edges))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +384,28 @@ def _restricted_instance(inst: EdgeSetCoverInstance, vertices: Iterable[int]
             vmap, emap)
 
 
+def _combine_parities(states, options, k: int):
+    """One step of the parity-vector DP that joins independent parts.
+
+    ``states`` maps a per-terminal tuple of class-parity vectors to (F, {tid: X});
+    ``options`` lists the next part's answers as (parity vectors, F, {tid: X}).
+    Every reachable XOR of parities keeps the first smallest union F of size
+    at most k, with the per-terminal sides joined.
+    """
+    new_states = {}
+    for contrib, f_part, x_part in options:
+        for state, (f_acc, x_acc) in states.items():
+            new_state = tuple(tuple(a ^ b for a, b in zip(s, c)) for s, c in zip(state, contrib))
+            f_new = f_acc | f_part
+            if len(f_new) > k:
+                continue
+            cur = new_states.get(new_state)
+            if cur is not None and len(cur[0]) <= len(f_new):
+                continue
+            new_states[new_state] = (f_new, {tid: xs | x_part[tid] for tid, xs in x_acc.items()})
+    return new_states
+
+
 def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
     """Branch (b): align preliminary partitions, color, recurse into small pockets."""
     params.bump("unbreakable")
@@ -473,9 +433,9 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
             y_side[term.tid] = prelim[term.tid] if flip == 0 else verts - prelim[term.tid]
         for coloring in colorings:
             p_set = {v for v in range(n) if coloring[v]}
-            comps = connected_components(inst.g, verts - p_set) if verts - p_set else []
+            comps = connected_components(inst.g, verts - p_set)
             small = [sorted(c) for c in comps if len(c) <= params.q * len(terms)]
-            interior = set().union(*small) if small else set()
+            interior = set().union(*small)
             fixed = verts - interior
             attempt = _assemble_attempt(ainst, params, y_side, fixed, small, adj)
             if attempt is None:
@@ -504,10 +464,7 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
     for term in terms:
         x_t = y_side[term.tid] & fixed
         x_fix[term.tid] = x_t
-        par = [0] * inst.t
-        for v in x_t:
-            par[inst.classes[v]] ^= 1
-        fix_par[term.tid] = tuple(par)
+        fix_par[term.tid] = inst.class_parities(x_t)
         w1, w2 = ainst.pin(term.tid)
         if not (w1 & fixed) <= x_t or (w2 & x_t):
             return None
@@ -552,7 +509,16 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
             sub_table = _small_case(sub_ainst, params)
         else:
             sub_table = recurs(sub_ainst, params)
-        pockets.append((comp_set, sub_table, vmap, inv_v, emap, w_sub))
+        # each answer adds the sides and parities of the pocket's interior only
+        options = []
+        for (_, lr_sub), ans in sorted(sub_table.items(), key=lambda kv: str(kv[0])):
+            if ans is None:
+                continue
+            f_sub, x_sub = ans
+            x_in = {tid: {inv_v[v] for v in xs} & comp_set for tid, xs in x_sub.items()}
+            options.append((lr_sub, (tuple(inst.class_parities(x_in[t.tid]) for t in terms),
+                                     frozenset(emap[e] for e in f_sub), x_in)))
+        pockets.append((comp_set, vmap, options))
 
     def assemble(key):
         h, lr = key
@@ -562,52 +528,12 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
                 return None
             if (r_set & fixed) & x_fix[term.tid]:
                 return None
-        # DP over pockets on interior parity vectors
         zero = tuple(tuple([0] * inst.t) for _ in terms)
-        states = {zero: (frozenset(f_fix), {t.tid: set(x_fix[t.tid]) for t in terms})}
-        for comp_set, sub_table, vmap, inv_v, emap, w_sub in pockets:
-            new_states = {}
-            for (h_sub, lr_sub), ans in sorted(sub_table.items(), key=lambda kv: str(kv[0])):
-                if ans is None:
-                    continue
-                # the sub key's boundary split must agree with the parent key
-                match = True
-                for i, term in enumerate(terms):
-                    want_l = frozenset(vmap[v] for v in lr[i] if v in comp_set and v in vmap)
-                    if lr_sub[i] != want_l:
-                        match = False
-                        break
-                if not match:
-                    continue
-                f_sub, x_sub = ans
-                f_orig = frozenset(emap[e] for e in f_sub)
-                # interior parity of this pocket per terminal
-                contrib = []
-                x_orig = {}
-                for term in terms:
-                    par = [0] * inst.t
-                    xs = {inv_v[v] for v in x_sub[term.tid]}
-                    x_orig[term.tid] = xs
-                    for v in xs & comp_set:
-                        par[inst.classes[v]] ^= 1
-                    contrib.append(tuple(par))
-                for state, (f_acc, x_acc) in list(states.items()):
-                    new_state = tuple(
-                        tuple(a ^ b for a, b in zip(state[i], contrib[i]))
-                        for i in range(len(terms)))
-                    f_new = f_acc | f_orig
-                    if len(f_new) > k:
-                        continue
-                    if new_state in new_states and len(new_states[new_state][0]) <= len(f_new):
-                        continue
-                    x_new = {t.tid: set(x_acc[t.tid]) for t in terms}
-                    for term in terms:
-                        x_new[term.tid] |= x_orig[term.tid] & comp_set
-                    cur = new_states.get(new_state)
-                    if cur is None or len(f_new) < len(cur[0]):
-                        new_states[new_state] = (f_new, x_new)
-            # pockets must each contribute exactly one sub-solution
-            states = new_states
+        states = {zero: (frozenset(f_fix), x_fix)}
+        for comp_set, vmap, options in pockets:
+            # the sub key's boundary split must agree with the parent key
+            want = tuple(frozenset(vmap[v] for v in l_set if v in comp_set) for l_set in lr)
+            states = _combine_parities(states, [opt for lr_sub, opt in options if lr_sub == want], k)
             if not states:
                 return None
         target = tuple(
@@ -730,6 +656,7 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
     star_table = recurs(star_ainst, params)
     # lift the G* answers back through the Q-side table
     table = {}
+    small_table = None  # the unconditional answers, built on the first failed lift
     q_vmap = vmap
     for key in all_keys(ainst):
         h, lr = key
@@ -746,8 +673,9 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
             table[key] = lifted
         else:
             params.bump("lift_fail")
-            fallback = _small_case_single(ainst, params, key)
-            table[key] = fallback
+            if small_table is None:
+                small_table = _small_case(ainst, params)
+            table[key] = small_table[key]
     return table
 
 
@@ -787,12 +715,6 @@ def _lift_breakable(ainst, q_side, p_side, q_table, q_vmap, q_inv_v, q_emap,
         xs |= x_orig[term.tid] & p_side
         x_final[term.tid] = frozenset(xs)
     return f_final, x_final
-
-
-def _small_case_single(ainst: AnnotatedEscInstance, params: RecursParams, key):
-    """Unconditional answer for one key (used as a defensive fallback)."""
-    table = _small_case(ainst, params)
-    return table.get(key)
 
 
 # ---------------------------------------------------------------------------
@@ -842,26 +764,11 @@ def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None)
         sub_inst, vmap, emap = _restricted_instance(inst, sorted(comp))
         inv_v = {new: old for old, new in vmap.items()}
         sub_table = recurs(AnnotatedEscInstance(sub_inst), params)
-        new_states = {}
-        for (h_sub, _), ans in sorted(sub_table.items(), key=lambda kv: str(kv[0])):
-            if ans is None:
-                continue
-            f_sub, x_sub = ans
-            f_orig = frozenset(emap[e] for e in f_sub)
-            for state, (f_acc, x_acc) in states.items():
-                new_state = tuple(tuple(a ^ b for a, b in zip(state[i], h_sub[i]))
-                                  for i in range(len(terms)))
-                f_new = f_acc | f_orig
-                if len(f_new) > inst.k:
-                    continue
-                cur = new_states.get(new_state)
-                if cur is not None and len(cur[0]) <= len(f_new):
-                    continue
-                x_new = {t.tid: set(x_acc[t.tid]) for t in terms}
-                for term in terms:
-                    x_new[term.tid] |= {inv_v[v] for v in x_sub[term.tid]}
-                new_states[new_state] = (f_new, x_new)
-        states = new_states
+        options = [(h_sub, frozenset(emap[e] for e in ans[0]),
+                    {tid: {inv_v[v] for v in xs} for tid, xs in ans[1].items()})
+                   for (h_sub, _), ans in sorted(sub_table.items(), key=lambda kv: str(kv[0]))
+                   if ans is not None]
+        states = _combine_parities(states, options, inst.k)
         if not states:
             return None
     target = tuple(tuple(term.b) for term in terms)
@@ -918,12 +825,7 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
         if stats is not None:
             stats["guesses"] = stats.get("guesses", 0) + 1
         esc = build_esc(inst, guess, active_terminals=kept, blocked=inst.terminals)
-        if params is not None:
-            run_params = RecursParams(params.q, params.p, params.s, params.seed,
-                                      params.stats)
-        else:
-            run_params = None
-        sol = solve_esc(esc, run_params)
+        sol = solve_esc(esc, params)
         if sol is None:
             continue
         f_set, _x = sol

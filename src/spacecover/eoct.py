@@ -2,75 +2,34 @@
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, signed_components
 
 __all__ = ["solve", "minimize"]
 
 EOCT_K_CAP = 12
 
 
-def _two_color(g: MultiGraph, edges: Set[int], removed: Set[int]) -> Optional[Dict[int, int]]:
-    """Proper 2-coloring of (V(g), edges - removed), or None; isolated vertices get 0."""
-    adj: Dict[int, List[int]] = {v: [] for v in range(g.n)}
-    for eid in edges:
-        if eid in removed:
-            continue
-        u, v = g.endpoints(eid)
-        if u == v:
-            return None
-        adj[u].append(v)
-        adj[v].append(u)
-    color: Dict[int, int] = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
+def _signed(g: MultiGraph, edges: Iterable[int], parity: int) -> List[Tuple[int, int, int]]:
+    """The given edges as (u, v, parity) triples for signed_components."""
+    return [(*g.endpoints(eid), parity) for eid in edges]
 
 
-def _min_cut(g: MultiGraph, edges: Set[int], excluded: Set[int],
+def _min_cut(g: MultiGraph, edges: Set[int],
              sources: Set[int], sinks: Set[int]) -> Tuple[int, Set[int]]:
-    """Min edge cut separating sources from sinks in (V, edges - excluded).
+    """Min edge cut separating sources from sinks in (V, edges).
 
     Returns (cut value, source-side vertex set X).  Unit capacity per edge;
     parallel edges accumulate.
     """
     if not sources or not sinks:
         # nothing to separate: take full components around the forced side
-        x = set(sources)
-        if sources:
-            adj: Dict[int, List[int]] = {v: [] for v in range(g.n)}
-            for eid in edges:
-                if eid in excluded:
-                    continue
-                u, v = g.endpoints(eid)
-                adj[u].append(v)
-                adj[v].append(u)
-            stack = list(sources)
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in x:
-                        x.add(w)
-                        stack.append(w)
-        return 0, x
+        comps = signed_components(range(g.n), _signed(g, edges, 0))
+        return 0, {v for side in comps if not sources.isdisjoint(side) for v in side}
     cap: Dict[Tuple[int, int], int] = {}
     for eid in edges:
-        if eid in excluded:
-            continue
         u, v = g.endpoints(eid)
         if u == v:
             continue
@@ -120,10 +79,10 @@ def _min_cut(g: MultiGraph, edges: Set[int], excluded: Set[int],
 
 def _compress(g: MultiGraph, prefix: Set[int], s_cur: List[int], budget: int) -> Optional[List[int]]:
     """Find a bipartization set of size <= budget for the prefix graph, or None."""
-    c0 = _two_color(g, prefix, set(s_cur))
-    assert c0 is not None
-    endpoints: List[int] = sorted({v for eid in s_cur for v in g.endpoints(eid)})
     rest = prefix - set(s_cur)
+    c0 = {v: c for side in signed_components(range(g.n), _signed(g, rest, 1))
+          for v, c in side.items()}
+    endpoints: List[int] = sorted({v for eid in s_cur for v in g.endpoints(eid)})
     for assign_bits in range(1 << len(endpoints)):
         a = {v: (assign_bits >> i) & 1 for i, v in enumerate(endpoints)}
         mono = [eid for eid in s_cur
@@ -133,13 +92,14 @@ def _compress(g: MultiGraph, prefix: Set[int], s_cur: List[int], budget: int) ->
         # flip set X relative to c0; forced on the assigned endpoints
         sources = {v for v in endpoints if a[v] != c0[v]}
         sinks = {v for v in endpoints if a[v] == c0[v]}
-        cut, x = _min_cut(g, rest, set(), sources, sinks)
+        cut, x = _min_cut(g, rest, sources, sinks)
         if len(mono) + cut > budget:
             continue
         crossing = [eid for eid in rest
                     if (g.endpoints(eid)[0] in x) != (g.endpoints(eid)[1] in x)]
         new_s = sorted(mono + crossing)
-        if len(new_s) <= budget and _two_color(g, prefix, set(new_s)) is not None:
+        if len(new_s) <= budget and \
+                signed_components(range(g.n), _signed(g, prefix - set(new_s), 1)) is not None:
             return new_s
     return None
 
@@ -155,11 +115,11 @@ def solve(g: MultiGraph, k: int) -> Optional[Tuple[FrozenSet[int], Tuple[FrozenS
     nonloop = [eid for eid in g.edge_ids() if not g.is_loop(eid)]
     s_cur: List[int] = []
     prefix: Set[int] = set()
-    color = _two_color(g, prefix, set())
+    color = dict.fromkeys(range(g.n), 0)
     for eid in nonloop:
         prefix.add(eid)
         u, v = g.endpoints(eid)
-        if color is not None and color[u] != color[v]:
+        if color[u] != color[v]:
             continue
         s_cur.append(eid)
         if len(s_cur) > budget:
@@ -167,14 +127,12 @@ def solve(g: MultiGraph, k: int) -> Optional[Tuple[FrozenSet[int], Tuple[FrozenS
             if compressed is None:
                 return None
             s_cur = compressed
-        color = _two_color(g, prefix, set(s_cur))
-        assert color is not None
+        color = {w: c for side in signed_components(range(g.n), _signed(g, prefix - set(s_cur), 1))
+                 for w, c in side.items()}
     s_all = frozenset(loops) | frozenset(s_cur)
-    final = _two_color(g, set(nonloop), set(s_cur))
-    assert final is not None
-    a = frozenset(v for v in range(g.n) if final[v] == 0)
-    b = frozenset(v for v in range(g.n) if final[v] == 1)
-    return s_all, (a, b)
+    final = signed_components(range(g.n), _signed(g, set(nonloop) - set(s_cur), 1))
+    a = frozenset(v for side in final for v, c in side.items() if c == 0)
+    return s_all, (a, frozenset(range(g.n)) - a)
 
 
 def minimize(g: MultiGraph) -> int:

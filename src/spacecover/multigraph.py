@@ -13,6 +13,7 @@ __all__ = [
     "EdgeSeparation",
     "UNBREAKABLE",
     "incidence_matrix",
+    "signed_components",
     "connected_components",
     "is_connected",
     "count_simple_cycles",
@@ -145,25 +146,47 @@ def incidence_matrix(g: MultiGraph) -> Gf2Matrix:
     return Gf2Matrix(g.n, len(eids), row_bits)
 
 
-def connected_components(g: MultiGraph, vertices: Optional[Iterable[int]] = None) -> List[Set[int]]:
-    """Connected components as vertex sets; isolated vertices are singletons."""
-    adj = g.adjacency()
-    todo = set(range(g.n)) if vertices is None else set(vertices)
-    comps: List[Set[int]] = []
-    while todo:
-        start = min(todo)
-        comp = {start}
+def signed_components(vertices: Iterable[int], edges: Iterable[Tuple[int, int, int]]
+                      ) -> Optional[List[Dict[int, int]]]:
+    """Components of (vertices, edges) as vertex -> side maps, or None.
+
+    An edge (u, v, parity) asks side[u] ^ side[v] == parity; edges with an
+    endpoint outside ``vertices`` are ignored.  Returns None when some cycle
+    has odd total parity.  Components come in order of their least vertex,
+    which is on side 0.
+    """
+    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in vertices}
+    for u, v, parity in edges:
+        if u in adj and v in adj:
+            adj[u].append((v, parity))
+            if u != v:
+                adj[v].append((u, parity))
+    comps: List[Dict[int, int]] = []
+    done: Set[int] = set()
+    for start in sorted(adj):
+        if start in done:
+            continue
+        side = {start: 0}
         stack = [start]
-        todo.discard(start)
         while stack:
             v = stack.pop()
-            for w, _ in adj[v]:
-                if w in todo:
-                    todo.discard(w)
-                    comp.add(w)
+            for w, parity in adj[v]:
+                want = side[v] ^ parity
+                if w not in side:
+                    side[w] = want
                     stack.append(w)
-        comps.append(comp)
+                elif side[w] != want:
+                    return None
+        done.update(side)
+        comps.append(side)
     return comps
+
+
+def connected_components(g: MultiGraph, vertices: Optional[Iterable[int]] = None) -> List[Set[int]]:
+    """Connected components as vertex sets; isolated vertices are singletons."""
+    todo = range(g.n) if vertices is None else vertices
+    comps = signed_components(todo, ((u, v, 0) for u, v in g._edges.values()))
+    return [set(side) for side in comps]
 
 
 def is_connected(g: MultiGraph) -> bool:
@@ -230,8 +253,8 @@ def spanning_forest(g: MultiGraph) -> Set[int]:
     return forest
 
 
-def _side_ok(g: MultiGraph, side: Set[int]) -> bool:
-    return len(connected_components(g, side)) == 1 if side else False
+def _side_ok(edges: List[Tuple[int, int, int]], side: Set[int]) -> bool:
+    return len(signed_components(side, edges)) == 1
 
 
 def good_edge_separation(g: MultiGraph, q: int, p: int, seed: int = 0):
@@ -248,13 +271,16 @@ def good_edge_separation(g: MultiGraph, q: int, p: int, seed: int = 0):
     if n <= 2 * q:
         return UNBREAKABLE
 
+    edges = g.edges()
+    unsigned = [(u, v, 0) for _, (u, v) in edges]
+
     def check(side: Set[int]):
         other = set(range(n)) - side
         if len(side) <= q or len(other) <= q:
             return None
-        if not (_side_ok(g, side) and _side_ok(g, other)):
+        if not (_side_ok(unsigned, side) and _side_ok(unsigned, other)):
             return None
-        cross = tuple(eid for eid, (u, v) in g.edges()
+        cross = tuple(eid for eid, (u, v) in edges
                       if (u in side) != (v in side))
         if len(cross) > p:
             return None

@@ -8,7 +8,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .derand import build_hash_family
-from .multigraph import MultiGraph, count_simple_cycles
+from .multigraph import MultiGraph, spanning_forest
 
 __all__ = ["PatternCoverInstance", "Embedding", "solve", "colorful_solve"]
 
@@ -31,7 +31,7 @@ class PatternCoverInstance:
             raise ValueError("pin map must be defined exactly on the pinned set")
         if len(set(self.f.values())) != len(self.f):
             raise ValueError("pin map must be injective")
-        if self.h.num_edges <= 16 and count_simple_cycles(self.h) != 0:
+        if len(spanning_forest(self.h)) != self.h.num_edges:
             raise ValueError("pattern graph must be a forest")
 
 
@@ -76,7 +76,6 @@ def _rooted_forest(h: MultiGraph) -> List[Tuple[int, Dict[int, List[Tuple[int, i
         if root in seen:
             continue
         children: Dict[int, List[Tuple[int, int]]] = {}
-        order = [(root, -1)]
         seen.add(root)
         stack = [(root, -1)]
         while stack:
@@ -90,7 +89,6 @@ def _rooted_forest(h: MultiGraph) -> List[Tuple[int, Dict[int, List[Tuple[int, i
                 stack.append((w, eid))
             children[v] = kids
         trees.append((root, children))
-        del order
     return trees
 
 

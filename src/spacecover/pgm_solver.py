@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from . import pattern_cover
@@ -19,7 +19,6 @@ __all__ = [
     "edge_types",
     "enumerate_backbones",
     "terminal_target_vertices",
-    "interesting_check",
     "build_pattern_instances",
     "solve",
 ]
@@ -129,52 +128,6 @@ def _odd_degree(h: MultiGraph, edge_subset) -> FrozenSet[int]:
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
     return frozenset(v for v, d in deg.items() if d % 2 == 1)
-
-
-def interesting_check(ctx: GuessContext, inst: PrimalInstance) -> bool:
-    """Re-derive the per-terminal conditions of the guess by subset enumeration."""
-    t, types = edge_types(inst.p)
-    classes, _ = distinct_columns(inst.p)
-    type_of = {eid: types[inst.col_of[eid]] for eid in inst.graph.edge_ids()}
-    h_edge_type: Dict[int, int] = {}
-    for eid in ctx.backbone.edge_ids():
-        if eid in ctx.forest:
-            h_edge_type[eid] = ctx.ell[eid]
-        else:
-            h_edge_type[eid] = type_of[ctx.f_e[eid]]
-    # feasibility of f*_E
-    if len(set(ctx.f_star_e.values())) != len(ctx.f_star_e):
-        return False
-    for he, ge in ctx.f_star_e.items():
-        if ge in inst.terminals or not inst.graph.has_edge(ge):
-            return False
-        u, v = ctx.backbone.endpoints(he)
-        if {ctx.f_star[u], ctx.f_star[v]} != set(inst.graph.endpoints(ge)):
-            return False
-        if type_of[ge] != h_edge_type[he]:
-            return False
-    all_edges = ctx.backbone.edge_ids()
-    for w_eid in inst.terminals:
-        target = terminal_target_vertices(inst.a_column(w_eid), ctx.h[w_eid], classes)
-        ok = False
-        for size in range(len(all_edges) + 1):
-            for sub in itertools.combinations(all_edges, size):
-                parities = [0] * t
-                for eid in sub:
-                    parities[h_edge_type[eid] - 1] ^= 1
-                if tuple(parities) != ctx.h[w_eid]:
-                    continue
-                odd = _odd_degree(ctx.backbone, sub)
-                if not odd <= ctx.d:
-                    continue
-                if frozenset(ctx.f_star[v] for v in odd) == target:
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            return False
-    return True
 
 
 def _pin_enumeration(inst: PrimalInstance, backbone: MultiGraph,
@@ -293,7 +246,6 @@ def _expand_guess(inst, backbone, forest, extra, f, f_e, ell, h, per_term,
     free_targets = sorted(v_star - frozenset(f.values()))
     if len(free_targets) != need:
         return  # f image must be inside V*
-    g_prime_base = None
     for extra_d in itertools.combinations(others, need):
         d = frozenset(vtilde) | frozenset(extra_d)
         for images in itertools.permutations(free_targets):

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import spacecover
 from spacecover.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
-from spacecover.fileio import parse_file
+from spacecover.fileio import parse_file, serialize_instance
+from spacecover.gf2 import Gf2Matrix
+from spacecover.instances import DualInstance
+from spacecover.multigraph import MultiGraph
 
 TRIANGLE_YES = """SCPM v1
 mode primal
@@ -123,13 +131,45 @@ def test_bench_rows_and_agreement(tmp_path, capsys):
         assert main(["gen", "random", str(corpus / ("i%d.scpm" % i)),
                      "--seed", seed, "--n", "5", "--m", "7", "--k", "2",
                      "--r", "1"]) == EXIT_YES
+    # P has three distinct rows but two distinct columns; primal rows count columns
+    write(corpus / "types.scpm", TRIANGLE_YES.replace("n 3 m 3 k 2", "n 3 m 2 k 1")
+          .replace("edge 0 2\n", "").replace("pert 0", "pert 3\n0 10\n1 01\n2 11")
+          .replace("terminals 2", "terminals 0"))
     capsys.readouterr()
     assert main(["bench", str(corpus)]) == EXIT_YES
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("file,mode,")
-    assert len(lines) == 4
+    assert len(lines) == 5
     for row in lines[1:]:
         assert ",yes," in row or row.split(",")[8] == "yes"
+    assert lines[-1].split(",")[6] == "2"
+
+
+def test_solve_without_numpy_reaches_universal_sets(tmp_path):
+    # a 4-regular circulant on 16 vertices is (2,2)-unbreakable, and vertex 16
+    # hangs on a doubled edge whose second copy is the terminal
+    g = MultiGraph(17, [(i, (i + s) % 16) for s in (1, 2) for i in range(16)]
+                   + [(0, 16), (0, 16)])
+    inst = DualInstance(g, Gf2Matrix(17, g.num_edges), [g.num_edges - 1], 1)
+    path = write(tmp_path / "circulant.scpm", serialize_instance(inst))
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None
+        import spacecover.cli
+        from spacecover import dual_solver
+        calls = []
+        build = dual_solver.build_universal_set
+        dual_solver.build_universal_set = lambda *a: calls.append(a) or build(*a)
+        code = spacecover.cli.main(["solve", sys.argv[1], "--q-override", "2",
+                                    "--p-override", "2"])
+        assert calls, "build_universal_set was not reached"
+        sys.exit(code)
+    """)
+    src = os.path.dirname(os.path.dirname(spacecover.__file__))
+    proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=600)
+    assert proc.returncode == EXIT_YES, proc.stderr
+    assert proc.stdout.startswith("yes F=")
 
 
 def test_bench_empty_dir_header_only(tmp_path, capsys):

@@ -4,13 +4,13 @@ from helpers import (all_preliminary, complete_graph, doubled_path_dual,
                      dual_corpus, esc_from_random_dual)
 from spacecover import dual_solver
 from spacecover.dual_solver import (AnnotatedEscInstance, EscTerminal,
-                                    RecursParams, build_esc, contributes, fits,
-                                    preliminary_partition, recurs,
-                                    reduce_terminals_dual, solve_esc,
+                                    RecursParams, _small_case, build_esc,
+                                    contributes, fits, preliminary_partition,
+                                    recurs, reduce_terminals_dual, solve_esc,
                                     vertex_types)
 from spacecover.gf2 import Gf2Matrix
 from spacecover.instances import DualInstance
-from spacecover.multigraph import MultiGraph
+from spacecover.multigraph import MultiGraph, connected_components
 from spacecover.oracle import solve_dual_bruteforce
 
 
@@ -118,24 +118,27 @@ def test_solve_matches_oracle_small_corpus():
 
 
 def test_solve_esc_disconnected_components():
+    # the parity combine over components must agree with one small-case table
+    # over the whole (disconnected) graph
     rng = random.Random(301)
     checked = 0
     for _ in range(40):
         inst = esc_from_random_dual(rng, n_max=7, m_max=7)
-        from spacecover.multigraph import connected_components
-
         if len(connected_components(inst.g)) < 2:
             continue
         got = solve_esc(inst)
-        # cross-check against the single-table path on a connected supergraph:
-        # verify the returned solution satisfies the root definition directly
+        table = _small_case(AnnotatedEscInstance(inst), RecursParams(q=2, p=2, s=10 ** 6))
+        root = (tuple(term.b for term in inst.terminals),
+                tuple(frozenset() for _ in inst.terminals))
+        want = table[root]
+        assert (got is None) == (want is None)
         if got is not None:
             f_set, x_map = got
-            assert len(f_set) <= inst.k
+            assert len(f_set) == len(want[0]) <= inst.k
             for term in inst.terminals:
                 assert fits(x_map[term.tid], term, inst) == "fits"
-            checked += 1
-    assert checked >= 0
+        checked += 1
+    assert checked >= 10
 
 
 def test_preliminary_partition_matches_bruteforce_small():

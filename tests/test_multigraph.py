@@ -9,7 +9,7 @@ from spacecover.gf2 import rank
 from spacecover.multigraph import (UNBREAKABLE, MultiGraph, connected_components,
                                    count_simple_cycles, good_edge_separation,
                                    incidence_matrix, is_connected,
-                                   spanning_forest)
+                                   signed_components, spanning_forest)
 
 
 def test_stable_edge_ids():
@@ -51,6 +51,19 @@ def test_connected_components():
     comps = connected_components(g)
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2], [3, 4]]
     assert not is_connected(g)
+
+
+def test_signed_components():
+    assert signed_components([0], [(0, 0, 1)]) is None
+    assert signed_components([0], [(0, 0, 0)]) == [{0: 0}]
+    assert signed_components([0, 1], [(0, 1, 0), (0, 1, 1)]) is None
+    # the odd triangle through vertex 3 lies outside the vertex subset
+    edges = [(4, 2, 1), (2, 0, 0), (1, 3, 1), (3, 4, 1), (4, 1, 1), (5, 5, 0)]
+    assert signed_components([4, 2, 0, 5], edges) == [{0: 0, 2: 0, 4: 1}, {5: 0}]
+    assert signed_components(range(6), edges) is None
+    comps = signed_components([5, 3, 1, 4], [(5, 3, 1), (4, 1, 1)])
+    assert comps == [{1: 0, 4: 1}, {3: 0, 5: 1}]
+    assert [min(side) for side in comps] == [1, 3]
 
 
 def test_count_simple_cycles_frozen():

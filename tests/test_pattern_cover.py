@@ -27,9 +27,12 @@ def random_pattern_instance(rng, gn_max=8, hn_max=5, t_max=3):
 
 def test_rejects_non_forest_pattern():
     g = MultiGraph(3, [(0, 1)])
-    h = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValueError):
-        PatternCoverInstance(g, {0: 1}, h, {e: 1 for e in h.edge_ids()})
+    triangle = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
+    # 17 edges: a 17-cycle, past the reach of cycle counting
+    long_cycle = MultiGraph(17, [(i, (i + 1) % 17) for i in range(17)])
+    for h in (triangle, long_cycle):
+        with pytest.raises(ValueError):
+            PatternCoverInstance(g, {0: 1}, h, {e: 1 for e in h.edge_ids()})
 
 
 def test_rejects_bad_pin_map():
