@@ -11,7 +11,7 @@ import time
 from typing import List, Optional
 
 from . import dual_solver, hardness, oracle, pgm_solver
-from .dual_solver import RecursParams, reduce_terminals_dual, vertex_types
+from .dual_solver import RecursParams, vertex_types
 from .fileio import (FormatError, parse_file, parse_report, report_from_solution,
                      serialize_instance, verify_report)
 from .instances import DualInstance, random_instance
@@ -33,11 +33,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--oracle", action="store_true",
                          help="solve by brute force instead of the production pipeline")
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--q-override", type=int, default=None,
-                         help="separation size threshold override (dual recursion)")
+                         help="run the theory-only dual recursion with separation "
+                              "side threshold q and small-case threshold q^4")
     p_solve.add_argument("--p-override", type=int, default=None,
-                         help="separation crossing-edge threshold override")
+                         help="crossing-edge threshold of the dual recursion "
+                              "(default 2(k+1); needs --q-override)")
     p_solve.add_argument("--json", action="store_true",
                          help="emit a JSON result report on stdout")
 
@@ -67,32 +68,27 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="solve files (or every file in a directory) "
                                   "and emit CSV")
     p_bench.add_argument("paths", nargs="+")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--q-override", type=int, default=None)
     p_bench.add_argument("--p-override", type=int, default=None)
     return parser
 
 
 def _dual_params(inst: DualInstance, args) -> Optional[RecursParams]:
-    if args.q_override is None and args.p_override is None:
+    """Thresholds of the theory-only recursion, or None for the small case only."""
+    q = args.q_override
+    if q is None:
         return None
-    kept, _ = reduce_terminals_dual(inst)
-    t, _classes = vertex_types(inst.p)
-    params = RecursParams.theoretical(inst.k, t, max(len(kept), 1))
-    if args.q_override is not None:
-        params.q = args.q_override
-        params.s = args.q_override ** 4
-    if args.p_override is not None:
-        params.p = args.p_override
-    params.seed = args.seed
-    return params
+    p = 2 * (inst.k + 1) if args.p_override is None else args.p_override
+    return RecursParams(q, p, q ** 4)
 
 
-def _run_solver(inst, args, stats):
-    if args.oracle:
-        if inst.mode == "primal":
-            return oracle.solve_primal_bruteforce(inst)
-        return oracle.solve_dual_bruteforce(inst)
+def _solve_oracle(inst):
+    if inst.mode == "primal":
+        return oracle.solve_primal_bruteforce(inst)
+    return oracle.solve_dual_bruteforce(inst)
+
+
+def _solve_fpt(inst, args, stats):
     if inst.mode == "primal":
         return pgm_solver.solve(inst, stats=stats)
     return dual_solver.solve(inst, params=_dual_params(inst, args), stats=stats)
@@ -107,7 +103,7 @@ def _cmd_solve(args) -> int:
     stats = {}
     start = time.perf_counter()
     try:
-        result = _run_solver(inst, args, stats)
+        result = _solve_oracle(inst) if args.oracle else _solve_fpt(inst, args, stats)
     except Exception as exc:  # surface solver failures as exit code 2
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
@@ -185,16 +181,12 @@ def _cmd_bench(args) -> int:
             status = EXIT_ERROR
             continue
         stats = {}
-        args.oracle = False
         try:
             start = time.perf_counter()
-            result = _run_solver(inst, args, stats)
+            result = _solve_fpt(inst, args, stats)
             solver_ms = (time.perf_counter() - start) * 1000.0
             start = time.perf_counter()
-            if inst.mode == "primal":
-                ref = oracle.solve_primal_bruteforce(inst)
-            else:
-                ref = oracle.solve_dual_bruteforce(inst)
+            ref = _solve_oracle(inst)
             oracle_ms = (time.perf_counter() - start) * 1000.0
         except Exception as exc:  # record the failure, keep benching
             print("error in %s: %s" % (path, exc), file=sys.stderr)
@@ -218,6 +210,10 @@ def _cmd_bench(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "p_override", None) is not None and args.q_override is None:
+        print("error: --p-override needs --q-override: without it the dual solve "
+              "never reaches the recursion", file=sys.stderr)
+        return EXIT_ERROR
     handlers = {"solve": _cmd_solve, "check": _cmd_check,
                 "gen": _cmd_gen, "bench": _cmd_bench}
     return handlers[args.command](args)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -19,9 +18,8 @@ __all__ = [
     "verify_universal",
 ]
 
-# Demand spaces larger than this switch construction/verification to sampling.
+# Demand spaces larger than this are refused: the greedy keeps one bit per demand.
 DEMAND_CAP = 2_000_000
-RANDOM_ROUNDS_CAP = 200_000
 
 
 @dataclass
@@ -53,18 +51,23 @@ def _covers_hash(func: Tuple[int, ...], subset: Tuple[int, ...]) -> bool:
     return True
 
 
-def build_hash_family(n: int, k: int, seed: int = 0) -> HashFamily:
+def _check_demands(count: int, what: str) -> None:
+    if count > DEMAND_CAP:
+        raise ValueError("beyond supported range: %s demand count %d exceeds DEMAND_CAP = %d"
+                         % (what, count, DEMAND_CAP))
+
+
+def build_hash_family(n: int, k: int) -> HashFamily:
     """Greedy conditional-expectation construction of an (n,k)-perfect hash family.
 
-    Falls back to seeded random sampling when the demand space (all k-subsets)
-    exceeds DEMAND_CAP.
+    Refuses with ValueError when the demand space (all k-subsets) exceeds
+    DEMAND_CAP.
     """
     if not 0 < k <= n:
         raise ValueError("need 0 < k <= n")
     if k == 1:
         return HashFamily(n, k, [tuple([0] * n)])
-    if math.comb(n, k) > DEMAND_CAP:
-        return _random_hash_family(n, k, seed)
+    _check_demands(math.comb(n, k), "(%d,%d)-perfect hash family" % (n, k))
     demands = list(itertools.combinations(range(n), k))
     # falling-factorial probability table: prob[u][r] that r unassigned members
     # receive distinct colors from the k-u unused ones, under uniform choices
@@ -116,30 +119,9 @@ def build_hash_family(n: int, k: int, seed: int = 0) -> HashFamily:
     return HashFamily(n, k, functions)
 
 
-def _random_hash_family(n: int, k: int, seed: int) -> HashFamily:
-    rng = random.Random(seed)
-    sample = [tuple(sorted(rng.sample(range(n), k))) for _ in range(20000)]
-    uncovered = set(sample)
-    functions: List[Tuple[int, ...]] = []
-    for _ in range(RANDOM_ROUNDS_CAP):
-        if not uncovered:
-            return HashFamily(n, k, functions)
-        func = tuple(rng.randrange(k) for _ in range(n))
-        newly = {s for s in uncovered if _covers_hash(func, s)}
-        if newly:
-            uncovered -= newly
-            functions.append(func)
-    raise RuntimeError("randomized hash family construction exhausted its budget")
-
-
-def verify_family(fam: HashFamily, seed: int = 0) -> bool:
-    """Check the defining property; exhaustive when the demand space is small."""
-    if math.comb(fam.n, fam.k) <= DEMAND_CAP:
-        subsets = itertools.combinations(range(fam.n), fam.k)
-    else:
-        rng = random.Random(seed)
-        subsets = (tuple(sorted(rng.sample(range(fam.n), fam.k))) for _ in range(20000))
-    for s in subsets:
+def verify_family(fam: HashFamily) -> bool:
+    """Check the defining property on every k-subset."""
+    for s in itertools.combinations(range(fam.n), fam.k):
         if not any(_covers_hash(f, s) for f in fam.functions):
             return False
     return True
@@ -154,19 +136,18 @@ def _universal_demands(n: int, k: int, p: int):
             yield subset, tuple(pattern)
 
 
-def build_universal_set(n: int, k: int, p: int, seed: int = 0) -> UniversalSet:
+def build_universal_set(n: int, k: int, p: int) -> UniversalSet:
     """Greedy conditional-expectation construction of an (n,k,p)-universal set.
 
-    Demands are int bitsets; falls back to seeded random sampling when the
-    demand space exceeds DEMAND_CAP.
+    Demands are int bitsets; refuses with ValueError when the demand space
+    exceeds DEMAND_CAP.
     """
     if not 0 <= p <= k <= n:
         raise ValueError("need 0 <= p <= k <= n")
     patterns = list(itertools.combinations(range(k), p))
     width = len(patterns)
     n_subsets = math.comb(n, k)
-    if n_subsets * width > DEMAND_CAP:
-        return _random_universal(n, k, p, seed)
+    _check_demands(n_subsets * width, "(%d,%d,%d)-universal set" % (n, k, p))
     # Demand (subset s, pattern j) is bit s * width + j, in the order of
     # _universal_demands.  Under pattern j the member at position pos of a
     # subset wants bit 1 iff bit j of ones[pos] is set.
@@ -206,47 +187,14 @@ def build_universal_set(n: int, k: int, p: int, seed: int = 0) -> UniversalSet:
     return UniversalSet(n, k, p, functions)
 
 
-def _random_universal(n: int, k: int, p: int, seed: int) -> UniversalSet:
-    rng = random.Random(seed)
-    demands = []
-    for _ in range(20000):
-        subset = tuple(sorted(rng.sample(range(n), k)))
-        ones = set(rng.sample(range(k), p))
-        demands.append((subset, tuple(1 if j in ones else 0 for j in range(k))))
-    uncovered = set(demands)
-    functions: List[Tuple[int, ...]] = []
-    for _ in range(RANDOM_ROUNDS_CAP):
-        if not uncovered:
-            return UniversalSet(n, k, p, functions)
-        func = tuple(rng.getrandbits(1) for _ in range(n))
-        newly = {d for d in uncovered if _realizes(func, d)}
-        if newly:
-            uncovered -= newly
-            functions.append(func)
-    raise RuntimeError("randomized universal set construction exhausted its budget")
-
-
 def _realizes(func: Tuple[int, ...], demand) -> bool:
     subset, pattern = demand
     return all(func[i] == b for i, b in zip(subset, pattern))
 
 
-def verify_universal(us: UniversalSet, seed: int = 0) -> bool:
-    """Check the defining property; exhaustive when the demand space is small."""
-    n_demands = math.comb(us.n, us.k) * math.comb(us.k, us.p)
-    if n_demands <= DEMAND_CAP:
-        demands = _universal_demands(us.n, us.k, us.p)
-    else:
-        rng = random.Random(seed)
-
-        def gen():
-            for _ in range(20000):
-                subset = tuple(sorted(rng.sample(range(us.n), us.k)))
-                ones = set(rng.sample(range(us.k), us.p))
-                yield subset, tuple(1 if j in ones else 0 for j in range(us.k))
-
-        demands = gen()
-    for d in demands:
+def verify_universal(us: UniversalSet) -> bool:
+    """Check the defining property on every (k-subset, pattern) demand."""
+    for d in _universal_demands(us.n, us.k, us.p):
         if not any(_realizes(f, d) for f in us.functions):
             return False
     return True

@@ -75,20 +75,19 @@ class AnnotatedEscInstance:
 
 @dataclass
 class RecursParams:
-    """Recursion thresholds; defaults follow the doubly-exponential formulas."""
+    """Recursion thresholds and the branch counters of one solve.
 
-    q: int
-    p: int
-    s: int
-    seed: int = 0
+    Without thresholds every instance takes the small case.  The recursion
+    (good separations, EOCT, universal sets, the lift) runs only when q, p
+    and s are given explicitly.  It is a theory-only path: the paper's
+    thresholds give s >= 2^16 vertices whenever k >= 1, which leaves every
+    solvable instance in the small case.
+    """
+
+    q: Optional[int] = None
+    p: Optional[int] = None
+    s: Optional[int] = None
     stats: Dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def theoretical(cls, k: int, t: int, num_terminals: int, lam: int = 1) -> "RecursParams":
-        exponent = lam * (t + k * k) * max(num_terminals, 1)
-        exponent = min(exponent, 60)  # beyond this every feasible n is "small"
-        q = 1 << min(1 << exponent, 60)
-        return cls(q=q, p=2 * (k + 1), s=min(q ** 4, 1 << 62))
 
     def bump(self, name: str) -> None:
         self.stats[name] = self.stats.get(name, 0) + 1
@@ -347,10 +346,10 @@ def _universal_cached(n: int, k: int, p: int):
 _SEP_CACHE: Dict[Tuple, object] = {}
 
 
-def _separation_cached(g: MultiGraph, q: int, p: int, seed: int):
-    key = (g.n, tuple(tuple(sorted(e)) for _, e in g.edges()), q, p, seed)
+def _separation_cached(g: MultiGraph, q: int, p: int):
+    key = (g.n, tuple(tuple(sorted(e)) for _, e in g.edges()), q, p)
     if key not in _SEP_CACHE:
-        _SEP_CACHE[key] = good_edge_separation(g, q, p, seed=seed)
+        _SEP_CACHE[key] = good_edge_separation(g, q, p)
     return _SEP_CACHE[key]
 
 
@@ -360,9 +359,9 @@ def recurs(ainst: AnnotatedEscInstance, params: RecursParams):
     if not inst.terminals:
         return {((), ()): (frozenset(), {})}
     n = inst.g.n
-    if n <= params.s or not is_connected(inst.g):
+    if params.s is None or n <= params.s or not is_connected(inst.g):
         return _small_case(ainst, params)
-    sep = _separation_cached(inst.g, params.q, params.p, params.seed)
+    sep = _separation_cached(inst.g, params.q, params.p)
     if sep == UNBREAKABLE:
         return _unbreakable_case(ainst, params)
     return _breakable_case(ainst, params, sep)
@@ -747,9 +746,12 @@ def build_esc(inst: DualInstance, parity_guess: Dict[int, Tuple[int, ...]],
 
 
 def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None):
-    """Optimal (F, per-terminal X) for the root parity targets, or None."""
+    """Optimal (F, per-terminal X) for the root parity targets, or None.
+
+    Without params every component is decided by the small case.
+    """
     if params is None:
-        params = RecursParams.theoretical(inst.k, inst.t, len(inst.terminals))
+        params = RecursParams()
     comps = connected_components(inst.g)
     if len(comps) <= 1:
         ainst = AnnotatedEscInstance(inst)

@@ -107,7 +107,8 @@ def _compress(g: MultiGraph, prefix: Set[int], s_cur: List[int], budget: int) ->
 def solve(g: MultiGraph, k: int) -> Optional[Tuple[FrozenSet[int], Tuple[FrozenSet[int], FrozenSet[int]]]]:
     """Edge set S with |S| <= k and g - S bipartite, plus a witness bipartition."""
     if k > EOCT_K_CAP:
-        raise ValueError("budget cap %d exceeded" % EOCT_K_CAP)
+        raise ValueError("beyond supported range: budget %d exceeds EOCT_K_CAP = %d"
+                         % (k, EOCT_K_CAP))
     loops = [eid for eid in g.edge_ids() if g.is_loop(eid)]
     if len(loops) > k:
         return None

@@ -201,7 +201,8 @@ def count_simple_cycles(g: MultiGraph) -> int:
     """
     eids = g.edge_ids()
     if len(eids) > CYCLE_COUNT_EDGE_CAP:
-        raise ValueError("cycle counting capped at %d edges" % CYCLE_COUNT_EDGE_CAP)
+        raise ValueError("beyond supported range: edge count %d exceeds CYCLE_COUNT_EDGE_CAP = %d"
+                         % (len(eids), CYCLE_COUNT_EDGE_CAP))
     count = 0
     for size in range(1, len(eids) + 1):
         for subset in itertools.combinations(eids, size):
@@ -212,23 +213,7 @@ def count_simple_cycles(g: MultiGraph) -> int:
                 deg[v] = deg.get(v, 0) + 1
             if any(d != 2 for d in deg.values()):
                 continue
-            # connectivity of the edge subset
-            verts = set(deg)
-            adj: Dict[int, Set[int]] = {v: set() for v in verts}
-            for eid in subset:
-                u, v = g.endpoints(eid)
-                adj[u].add(v)
-                adj[v].add(u)
-            start = next(iter(verts))
-            seen = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if seen == verts:
+            if len(signed_components(deg, ((*g.endpoints(eid), 0) for eid in subset))) == 1:
                 count += 1
     return count
 
@@ -257,72 +242,33 @@ def _side_ok(edges: List[Tuple[int, int, int]], side: Set[int]) -> bool:
     return len(signed_components(side, edges)) == 1
 
 
-def good_edge_separation(g: MultiGraph, q: int, p: int, seed: int = 0):
+def good_edge_separation(g: MultiGraph, q: int, p: int):
     """A (q,p)-good edge separation of a connected g, or UNBREAKABLE.
 
     Both sides must be connected and larger than q, with at most p crossing
-    edges.  Exact subset search up to SEPARATION_EXACT_VERTEX_CAP vertices;
-    beyond that a verified randomized contraction search is used and an
-    UNBREAKABLE verdict is best-effort.
+    edges.  Exact subset search; graphs with more than
+    SEPARATION_EXACT_VERTEX_CAP vertices that could hold a separation are
+    refused with ValueError.
     """
     if not is_connected(g):
         raise ValueError("good_edge_separation requires a connected graph")
     n = g.n
     if n <= 2 * q:
         return UNBREAKABLE
-
+    if n > SEPARATION_EXACT_VERTEX_CAP:
+        raise ValueError("beyond supported range: vertex count %d exceeds "
+                         "SEPARATION_EXACT_VERTEX_CAP = %d" % (n, SEPARATION_EXACT_VERTEX_CAP))
     edges = g.edges()
     unsigned = [(u, v, 0) for _, (u, v) in edges]
-
-    def check(side: Set[int]):
-        other = set(range(n)) - side
+    everything = set(range(n))
+    # vertex 0 on the X side w.l.o.g.; enumerate the rest.  The crossing count
+    # is the cheap test and rejects most masks, so it runs first.
+    for mask in range(1 << (n - 1)):
+        side = {0} | {v for v in range(1, n) if (mask >> (v - 1)) & 1}
+        other = everything - side
         if len(side) <= q or len(other) <= q:
-            return None
-        if not (_side_ok(unsigned, side) and _side_ok(unsigned, other)):
-            return None
-        cross = tuple(eid for eid, (u, v) in edges
-                      if (u in side) != (v in side))
-        if len(cross) > p:
-            return None
-        return EdgeSeparation(frozenset(side), frozenset(other), cross)
-
-    if n <= SEPARATION_EXACT_VERTEX_CAP:
-        # vertex 0 on the X side w.l.o.g.; enumerate the rest
-        rest = list(range(1, n))
-        for mask in range(1 << (n - 1)):
-            side = {0} | {rest[i] for i in range(n - 1) if (mask >> i) & 1}
-            sep = check(side)
-            if sep is not None:
-                return sep
-        return UNBREAKABLE
-
-    import random
-
-    rng = random.Random(seed)
-    eids = g.edge_ids()
-    for _ in range(2000):
-        # Karger-style contraction down to two supernodes
-        parent = list(range(n))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        groups = n
-        order = eids[:]
-        rng.shuffle(order)
-        for eid in order:
-            if groups == 2:
-                break
-            u, v = g.endpoints(eid)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                groups -= 1
-        side = {v for v in range(n) if find(v) == find(0)}
-        sep = check(side)
-        if sep is not None:
-            return sep
+            continue
+        cross = tuple(eid for eid, (u, v) in edges if (u in side) != (v in side))
+        if len(cross) <= p and _side_ok(unsigned, side) and _side_ok(unsigned, other):
+            return EdgeSeparation(frozenset(side), frozenset(other), cross)
     return UNBREAKABLE

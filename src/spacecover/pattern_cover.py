@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -67,6 +66,12 @@ class Embedding:
         return True
 
 
+def _check_pattern_size(k: int) -> None:
+    if k > PATTERN_VERTEX_CAP:
+        raise ValueError("beyond supported range: pattern vertex count %d exceeds "
+                         "PATTERN_VERTEX_CAP = %d" % (k, PATTERN_VERTEX_CAP))
+
+
 def _rooted_forest(h: MultiGraph) -> List[Tuple[int, Dict[int, List[Tuple[int, int]]]]]:
     """Roots and child lists of each tree: root, vertex -> [(child, edge id)]."""
     adj = h.adjacency()
@@ -99,8 +104,7 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
     assembled across trees by a second table over color subsets.
     """
     k = inst.h.n
-    if k > PATTERN_VERTEX_CAP:
-        raise ValueError("pattern vertex cap exceeded")
+    _check_pattern_size(k)
     if k == 0:
         return Embedding({}, {})
     if inst.g.n == 0:
@@ -266,25 +270,15 @@ def _hash_family_cached(n: int, k: int):
     return build_hash_family(n, k)
 
 
-def solve(inst: PatternCoverInstance, mode: str = "deterministic",
-          trials: int = 200, seed: int = 0) -> Optional[Embedding]:
-    """Find an embedding; deterministic mode is exact, randomized is one-sided."""
+def solve(inst: PatternCoverInstance) -> Optional[Embedding]:
+    """Find an embedding, or None when none exists; color coding over a perfect hash family."""
     k = inst.h.n
-    if k > PATTERN_VERTEX_CAP:
-        raise ValueError("pattern vertex cap exceeded")
+    _check_pattern_size(k)
     if k == 0:
         return Embedding({}, {})
     if k > inst.g.n:
         return None
-    if mode == "deterministic":
-        colorings = _hash_family_cached(inst.g.n, k).functions
-    elif mode == "randomized":
-        rng = random.Random(seed)
-        colorings = [tuple(rng.randrange(k) for _ in range(inst.g.n))
-                     for _ in range(trials)]
-    else:
-        raise ValueError("unknown mode %r" % mode)
-    for coloring in colorings:
+    for coloring in _hash_family_cached(inst.g.n, k).functions:
         emb = colorful_solve(inst, coloring)
         if emb is not None:
             return emb

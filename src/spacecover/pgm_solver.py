@@ -91,7 +91,8 @@ def enumerate_backbones(k: int, t: int) -> Iterator[MultiGraph]:
     Emitted in ascending edge count; one canonical representative per class.
     """
     if k > BACKBONE_EDGE_CAP:
-        raise ValueError("backbone edge cap %d exceeded" % BACKBONE_EDGE_CAP)
+        raise ValueError("beyond supported range: budget %d exceeds BACKBONE_EDGE_CAP = %d"
+                         % (k, BACKBONE_EDGE_CAP))
     cycle_cap = 1 << t
     for me in range(1, k + 1):
         seen = set()

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import textwrap
 import pytest
 
 import spacecover
+from spacecover import dual_solver, pattern_cover
 from spacecover.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from spacecover.fileio import parse_file, serialize_instance
 from spacecover.gf2 import Gf2Matrix
@@ -22,6 +24,8 @@ edge 0 2
 pert 0
 terminals 2
 """
+
+TRIANGLE_DUAL = TRIANGLE_YES.replace("mode primal", "mode dual").replace("k 2", "k 1")
 
 
 def write(path, text):
@@ -58,6 +62,41 @@ def test_solve_json_report_checks(tmp_path, capsys):
     report = write(tmp_path / "tri.report.json", json.dumps(payload))
     assert main(["check", inst, report]) == EXIT_YES
     capsys.readouterr()
+
+
+# Each cap is lowered until the triangle reaches it: the primal rows through
+# backbones, cycle counts, patterns and hash families, the dual rows through
+# the recursion (with q = 1 the triangle has no separation, so EOCT runs).
+CAP_CASES = {
+    "BACKBONE_EDGE_CAP": ("pgm_solver", 1, TRIANGLE_YES, []),
+    "CYCLE_COUNT_EDGE_CAP": ("multigraph", 1, TRIANGLE_YES, []),
+    "PATTERN_VERTEX_CAP": ("pattern_cover", 1, TRIANGLE_YES, []),
+    "DEMAND_CAP": ("derand", 0, TRIANGLE_YES, []),
+    "EOCT_K_CAP": ("eoct", 0, TRIANGLE_DUAL, ["--q-override", "1"]),
+    "SEPARATION_EXACT_VERTEX_CAP": ("multigraph", 2, TRIANGLE_DUAL, ["--q-override", "1"]),
+}
+
+
+@pytest.mark.parametrize("cap", list(CAP_CASES))
+def test_solve_refuses_past_each_cap(tmp_path, capsys, monkeypatch, cap):
+    module, value, text, extra = CAP_CASES[cap]
+    # no cached family or separation may answer in place of a capped build
+    monkeypatch.setattr(dual_solver, "_SEP_CACHE", {})
+    pattern_cover._hash_family_cached.cache_clear()
+    monkeypatch.setattr(importlib.import_module("spacecover." + module), cap, value)
+    inst = write(tmp_path / "tri.scpm", text)
+    assert main(["solve", inst, *extra]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "beyond supported range" in err and cap in err, err
+
+
+def test_p_override_needs_q_override(tmp_path, capsys):
+    inst = write(tmp_path / "tri.scpm", TRIANGLE_DUAL)
+    assert main(["solve", inst, "--p-override", "2"]) == EXIT_ERROR
+    assert main(["bench", inst, "--p-override", "2"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("--p-override needs --q-override") == 2
 
 
 def test_check_tampered_witness_exit_one(tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from spacecover import derand
 from spacecover.derand import (HashFamily, UniversalSet, _universal_demands,
                                build_hash_family, build_universal_set,
                                verify_family, verify_universal)
@@ -33,6 +34,16 @@ def test_hash_family_bad_params():
         build_hash_family(3, 4)
     with pytest.raises(ValueError):
         build_hash_family(3, 0)
+
+
+def test_builders_refuse_past_demand_cap(monkeypatch):
+    monkeypatch.setattr(derand, "DEMAND_CAP", 6)
+    assert verify_family(build_hash_family(4, 2))            # C(4,2) = 6 demands
+    assert verify_universal(build_universal_set(3, 2, 1))    # 3 subsets x 2 patterns
+    with pytest.raises(ValueError, match="beyond supported range.*DEMAND_CAP"):
+        build_hash_family(5, 2)
+    with pytest.raises(ValueError, match="beyond supported range.*DEMAND_CAP"):
+        build_universal_set(4, 2, 1)
 
 
 def test_verify_family_detects_gap():

@@ -67,13 +67,18 @@ def test_multiplicity_reduction_keeps_k_plus_one():
     assert 0 in red.g.edge_ids()
 
 
-def test_recurs_params_theoretical_capped():
-    params = RecursParams.theoretical(3, 2, 2)
-    assert params.q == 1 << 60
-    assert params.p == 8
-    params.bump("small")
-    params.bump("small")
-    assert params.stats == {"small": 2}
+def test_threshold_free_params_take_the_small_case(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a separation search ran without thresholds")
+
+    monkeypatch.setattr(dual_solver, "_separation_cached", no_search)
+    inst = doubled_path_dual(length=16, dup_at=3, k=1)
+    assert inst.graph.n == 17
+    esc = build_esc(inst, {inst.terminals[0]: (1,)})
+    params = RecursParams()
+    table = recurs(AnnotatedEscInstance(esc), params)
+    assert table[(((1,),), (frozenset(),))] is not None
+    assert params.stats == {"small": 1}
 
 
 def test_reduce_terminals_dual_parallel_edges():

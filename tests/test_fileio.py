@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +95,12 @@ def test_verify_report_mode_mismatch():
     report.mode = "dual"
     with pytest.raises(FormatError):
         verify_report(inst, report)
+
+
+def test_readme_format_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(SCPM v1\n.*?)```", readme, re.S).group(1)
+    inst = parse_instance(block)
+    assert (inst.mode, inst.graph.n, inst.graph.num_edges, inst.k) == ("primal", 3, 3, 2)
+    assert inst.p.row_bits == [0, 0, 1 << 2]
+    assert list(inst.terminals) == [2]

@@ -106,6 +106,11 @@ def test_good_edge_separation_clique_unbreakable():
     assert good_edge_separation(complete_graph(7), q=2, p=2) == UNBREAKABLE
 
 
+def test_good_edge_separation_refuses_past_exact_cap():
+    with pytest.raises(ValueError, match="beyond supported range.*SEPARATION_EXACT_VERTEX_CAP"):
+        good_edge_separation(path_graph(21), q=2, p=2)
+
+
 def test_good_edge_separation_requires_connected():
     g = MultiGraph(6)
     g.add_edge(0, 1)

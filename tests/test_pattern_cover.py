@@ -95,16 +95,6 @@ def test_deterministic_solve_matches_bruteforce():
     assert agree == 80
 
 
-def test_randomized_mode_one_sided():
-    rng = random.Random(23)
-    for _ in range(30):
-        inst = random_pattern_instance(rng)
-        got = solve(inst, mode="randomized", trials=100, seed=5)
-        if got is not None:
-            assert got.verify(inst)
-            assert pattern_cover_bruteforce(inst) is not None
-
-
 def test_colorful_solve_matches_rainbow_filter():
     rng = random.Random(29)
     for _ in range(60):
