@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .gf2 import Gf2Matrix
 from .instances import PrimalInstance

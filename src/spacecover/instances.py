@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .binmatroid import BinaryMatroid
 from .gf2 import Gf2Matrix, Gf2Vector, rank

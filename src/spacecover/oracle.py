@@ -6,8 +6,8 @@ import itertools
 import math
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .binmatroid import (BinaryMatroid, CocycleCertificate, SpanCertificate,
-                         dual_span_contains, span_contains)
+from .binmatroid import (CocycleCertificate, SpanCertificate, dual_span_contains,
+                         span_contains)
 from .instances import DualInstance, PrimalInstance
 from .multigraph import MultiGraph
 from .pattern_cover import Embedding, PatternCoverInstance

@@ -127,19 +127,22 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
     for key in nbr:
         nbr[key].sort()
 
-    size_full: Dict[int, int] = {}
+    # sizes[v, j]: vertices in v's subtree restricted to its children j, j+1, ...
+    sizes: Dict[Tuple[int, int], int] = {}
 
     def calc_size(children: Dict[int, List[Tuple[int, int]]], v: int) -> int:
-        size_full[v] = 1 + sum(calc_size(children, w) for w, _ in children[v])
-        return size_full[v]
+        kids = children[v]
+        size = 1
+        sizes[v, len(kids)] = size
+        for j in range(len(kids) - 1, -1, -1):
+            size += calc_size(children, kids[j][0])
+            sizes[v, j] = size
+        return size
 
     for root, children in trees:
         calc_size(children, root)
 
     memo: Dict[Tuple[int, int, int, int], bool] = {}
-
-    def subtree_size(children, v: int, j: int) -> int:
-        return 1 + sum(size_full[w] for w, _ in children[v][j:])
 
     def table(children, v: int, j: int, x: int, cmask: int) -> bool:
         key = (v, j, x, cmask)
@@ -155,7 +158,7 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
         cx = 1 << c[x]
         if not (cmask & cx):
             return False
-        if bin(cmask).count("1") != subtree_size(children, v, j):
+        if cmask.bit_count() != sizes[v, j]:
             return False
         kids = children[v]
         if j == len(kids):

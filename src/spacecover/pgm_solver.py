@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from . import pattern_cover
@@ -85,30 +86,43 @@ def _canonical_form(n: int, edges: List[Tuple[int, int]]) -> Tuple:
     return (n, best)
 
 
+@lru_cache(maxsize=None)
+def _backbone_classes(me: int) -> Tuple[Tuple[MultiGraph, int], ...]:
+    """(representative, simple-cycle count) of every class of graphs with exactly me edges.
+
+    Built the first time a solve reaches me edges, then shared by every later
+    call in the process: nothing may mutate a cached graph.
+    """
+    classes = []
+    seen = set()
+    for nv in range(1, 2 * me + 1):
+        slots = [(i, j) for i in range(nv) for j in range(i, nv)]
+        for combo in itertools.combinations_with_replacement(slots, me):
+            used = {v for e in combo for v in e}
+            if len(used) != nv:
+                continue
+            key = _canonical_form(nv, list(combo))
+            if key in seen:
+                continue
+            seen.add(key)
+            g = MultiGraph(nv, combo)
+            classes.append((g, count_simple_cycles(g)))
+    return tuple(classes)
+
+
 def enumerate_backbones(k: int, t: int) -> Iterator[MultiGraph]:
     """All graphs with 1..k edges, <= 2^t simple cycles, no isolated vertices, up to isomorphism.
 
     Emitted in ascending edge count; one canonical representative per class.
+    The yielded graphs are shared across calls and must not be mutated.
     """
     if k > BACKBONE_EDGE_CAP:
         raise ValueError("beyond supported range: budget %d exceeds BACKBONE_EDGE_CAP = %d"
                          % (k, BACKBONE_EDGE_CAP))
     cycle_cap = 1 << t
     for me in range(1, k + 1):
-        seen = set()
-        for nv in range(1, 2 * me + 1):
-            slots = [(i, j) for i in range(nv) for j in range(i, nv)]
-            for combo in itertools.combinations_with_replacement(slots, me):
-                used = {v for e in combo for v in e}
-                if len(used) != nv:
-                    continue
-                key = _canonical_form(nv, list(combo))
-                if key in seen:
-                    continue
-                seen.add(key)
-                g = MultiGraph(nv, combo)
-                if count_simple_cycles(g) > cycle_cap:
-                    continue
+        for g, cycles in _backbone_classes(me):
+            if cycles <= cycle_cap:
                 yield g
 
 
@@ -139,16 +153,20 @@ def _pin_enumeration(inst: PrimalInstance, backbone: MultiGraph,
         return
     vtilde = sorted({v for eid in extra for v in backbone.endpoints(eid)})
     term_set = set(inst.terminals)
-    host_edges = [(ge, inst.graph.endpoints(ge)) for ge in inst.graph.edge_ids()
-                  if ge not in term_set]
+    # non-terminal host edges by sorted endpoint pair, in edge id order
+    by_pair: Dict[Tuple[int, int], List[int]] = {}
+    for ge in inst.graph.edge_ids():
+        if ge not in term_set:
+            x, y = inst.graph.endpoints(ge)
+            by_pair.setdefault((min(x, y), max(x, y)), []).append(ge)
     for images in itertools.permutations(range(inst.graph.n), len(vtilde)):
         f = dict(zip(vtilde, images))
         options: List[List[int]] = []
         ok = True
         for eid in extra:
             u, v = backbone.endpoints(eid)
-            want = {f[u], f[v]}
-            cands = [ge for ge, (x, y) in host_edges if {x, y} == want]
+            x, y = f[u], f[v]
+            cands = by_pair.get((min(x, y), max(x, y)))
             if not cands:
                 ok = False
                 break
@@ -182,35 +200,45 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
         if sig not in edge_by_sig or ge < edge_by_sig[sig]:
             edge_by_sig[sig] = ge
 
+    # a terminal's target depends only on (terminal, parity vector)
+    targets: Dict[Tuple[int, Tuple[int, ...]], FrozenSet[int]] = {}
+
     for backbone in enumerate_backbones(inst.k, t):
         if backbone.num_edges > inst.k or backbone.n > n_host:
             continue
         forest = frozenset(spanning_forest(backbone))
         extra = [eid for eid in backbone.edge_ids() if eid not in forest]
         forest_list = sorted(forest)
+        # every edge subset with its odd-degree set, by size, then combinations order
+        all_h_edges = backbone.edge_ids()
+        witnesses = [(frozenset(sub), _odd_degree(backbone, sub))
+                     for size in range(len(all_h_edges) + 1)
+                     for sub in itertools.combinations(all_h_edges, size)]
         for f, f_e in _pin_enumeration(inst, backbone, extra):
             for labels in itertools.product(range(1, t + 1), repeat=len(forest_list)):
                 ell = dict(zip(forest_list, labels))
                 h_edge_type = {eid: ell[eid] for eid in forest_list}
                 for eid in extra:
                     h_edge_type[eid] = type_of[f_e[eid]]
+                sub_parities = []
+                for sub, _odd in witnesses:
+                    parities = [0] * t
+                    for eid in sub:
+                        parities[h_edge_type[eid] - 1] ^= 1
+                    sub_parities.append(tuple(parities))
                 # per-terminal feasible (parity vector -> witness subsets)
-                all_h_edges = backbone.edge_ids()
                 per_term: Dict[int, Dict[Tuple[int, ...], List[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]]]] = {}
                 feasible = True
                 for w_eid in inst.terminals:
                     opts: Dict[Tuple[int, ...], List] = {}
-                    for size in range(len(all_h_edges) + 1):
-                        for sub in itertools.combinations(all_h_edges, size):
-                            parities = [0] * t
-                            for eid in sub:
-                                parities[h_edge_type[eid] - 1] ^= 1
-                            b = tuple(parities)
+                    for (sub, odd), b in zip(witnesses, sub_parities):
+                        target = targets.get((w_eid, b))
+                        if target is None:
                             target = terminal_target_vertices(term_cols[w_eid], b, classes)
-                            odd = _odd_degree(backbone, sub)
-                            if len(odd) != len(target) or len(target) > backbone.n:
-                                continue
-                            opts.setdefault(b, []).append((frozenset(sub), odd, target))
+                            targets[w_eid, b] = target
+                        if len(odd) != len(target) or len(target) > backbone.n:
+                            continue
+                        opts.setdefault(b, []).append((sub, odd, target))
                     if not opts:
                         feasible = False
                         break

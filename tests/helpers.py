@@ -3,8 +3,8 @@
 import itertools
 import random
 
-from spacecover.dual_solver import EscTerminal, build_esc, cont
-from spacecover.instances import DualInstance, PrimalInstance, random_instance
+from spacecover.dual_solver import build_esc, cont
+from spacecover.instances import DualInstance, random_instance
 from spacecover.multigraph import MultiGraph
 
 

@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 import spacecover
-from spacecover import dual_solver, pattern_cover
+from spacecover import dual_solver, pattern_cover, pgm_solver
 from spacecover.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from spacecover.fileio import parse_file, serialize_instance
 from spacecover.gf2 import Gf2Matrix
@@ -80,8 +80,9 @@ CAP_CASES = {
 @pytest.mark.parametrize("cap", list(CAP_CASES))
 def test_solve_refuses_past_each_cap(tmp_path, capsys, monkeypatch, cap):
     module, value, text, extra = CAP_CASES[cap]
-    # no cached family or separation may answer in place of a capped build
+    # no cached backbone class, family or separation may answer in place of a capped build
     monkeypatch.setattr(dual_solver, "_SEP_CACHE", {})
+    pgm_solver._backbone_classes.cache_clear()
     pattern_cover._hash_family_cached.cache_clear()
     monkeypatch.setattr(importlib.import_module("spacecover." + module), cap, value)
     inst = write(tmp_path / "tri.scpm", text)
