@@ -27,6 +27,17 @@ class FormatError(ValueError):
     """Raised on any malformed SCPM input."""
 
 
+def _int(token: str, what: str, nonnegative: bool = False) -> int:
+    """``token`` as an int, or FormatError naming the field ``what``."""
+    try:
+        value = int(token)
+    except ValueError as exc:
+        raise FormatError("non-integer %s: %r" % (what, token)) from exc
+    if nonnegative and value < 0:
+        raise FormatError("negative %s: %d" % (what, value))
+    return value
+
+
 def parse_instance(text: str) -> SpaceCoverInstance:
     """Parse the SCPM v1 text format.
 
@@ -55,32 +66,26 @@ def parse_instance(text: str) -> SpaceCoverInstance:
     header = take().split()
     if len(header) != 6 or header[0] != "n" or header[2] != "m" or header[4] != "k":
         raise FormatError("bad size line")
-    try:
-        n, m, k = int(header[1]), int(header[3]), int(header[5])
-    except ValueError as exc:
-        raise FormatError("non-integer size") from exc
+    n, m, k = (_int(header[i], header[i - 1], nonnegative=True) for i in (1, 3, 5))
     g = MultiGraph(n)
     for _ in range(m):
         parts = take().split()
         if len(parts) != 3 or parts[0] != "edge":
             raise FormatError("bad edge line")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise FormatError("non-integer endpoint") from exc
+        u, v = _int(parts[1], "endpoint"), _int(parts[2], "endpoint")
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError("endpoint out of range")
         g.add_edge(u, v)
     pert = take().split()
     if len(pert) != 2 or pert[0] != "pert":
         raise FormatError("bad pert line")
-    count = int(pert[1])
+    count = _int(pert[1], "pert count", nonnegative=True)
     row_bits = [0] * n
     for _ in range(count):
         parts = take().split()
         if len(parts) != 2:
             raise FormatError("bad perturbation row line")
-        row = int(parts[0])
+        row = _int(parts[0], "perturbation row")
         bits = parts[1]
         if not (0 <= row < n) or len(bits) != m or set(bits) - {"0", "1"}:
             raise FormatError("bad perturbation row")
@@ -88,7 +93,7 @@ def parse_instance(text: str) -> SpaceCoverInstance:
     term_line = take().split()
     if term_line[0] != "terminals":
         raise FormatError("bad terminals line")
-    terminals = [int(x) for x in term_line[1:]]
+    terminals = [_int(x, "terminal id") for x in term_line[1:]]
     for t in terminals:
         if not (0 <= t < m):
             raise FormatError("terminal index out of range")
@@ -187,12 +192,51 @@ def parse_report(text: str) -> ResultReport:
     answer = payload.get("answer")
     if mode not in ("primal", "dual") or answer not in ("yes", "no"):
         raise FormatError("report needs a valid mode and answer")
-    return ResultReport(mode=mode, answer=answer,
-                        f_edges=payload.get("f"), k=int(payload.get("k", 0)),
-                        solver_ms=float(payload.get("solver_ms", 0.0)),
+    k = payload.get("k", 0)
+    if not _is_int(k):
+        raise FormatError("report field k must be an integer")
+    solver_ms = payload.get("solver_ms", 0.0)
+    if not (_is_int(solver_ms) or isinstance(solver_ms, float)):
+        raise FormatError("report field solver_ms must be a number")
+    f_edges = payload.get("f")
+    if f_edges is not None:
+        _check_int_list(f_edges, "report field f")
+    certificate = payload.get("certificate")
+    if certificate is not None:
+        _check_certificate(certificate)
+    return ResultReport(mode=mode, answer=answer, f_edges=f_edges, k=k,
+                        solver_ms=solver_ms,
                         oracle_answer=payload.get("oracle_answer"),
-                        certificate=payload.get("certificate"),
+                        certificate=certificate,
                         stats=payload.get("stats", {}))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int_list(value, what: str) -> None:
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise FormatError("%s must be a list of integers" % what)
+
+
+def _check_certificate(cert) -> None:
+    """The shapes ``verify_report`` reads: span parts are edge lists, cocycle parts
+    ``{"edges": [...], "x": [...]}``; a certificate of another type is left to it."""
+    if not isinstance(cert, dict):
+        raise FormatError("report field certificate must be a JSON object")
+    parts = cert.get("parts", {})
+    if not isinstance(parts, dict):
+        raise FormatError("certificate parts must be a JSON object")
+    for term, part in parts.items():
+        what = "certificate part %s" % term
+        if cert.get("type") == "span":
+            _check_int_list(part, what)
+        elif cert.get("type") == "cocycle":
+            if not isinstance(part, dict):
+                raise FormatError("%s must be a JSON object" % what)
+            _check_int_list(part.get("edges", []), what + " edges")
+            _check_int_list(part.get("x", []), what + " x")
 
 
 def verify_report(inst: SpaceCoverInstance, report: ResultReport) -> Optional[str]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import pattern_cover
 from .binmatroid import SpanCertificate, span_contains
@@ -145,44 +145,147 @@ def _odd_degree(h: MultiGraph, edge_subset) -> FrozenSet[int]:
     return frozenset(v for v, d in deg.items() if d % 2 == 1)
 
 
-def _pin_enumeration(inst: PrimalInstance, backbone: MultiGraph,
+def _injective_assignments(fixed: List[int], size: int, codomain: Sequence[int],
+                           tests: List[List[Tuple[int, object]]],
+                           allowed) -> Iterator[Tuple[int, ...]]:
+    """Images of ``size`` new positions placed after the ``fixed`` ones, each failing branch cut.
+
+    Yields what ``itertools.permutations(codomain, size)`` yields (codomain
+    values distinct), in its order, minus every tuple that fails a test.
+    ``tests[j]`` holds the ``(i, label)`` pairs decidable once new position j
+    is assigned: i indexes ``fixed`` followed by the new positions, with
+    ``i <= len(fixed) + j``, and the pair passes when
+    ``(image of i, image of new position j, label)`` is in ``allowed``.
+    """
+    base = len(fixed)
+    images = list(fixed) + [0] * size
+    used: Set[int] = set()
+
+    def walk(j: int) -> Iterator[Tuple[int, ...]]:
+        if j == size:
+            yield tuple(images[base:])
+            return
+        pos = base + j
+        for x in codomain:
+            if x in used:
+                continue
+            images[pos] = x
+            for i, label in tests[j]:
+                if (images[i], x, label) not in allowed:
+                    break
+            else:
+                used.add(x)
+                yield from walk(j + 1)
+                used.discard(x)
+
+    return walk(0)
+
+
+def _host_pairs(inst: PrimalInstance) -> Dict[Tuple[int, int, None], List[int]]:
+    """Non-terminal host edges in edge id order, under ``(x, y, None)`` for both endpoint orders.
+
+    The ``None`` label lets the index serve as the ``allowed`` set of
+    ``_injective_assignments``.
+    """
+    term_set = set(inst.terminals)
+    by_pair: Dict[Tuple[int, int, None], List[int]] = {}
+    for ge in inst.graph.edge_ids():
+        if ge not in term_set:
+            x, y = inst.graph.endpoints(ge)
+            by_pair.setdefault((x, y, None), []).append(ge)
+            if x != y:
+                by_pair.setdefault((y, x, None), []).append(ge)
+    return by_pair
+
+
+def _pin_enumeration(by_pair: Dict[Tuple[int, int, None], List[int]], n_host: int,
+                     backbone: MultiGraph,
                      extra: List[int]) -> Iterator[Tuple[Dict[int, int], Dict[int, int]]]:
-    """All injective (f, f_E) pin choices for the cycle-closing backbone edges."""
+    """All injective (f, f_E) pin choices for the cycle-closing backbone edges.
+
+    ``by_pair`` is ``_host_pairs`` of the instance, which has ``n_host`` vertices.
+    """
     if not extra:
         yield {}, {}
         return
     vtilde = sorted({v for eid in extra for v in backbone.endpoints(eid)})
-    term_set = set(inst.terminals)
-    # non-terminal host edges by sorted endpoint pair, in edge id order
-    by_pair: Dict[Tuple[int, int], List[int]] = {}
-    for ge in inst.graph.edge_ids():
-        if ge not in term_set:
-            x, y = inst.graph.endpoints(ge)
-            by_pair.setdefault((min(x, y), max(x, y)), []).append(ge)
-    for images in itertools.permutations(range(inst.graph.n), len(vtilde)):
+    at = {v: i for i, v in enumerate(vtilde)}
+    # an extra edge is decided once its later endpoint has an image
+    tests: List[List[Tuple[int, object]]] = [[] for _ in vtilde]
+    for eid in extra:
+        i, j = sorted(at[v] for v in backbone.endpoints(eid))
+        tests[j].append((i, None))
+    for images in _injective_assignments([], len(vtilde), range(n_host), tests, by_pair):
         f = dict(zip(vtilde, images))
-        options: List[List[int]] = []
-        ok = True
+        options = []
         for eid in extra:
             u, v = backbone.endpoints(eid)
-            x, y = f[u], f[v]
-            cands = by_pair.get((min(x, y), max(x, y)))
-            if not cands:
-                ok = False
-                break
-            options.append(cands)
-        if not ok:
-            continue
+            options.append(by_pair[f[u], f[v], None])
         for combo in itertools.product(*options):
             if len(set(combo)) != len(combo):
                 continue
             yield f, dict(zip(extra, combo))
 
 
+def _witness_options(terminals, witnesses, h_edge_type, t, target_of, nv):
+    """Per terminal: parity vector -> [(subset, odd-degree set, target)], plus the walk choices.
+
+    The choices hold, per terminal, ``(parity vector, target)`` pairs in
+    sorted vector order. None when some terminal has no witness: the edge
+    types admit no guess.
+    """
+    sub_parities = []
+    for sub, _odd in witnesses:
+        parities = [0] * t
+        for eid in sub:
+            parities[h_edge_type[eid] - 1] ^= 1
+        sub_parities.append(tuple(parities))
+    per_term: Dict[int, Dict[Tuple[int, ...], List[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]]]] = {}
+    for w_eid in terminals:
+        opts: Dict[Tuple[int, ...], List] = {}
+        for (sub, odd), b in zip(witnesses, sub_parities):
+            target = target_of(w_eid, b)
+            if len(odd) != len(target) or len(target) > nv:
+                continue
+            opts.setdefault(b, []).append((sub, odd, target))
+        if not opts:
+            return None
+        per_term[w_eid] = opts
+    # every witness of one (terminal, vector) has the same target
+    choices = [[(b, per_term[w][b][0][2]) for b in sorted(per_term[w])] for w in terminals]
+    return per_term, choices
+
+
+def _bounded_parities(choices, base: FrozenSet[int],
+                      cap: int) -> Iterator[Tuple[Tuple[Tuple[int, ...], ...], FrozenSet[int]]]:
+    """(vector per terminal, V*) in ``itertools.product`` order over ``choices``.
+
+    V* is ``base`` plus the chosen targets; a branch is cut as soon as it
+    exceeds ``cap`` vertices, since adding targets never shrinks it.
+    """
+    picked: List[Tuple[int, ...]] = []
+
+    def walk(i: int, union: FrozenSet[int]):
+        if i == len(choices):
+            yield tuple(picked), union
+            return
+        for b, target in choices[i]:
+            grown = union | target
+            if len(grown) <= cap:
+                picked.append(b)
+                yield from walk(i + 1, grown)
+                picked.pop()
+
+    return walk(0, base)
+
+
 def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCoverInstance, GuessContext]]:
     """Every admissible guess of the chain, as a Pattern Cover instance plus its context.
 
     The input must already be terminal-reduced and column-deduplicated.
+    Guesses are pruned as they are built: a parity choice whose V* outgrows
+    the backbone, and a partial pin or (D, f*) map with an unmatched edge,
+    are dropped before their extensions are enumerated.
     """
     t, types = edge_types(inst.p)
     classes, _ = distinct_columns(inst.p)
@@ -190,18 +293,26 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
     term_set = set(inst.terminals)
     term_cols = {e: inst.a_column(e) for e in inst.terminals}
     n_host = inst.graph.n
-    # lookup: (host endpoints sorted, type) -> host edge (unique after dedup)
+    by_pair = _host_pairs(inst)
+    # lookup: (host endpoints in either order, type) -> host edge (unique after dedup)
     edge_by_sig: Dict[Tuple[int, int, int], int] = {}
     for ge in inst.graph.edge_ids():
         if ge in term_set:
             continue
         x, y = inst.graph.endpoints(ge)
-        sig = (min(x, y), max(x, y), type_of[ge])
-        if sig not in edge_by_sig or ge < edge_by_sig[sig]:
-            edge_by_sig[sig] = ge
+        for sig in ((x, y, type_of[ge]), (y, x, type_of[ge])):
+            if sig not in edge_by_sig or ge < edge_by_sig[sig]:
+                edge_by_sig[sig] = ge
 
     # a terminal's target depends only on (terminal, parity vector)
     targets: Dict[Tuple[int, Tuple[int, ...]], FrozenSet[int]] = {}
+
+    def target_of(w_eid: int, b: Tuple[int, ...]) -> FrozenSet[int]:
+        target = targets.get((w_eid, b))
+        if target is None:
+            target = terminal_target_vertices(term_cols[w_eid], b, classes)
+            targets[w_eid, b] = target
+        return target
 
     for backbone in enumerate_backbones(inst.k, t):
         if backbone.num_edges > inst.k or backbone.n > n_host:
@@ -214,93 +325,76 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
         witnesses = [(frozenset(sub), _odd_degree(backbone, sub))
                      for size in range(len(all_h_edges) + 1)
                      for sub in itertools.combinations(all_h_edges, size)]
-        for f, f_e in _pin_enumeration(inst, backbone, extra):
+        # the witness options depend on the backbone edge types only, not on f
+        options_by_types: Dict[Tuple[int, ...], Optional[Tuple]] = {}
+        for f, f_e in _pin_enumeration(by_pair, n_host, backbone, extra):
+            image = frozenset(f.values())
             for labels in itertools.product(range(1, t + 1), repeat=len(forest_list)):
                 ell = dict(zip(forest_list, labels))
-                h_edge_type = {eid: ell[eid] for eid in forest_list}
+                h_edge_type = dict(ell)
                 for eid in extra:
                     h_edge_type[eid] = type_of[f_e[eid]]
-                sub_parities = []
-                for sub, _odd in witnesses:
-                    parities = [0] * t
-                    for eid in sub:
-                        parities[h_edge_type[eid] - 1] ^= 1
-                    sub_parities.append(tuple(parities))
-                # per-terminal feasible (parity vector -> witness subsets)
-                per_term: Dict[int, Dict[Tuple[int, ...], List[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]]]] = {}
-                feasible = True
-                for w_eid in inst.terminals:
-                    opts: Dict[Tuple[int, ...], List] = {}
-                    for (sub, odd), b in zip(witnesses, sub_parities):
-                        target = targets.get((w_eid, b))
-                        if target is None:
-                            target = terminal_target_vertices(term_cols[w_eid], b, classes)
-                            targets[w_eid, b] = target
-                        if len(odd) != len(target) or len(target) > backbone.n:
-                            continue
-                        opts.setdefault(b, []).append((sub, odd, target))
-                    if not opts:
-                        feasible = False
-                        break
-                    per_term[w_eid] = opts
-                if not feasible:
+                key = tuple(h_edge_type.values())
+                if key not in options_by_types:
+                    options_by_types[key] = _witness_options(
+                        inst.terminals, witnesses, h_edge_type, t, target_of, backbone.n)
+                found = options_by_types[key]
+                if found is None:
                     continue
-                for h_combo in itertools.product(*(sorted(per_term[w]) for w in inst.terminals)):
+                per_term, choices = found
+                for h_combo, v_star in _bounded_parities(choices, image, backbone.n):
                     h = dict(zip(inst.terminals, h_combo))
                     yield from _expand_guess(inst, backbone, forest, extra, f, f_e, ell,
-                                             h, per_term, h_edge_type, type_of,
+                                             h, v_star, per_term, h_edge_type, type_of,
                                              edge_by_sig, term_set)
 
 
-def _expand_guess(inst, backbone, forest, extra, f, f_e, ell, h, per_term,
+def _expand_guess(inst, backbone, forest, extra, f, f_e, ell, h, v_star, per_term,
                   h_edge_type, type_of, edge_by_sig, term_set):
-    """Enumerate (D, f*) for one parity restriction and emit surviving guesses."""
-    # V* is forced: union of the targets of the chosen witnesses plus image(f).
-    # Witness subsets with the same parity vector may have different targets?
-    # No: the target depends only on (W, parity vector), so it is fixed by h.
-    targets = {}
-    for w_eid in inst.terminals:
-        opts = per_term[w_eid][h[w_eid]]
-        targets[w_eid] = opts[0][2]
-    v_star = frozenset(f.values()) | frozenset().union(*targets.values()) \
-        if targets else frozenset(f.values())
-    nv = backbone.n
-    if len(v_star) > nv:
-        return
+    """Enumerate (D, f*) for one parity restriction and emit surviving guesses.
+
+    V* (the targets of the chosen witnesses plus image(f)) is forced by h;
+    image(f) lies inside it, so D adds one backbone vertex per free target.
+    """
     vtilde = sorted(f)
-    others = [v for v in range(nv) if v not in f]
-    need = len(v_star) - len(vtilde)
-    if need < 0:
-        return
-    free_targets = sorted(v_star - frozenset(f.values()))
-    if len(free_targets) != need:
-        return  # f image must be inside V*
+    fixed = [f[v] for v in vtilde]
+    free_targets = sorted(v_star - frozenset(fixed))
+    need = len(free_targets)
+    others = [v for v in range(backbone.n) if v not in f]
+
+    # forest edges are the backbone edges without a pinned host edge
+    forest_ends = [(eid, backbone.endpoints(eid)) for eid in sorted(forest)]
+    for eid, (u, v) in forest_ends:
+        if u in f and v in f and (f[u], f[v], h_edge_type[eid]) not in edge_by_sig:
+            return
+    base = len(vtilde)
+    edges = backbone.edges()
     for extra_d in itertools.combinations(others, need):
         d = frozenset(vtilde) | frozenset(extra_d)
-        for images in itertools.permutations(free_targets):
+        at = {v: i for i, v in enumerate(vtilde)}
+        at.update((v, base + j) for j, v in enumerate(extra_d))
+        tests: List[List[Tuple[int, object]]] = [[] for _ in extra_d]
+        for eid, (u, v) in forest_ends:
+            if u in at and v in at and not (u in f and v in f):
+                i, j = sorted((at[u], at[v]))
+                tests[j - base].append((i, h_edge_type[eid]))
+        inside = [(eid, u, v) for eid, (u, v) in edges if u in d and v in d]
+        for images in _injective_assignments(fixed, need, free_targets, tests,
+                                             edge_by_sig):
             f_star = dict(f)
-            f_star.update(zip(sorted(extra_d), images))
+            f_star.update(zip(extra_d, images))
             # backbone edges with both ends pinned must map to unique host edges
             f_star_e = {}
-            ok = True
-            for eid in backbone.edge_ids():
-                u, v = backbone.endpoints(eid)
-                if u not in d or v not in d:
-                    continue
+            for eid, u, v in inside:
                 if eid in f_e:
                     f_star_e[eid] = f_e[eid]
                     continue
-                x, y = f_star[u], f_star[v]
-                sig = (min(x, y), max(x, y), h_edge_type[eid])
-                ge = edge_by_sig.get(sig)
-                if ge is None:
-                    ok = False
-                    break
-                f_star_e[eid] = ge
-            if not ok or len(set(f_star_e.values())) != len(f_star_e):
+                f_star_e[eid] = edge_by_sig[f_star[u], f_star[v], h_edge_type[eid]]
+            if len(set(f_star_e.values())) != len(f_star_e):
                 continue
             # interesting: each terminal has a witness mapped correctly by f*
             e_subsets = {}
+            ok = True
             for w_eid in inst.terminals:
                 hit = None
                 for sub, odd, target in per_term[w_eid][h[w_eid]]:

@@ -120,6 +120,25 @@ def test_check_mode_mismatch_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", "x"),
+    ("f", 3),
+    ("certificate", [1]),
+    ("parts", [1]),
+], ids=["k", "f", "certificate", "parts"])
+def test_check_malformed_report_exit_two(tmp_path, capsys, field, value):
+    inst = write(tmp_path / "tri.scpm", TRIANGLE_YES)
+    main(["solve", inst, "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    if field == "parts":
+        payload["certificate"]["parts"] = value
+    else:
+        payload[field] = value
+    report = write(tmp_path / "malformed.json", json.dumps(payload))
+    assert main(["check", inst, report]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("invalid: ")
+
+
 def test_check_instance_only(tmp_path, capsys):
     inst = write(tmp_path / "tri.scpm", TRIANGLE_YES)
     assert main(["check", inst]) == EXIT_YES

@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dual_corpus, primal_corpus
 from spacecover import oracle
@@ -60,6 +62,44 @@ def test_round_trip_500_random_instances():
 def test_malformed_inputs_rejected(mutation):
     with pytest.raises(FormatError):
         parse_instance(mutation(SAMPLE))
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("pert 1", "pert one", "pert count"),
+    ("pert 1", "pert -1", "pert count"),
+    ("0 101", "x 101", "perturbation row"),
+    ("terminals 2", "terminals 2.0", "terminal id"),
+    ("n 3 m 3 k 2", "n -3 m 3 k 2", "n"),
+    ("n 3 m 3 k 2", "n 3 m -3 k 2", "m"),
+    ("n 3 m 3 k 2", "n 3 m 3 k -2", "k"),
+])
+def test_bad_integer_fields_are_named(old, new, field):
+    with pytest.raises(FormatError, match=r"^(non-integer|negative) %s: " % field):
+        parse_instance(SAMPLE.replace(old, new))
+
+
+_TOKENS = ["SCPM", "v1", "v2", "mode", "primal", "dual", "n", "m", "k", "edge", "pert",
+           "terminals", "x", "1.5", "-", "0b1", "1e3", "\u0663", "101", "10", "1011", ""]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 8), st.sampled_from(["replace", "insert", "delete"]),
+       st.lists(st.one_of(st.sampled_from(_TOKENS), st.integers(-3, 12).map(str),
+                          st.text(alphabet="01", min_size=1, max_size=5)),
+                max_size=7))
+def test_single_line_mutations_parse_or_raise_format_error(at, how, tokens):
+    lines = SAMPLE.splitlines()
+    line = " ".join(tokens)
+    if how == "replace":
+        lines[at] = line
+    elif how == "insert":
+        lines.insert(at, line)
+    else:
+        del lines[at]
+    try:
+        parse_instance("\n".join(lines) + "\n")
+    except FormatError:
+        pass
 
 
 def test_report_round_trip_and_verification():

@@ -1,17 +1,18 @@
 import itertools
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import primal_corpus
 from spacecover import pgm_solver
-from spacecover.gf2 import Gf2Matrix
+from spacecover.gf2 import Gf2Matrix, distinct_columns
 from spacecover.instances import PrimalInstance, random_instance
 from spacecover.multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from spacecover.oracle import solve_primal_bruteforce
-from spacecover.pgm_solver import (edge_types, enumerate_backbones,
-                                   reduce_terminals)
+from spacecover.pattern_cover import PatternCoverInstance
+from spacecover.pgm_solver import (GuessContext, edge_types, enumerate_backbones,
+                                   reduce_terminals, terminal_target_vertices)
 
 BACKBONE_COUNTS = {(1, 1): 2, (1, 2): 2, (2, 1): 9, (2, 2): 9,
                    (3, 1): 28, (3, 2): 32}
@@ -159,7 +160,8 @@ def test_pin_enumeration_with_loops_and_parallel_edges():
     forest = set(spanning_forest(backbone))
     extra = [eid for eid in backbone.edge_ids() if eid not in forest]
     assert len(extra) == 3 and any(backbone.is_loop(eid) for eid in extra)
-    got = list(pgm_solver._pin_enumeration(inst, backbone, extra))
+    got = list(pgm_solver._pin_enumeration(pgm_solver._host_pairs(inst), inst.graph.n,
+                                           backbone, extra))
     want = list(_pin_enumeration_by_scan(inst, backbone, extra))
     assert got == want
     assert len(want) == 6   # pair onto edges 0 and 1 in both orders; loop onto 4 or 5, or 3
@@ -179,3 +181,148 @@ def test_solve_matches_oracle_at_bench_sizes(n, seed, r, num_terminals, k, data)
         assert len(f) <= inst.k
         assert not set(f) & set(inst.terminals)
         assert cert.verify(inst.matroid())
+
+
+def _reference_pattern_instances(inst):
+    """The guess chain without pruning: every parity combination, pin and (D, f*) in turn."""
+    t, types = edge_types(inst.p)
+    classes, _ = distinct_columns(inst.p)
+    type_of = {eid: types[inst.col_of[eid]] for eid in inst.graph.edge_ids()}
+    term_set = set(inst.terminals)
+    edge_by_sig = {}
+    for ge in inst.graph.edge_ids():
+        if ge not in term_set:
+            x, y = inst.graph.endpoints(ge)
+            edge_by_sig.setdefault((min(x, y), max(x, y), type_of[ge]), ge)
+    for backbone in enumerate_backbones(inst.k, t):
+        if backbone.num_edges > inst.k or backbone.n > inst.graph.n:
+            continue
+        forest = frozenset(spanning_forest(backbone))
+        extra = [eid for eid in backbone.edge_ids() if eid not in forest]
+        forest_list = sorted(forest)
+        subsets = [frozenset(sub) for size in range(backbone.num_edges + 1)
+                   for sub in itertools.combinations(backbone.edge_ids(), size)]
+        for f, f_e in _pin_enumeration_by_scan(inst, backbone, extra):
+            for labels in itertools.product(range(1, t + 1), repeat=len(forest_list)):
+                ell = dict(zip(forest_list, labels))
+                h_edge_type = dict(ell)
+                for eid in extra:
+                    h_edge_type[eid] = type_of[f_e[eid]]
+                per_term = {}
+                for w in inst.terminals:
+                    opts = {}
+                    for sub in subsets:
+                        b = [0] * t
+                        for eid in sub:
+                            b[h_edge_type[eid] - 1] ^= 1
+                        b = tuple(b)
+                        odd = pgm_solver._odd_degree(backbone, sub)
+                        target = terminal_target_vertices(inst.a_column(w), b, classes)
+                        if len(odd) == len(target) <= backbone.n:
+                            opts.setdefault(b, []).append((sub, odd, target))
+                    per_term[w] = opts
+                if not all(per_term.values()):
+                    continue
+                for h_combo in itertools.product(*(sorted(per_term[w]) for w in inst.terminals)):
+                    h = dict(zip(inst.terminals, h_combo))
+                    yield from _reference_expand(inst, backbone, forest, extra, f, f_e, ell, h,
+                                                 per_term, h_edge_type, type_of, edge_by_sig)
+
+
+def _reference_expand(inst, backbone, forest, extra, f, f_e, ell, h, per_term,
+                      h_edge_type, type_of, edge_by_sig):
+    """Every (D, f*) of one parity choice, each checked by a full scan of the backbone edges."""
+    v_star = frozenset(f.values()).union(*(per_term[w][h[w]][0][2] for w in inst.terminals))
+    if len(v_star) > backbone.n:
+        return
+    free_targets = sorted(v_star - frozenset(f.values()))
+    others = [v for v in range(backbone.n) if v not in f]
+    for extra_d in itertools.combinations(others, len(free_targets)):
+        d = frozenset(f) | frozenset(extra_d)
+        for images in itertools.permutations(free_targets):
+            f_star = dict(f)
+            f_star.update(zip(extra_d, images))
+            f_star_e = {}
+            for eid, (u, v) in backbone.edges():
+                if u in d and v in d:
+                    x, y = f_star[u], f_star[v]
+                    f_star_e[eid] = f_e.get(eid, edge_by_sig.get((min(x, y), max(x, y),
+                                                                  h_edge_type[eid])))
+            if None in f_star_e.values() or len(set(f_star_e.values())) != len(f_star_e):
+                continue
+            e_subsets = {}
+            for w in inst.terminals:
+                for sub, odd, target in per_term[w][h[w]]:
+                    if odd <= d and frozenset(f_star[v] for v in odd) == target:
+                        e_subsets[w] = sub
+                        break
+            if len(e_subsets) != len(inst.terminals):
+                continue
+            ctx = GuessContext(backbone=backbone, forest=forest, extra=tuple(extra),
+                               f=dict(f), f_e=dict(f_e), ell=dict(ell), h=dict(h),
+                               d=d, f_star=f_star, f_star_e=f_star_e, e_subsets=e_subsets)
+            host = inst.graph.without_edges(set(f_star_e.values()) | set(inst.terminals))
+            pattern = backbone.without_edges(set(f_star_e))
+            pci = PatternCoverInstance(
+                g=host, ell_g={ge: type_of[ge] for ge in host.edge_ids()}, h=pattern,
+                ell_h={eid: h_edge_type[eid] for eid in pattern.edge_ids()}, u=d, f=f_star)
+            yield pci, ctx
+
+
+def _guess_record(pci, ctx):
+    """Every field of a guess, dicts as item lists so that their order counts too."""
+    def graph(g):
+        return g.n, g.edges()
+
+    return (graph(pci.g), list(pci.ell_g.items()), graph(pci.h), list(pci.ell_h.items()),
+            pci.u, list(pci.f.items()),
+            graph(ctx.backbone), ctx.forest, ctx.extra, list(ctx.f.items()),
+            list(ctx.f_e.items()), list(ctx.ell.items()), list(ctx.h.items()), ctx.d,
+            list(ctx.f_star.items()), list(ctx.f_star_e.items()),
+            list(ctx.e_subsets.items()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 9), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 10 ** 6), st.data())
+def test_pattern_instances_match_unpruned_reference(n, r, num_terminals, k, seed, data):
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = data.draw(st.lists(pairs, min_size=num_terminals, max_size=2 * n + 2))
+    # at least one loop and one parallel pair in every host
+    edges += [edges[0], (edges[-1][0], edges[-1][0])]
+    rng = random.Random(seed)
+    row_bits = [0] * n
+    for _ in range(r):
+        col_pat, row_pat = rng.getrandbits(n), rng.getrandbits(len(edges))
+        for i in range(n):
+            if (col_pat >> i) & 1:
+                row_bits[i] ^= row_pat
+    terminals = rng.sample(range(len(edges)), num_terminals)
+    inst = reduce_terminals(PrimalInstance(MultiGraph(n, edges), Gf2Matrix(n, len(edges), row_bits),
+                                           terminals, k))
+    assume(not inst.immediate_no and inst.terminals)
+    got = [_guess_record(*guess) for guess in pgm_solver.build_pattern_instances(inst)]
+    want = [_guess_record(*guess) for guess in _reference_pattern_instances(inst)]
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_injective_assignments_match_filtered_permutations(data):
+    fixed = data.draw(st.lists(st.integers(0, 9), max_size=3))
+    codomain = data.draw(st.lists(st.integers(0, 9), max_size=6, unique=True))
+    size = data.draw(st.integers(0, 4))
+    base = len(fixed)
+    tests = [data.draw(st.lists(st.tuples(st.integers(0, base + j), st.integers(0, 2)),
+                                max_size=3))
+             for j in range(size)]
+    allowed = data.draw(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                          st.integers(0, 2)), max_size=60))
+    want = []
+    for images in itertools.permutations(codomain, size):
+        full = fixed + list(images)
+        if all((full[i], full[base + j], label) in allowed
+               for j in range(size) for i, label in tests[j]):
+            want.append(images)
+    got = list(pgm_solver._injective_assignments(fixed, size, codomain, tests, allowed))
+    assert got == want
