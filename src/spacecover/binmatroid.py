@@ -55,10 +55,6 @@ class BinaryMatroid:
     def __init__(self, rep: Gf2Matrix):
         self.rep = rep
 
-    @property
-    def ground_size(self) -> int:
-        return self.rep.cols
-
     def columns(self, ids: Iterable[int]) -> List[Gf2Vector]:
         return [self.rep.column(j) for j in ids]
 

@@ -146,18 +146,22 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     rng = random.Random(args.seed)
-    if args.kind == "mc":
-        mc = hardness.random_mc_instance(args.parts, args.part_size,
-                                         args.edge_prob, rng)
-        inst = hardness.from_multicolored_clique(mc)
-    elif args.kind == "3dm":
-        tdm = hardness.random_3dm_instance(args.q, args.triples, rng)
-        inst = hardness.from_3dm(tdm)
-    else:
-        inst = random_instance(args.mode, args.n, args.m, args.r,
-                               args.terminals, args.k, rng)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(inst))
+    try:
+        if args.kind == "mc":
+            mc = hardness.random_mc_instance(args.parts, args.part_size,
+                                             args.edge_prob, rng)
+            inst = hardness.from_multicolored_clique(mc)
+        elif args.kind == "3dm":
+            tdm = hardness.random_3dm_instance(args.q, args.triples, rng)
+            inst = hardness.from_3dm(tdm)
+        else:
+            inst = random_instance(args.mode, args.n, args.m, args.r,
+                                   args.terminals, args.k, rng)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(serialize_instance(inst))
+    except (OSError, ValueError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
     print("wrote %s" % args.out)
     return EXIT_YES
 

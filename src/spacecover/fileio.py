@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 MAGIC = "SCPM v1"
+VERTEX_CAP = 4096
 
 
 class FormatError(ValueError):
@@ -67,6 +68,9 @@ def parse_instance(text: str) -> SpaceCoverInstance:
     if len(header) != 6 or header[0] != "n" or header[2] != "m" or header[4] != "k":
         raise FormatError("bad size line")
     n, m, k = (_int(header[i], header[i - 1], nonnegative=True) for i in (1, 3, 5))
+    if n > VERTEX_CAP:
+        raise FormatError("beyond supported range: vertex count %d exceeds VERTEX_CAP = %d"
+                          % (n, VERTEX_CAP))
     g = MultiGraph(n)
     for _ in range(m):
         parts = take().split()

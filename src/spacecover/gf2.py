@@ -94,13 +94,6 @@ class Gf2Matrix:
             self.row_bits = [b & mask for b in row_bits]
 
     @classmethod
-    def from_rows(cls, vectors: List[Gf2Vector]) -> "Gf2Matrix":
-        if not vectors:
-            return cls(0, 0)
-        n = vectors[0].n
-        return cls(len(vectors), n, [v.bits for v in vectors])
-
-    @classmethod
     def from_strings(cls, lines: List[str]) -> "Gf2Matrix":
         if not lines:
             return cls(0, 0)

@@ -178,6 +178,9 @@ def random_mc_instance(k: int, part_size: int, edge_prob: float,
 
 def random_3dm_instance(q: int, num_triples: int, rng: random.Random) -> TdmInstance:
     """Random triple system over three q-element universes."""
+    if not 0 <= num_triples <= q ** 3:
+        raise ValueError("%d distinct triples do not fit in universes of size q = %d"
+                         % (num_triples, q))
     triples = set()
     while len(triples) < num_triples:
         triples.add((rng.randrange(q), rng.randrange(q), rng.randrange(q)))

@@ -57,9 +57,6 @@ class SpaceCoverInstance:
     def a_column(self, eid: int) -> Gf2Vector:
         return self.a_matrix.column(self.col_of[eid])
 
-    def edge_of_column(self, col: int) -> int:
-        return self.graph.edge_ids()[col]
-
     def nonterminal_edges(self) -> List[int]:
         tset = set(self.terminals)
         return [eid for eid in self.graph.edge_ids() if eid not in tset]
@@ -102,6 +99,9 @@ class DualInstance(SpaceCoverInstance):
 def random_instance(mode: str, n: int, m: int, r: int, num_terminals: int, k: int,
                     rng: random.Random, loop_prob: float = 0.1) -> SpaceCoverInstance:
     """Random connected-ish multigraph with P a sum of r random rank-1 matrices."""
+    if min(n, m, r, num_terminals) < 0 or (m > 0 and n == 0):
+        raise ValueError("bad size n = %d, m = %d, r = %d, terminals = %d: none may be "
+                         "negative, and edges need a vertex" % (n, m, r, num_terminals))
     g = MultiGraph(n)
     for _ in range(m):
         if n == 1 or rng.random() < loop_prob:

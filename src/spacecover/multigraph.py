@@ -87,9 +87,6 @@ class MultiGraph:
                 g.remove_edge(eid)
         return g
 
-    def incident(self, v: int) -> List[int]:
-        return [eid for eid, (a, b) in self._edges.items() if a == v or b == v]
-
     def adjacency(self) -> Dict[int, List[Tuple[int, int]]]:
         """vertex -> list of (neighbor, edge id); a loop appears once."""
         adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in range(self.n)}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .derand import build_hash_family
@@ -32,6 +32,56 @@ class PatternCoverInstance:
             raise ValueError("pin map must be injective")
         if len(spanning_forest(self.h)) != self.h.num_edges:
             raise ValueError("pattern graph must be a forest")
+
+    @cached_property
+    def _plan(self):
+        """What the colorful DP needs that no coloring changes.
+
+        roots: each tree as (root, its candidate host vertices).
+        kids: pattern vertex -> [(child, edge id, host vertex -> [(child's
+        candidate image, host edge)])], one host edge per endpoint pair and label.
+        sizes[v, j]: vertices in v's subtree restricted to its children j, j+1, ...
+        A pinned vertex is offered only its pin.
+        """
+        rep: Dict[Tuple[int, int, int], int] = {}
+        for eid, (x, y) in self.g.edges():
+            if x != y:  # a forest edge never maps onto a loop
+                rep.setdefault((min(x, y), max(x, y), self.ell_g[eid]), eid)
+        nbr: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for (x, y, lab), eid in rep.items():
+            nbr.setdefault((x, lab), []).append((y, eid))
+            nbr.setdefault((y, lab), []).append((x, eid))
+
+        def hosts(v: int, lab: int) -> Dict[int, List[Tuple[int, int]]]:
+            return {x: sorted((y, eid) for y, eid in near if v not in self.f or y == self.f[v])
+                    for (x, l), near in nbr.items() if l == lab}
+
+        adj = self.h.adjacency()
+        roots: List[Tuple[int, Sequence[int]]] = []
+        kids: Dict[int, List[Tuple[int, int, Dict[int, List[Tuple[int, int]]]]]] = {}
+        order: List[int] = []
+        for root in range(self.h.n):
+            if root in kids:
+                continue
+            roots.append((root, [self.f[root]] if root in self.f else range(self.g.n)))
+            kids[root] = []
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                for w, he in sorted(adj[v]):
+                    if w not in kids:
+                        kids[w] = []
+                        kids[v].append((w, he, hosts(w, self.ell_h[he])))
+                        stack.append(w)
+        sizes: Dict[Tuple[int, int], int] = {}
+        for v in reversed(order):
+            size = 1
+            sizes[v, len(kids[v])] = size
+            for j in range(len(kids[v]) - 1, -1, -1):
+                size += sizes[kids[v][j][0], 0]
+                sizes[v, j] = size
+        return roots, kids, sizes
 
 
 @dataclass
@@ -72,36 +122,13 @@ def _check_pattern_size(k: int) -> None:
                          "PATTERN_VERTEX_CAP = %d" % (k, PATTERN_VERTEX_CAP))
 
 
-def _rooted_forest(h: MultiGraph) -> List[Tuple[int, Dict[int, List[Tuple[int, int]]]]]:
-    """Roots and child lists of each tree: root, vertex -> [(child, edge id)]."""
-    adj = h.adjacency()
-    seen = set()
-    trees = []
-    for root in range(h.n):
-        if root in seen:
-            continue
-        children: Dict[int, List[Tuple[int, int]]] = {}
-        seen.add(root)
-        stack = [(root, -1)]
-        while stack:
-            v, parent_eid = stack.pop()
-            kids = []
-            for w, eid in sorted(adj[v]):
-                if eid == parent_eid or w in seen:
-                    continue
-                seen.add(w)
-                kids.append((w, eid))
-                stack.append((w, eid))
-            children[v] = kids
-        trees.append((root, children))
-    return trees
-
-
 def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Embedding]:
     """Embedding whose image is rainbow-colored under c, or None if none exists.
 
-    DP over (tree, pattern vertex, host vertex, child index, color subset),
-    assembled across trees by a second table over color subsets.
+    DP over (pattern vertex, host vertex, child index, color subset),
+    assembled across trees by a second table over color subsets. Each entry
+    keeps the first choice that succeeds, and the embedding is read back from
+    those choices.
     """
     k = inst.h.n
     _check_pattern_size(k)
@@ -109,166 +136,74 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
         return Embedding({}, {})
     if inst.g.n == 0:
         return None
-    trees = _rooted_forest(inst.h)
+    roots, kids, sizes = inst._plan
 
-    # representative host edge per (vertex, label) -> list of (neighbor, edge id)
-    rep: Dict[Tuple[int, int, int], int] = {}
-    for eid, (x, y) in inst.g.edges():
-        if x == y:
-            continue  # a forest edge never maps onto a loop
-        lab = inst.ell_g[eid]
-        key = (min(x, y), max(x, y), lab)
-        if key not in rep or eid < rep[key]:
-            rep[key] = eid
-    nbr: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for (x, y, lab), eid in rep.items():
-        nbr.setdefault((x, lab), []).append((y, eid))
-        nbr.setdefault((y, lab), []).append((x, eid))
-    for key in nbr:
-        nbr[key].sort()
-
-    # sizes[v, j]: vertices in v's subtree restricted to its children j, j+1, ...
-    sizes: Dict[Tuple[int, int], int] = {}
-
-    def calc_size(children: Dict[int, List[Tuple[int, int]]], v: int) -> int:
-        kids = children[v]
-        size = 1
-        sizes[v, len(kids)] = size
-        for j in range(len(kids) - 1, -1, -1):
-            size += calc_size(children, kids[j][0])
-            sizes[v, j] = size
-        return size
-
-    for root, children in trees:
-        calc_size(children, root)
-
-    memo: Dict[Tuple[int, int, int, int], bool] = {}
-
-    def table(children, v: int, j: int, x: int, cmask: int) -> bool:
-        key = (v, j, x, cmask)
-        if key in memo:
-            return memo[key]
-        res = _table_calc(children, v, j, x, cmask)
-        memo[key] = res
-        return res
-
-    def _table_calc(children, v: int, j: int, x: int, cmask: int) -> bool:
-        if v in inst.u and inst.f[v] != x:
-            return False
+    # An entry is the tuple of choices that succeeded, () when nothing is left
+    # to choose, and None when no choice succeeds.
+    @cache
+    def table(v: int, j: int, x: int, cmask: int) -> Optional[Tuple[int, ...]]:
+        """(colors of child j's subtree, image of child j, host edge) for an embedding
+        of v with its children j, j+1, ... that puts v at x and uses exactly cmask."""
         cx = 1 << c[x]
-        if not (cmask & cx):
-            return False
-        if cmask.bit_count() != sizes[v, j]:
-            return False
-        kids = children[v]
-        if j == len(kids):
-            return cmask == cx
-        u_child, he = kids[j]
-        lab = inst.ell_h[he]
-        cands = nbr.get((x, lab), [])
-        if u_child in inst.u:
-            cands = [(y, eid) for y, eid in cands if y == inst.f[u_child]]
+        if not cmask & cx or cmask.bit_count() != sizes[v, j]:
+            return None
+        if j == len(kids[v]):
+            return ()
+        child, _he, hosts = kids[v][j]
+        cands = hosts.get(x)
         if not cands:
-            return False
+            return None
         rest = cmask & ~cx
         # split colors: child's subtree takes sub (containing c(y)), the rest stays
         sub = rest
-        while True:
-            if sub:
-                for y, _eid in cands:
-                    if (sub >> c[y]) & 1 and table(children, u_child, 0, y, sub) \
-                            and table(children, v, j + 1, x, cmask & ~sub):
-                        return True
-            if sub == 0:
-                break
+        while sub:
+            for y, eid in cands:
+                if (sub >> c[y]) & 1 and table(child, 0, y, sub) is not None \
+                        and table(v, j + 1, x, cmask & ~sub) is not None:
+                    return sub, y, eid
             sub = (sub - 1) & rest
-        return False
+        return None
 
-    def rebuild(children, v: int, j: int, x: int, cmask: int,
-                vmap: Dict[int, int], emap: Dict[int, int]) -> None:
-        vmap[v] = x
-        kids = children[v]
-        if j == len(kids):
-            return
-        u_child, he = kids[j]
-        lab = inst.ell_h[he]
-        cands = nbr.get((x, lab), [])
-        if u_child in inst.u:
-            cands = [(y, eid) for y, eid in cands if y == inst.f[u_child]]
-        cx = 1 << c[x]
-        rest = cmask & ~cx
-        sub = rest
-        while True:
-            if sub:
-                for y, eid in cands:
-                    if (sub >> c[y]) & 1 and table(children, u_child, 0, y, sub) \
-                            and table(children, v, j + 1, x, cmask & ~sub):
-                        emap[he] = eid
-                        rebuild(children, u_child, 0, y, sub, vmap, emap)
-                        rebuild(children, v, j + 1, x, cmask & ~sub, vmap, emap)
-                        return
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        raise AssertionError("reconstruction diverged from the table")
-
-    # assemble across trees
-    full = (1 << k) - 1
-    n_trees = len(trees)
-    nmemo: Dict[Tuple[int, int], bool] = {}
-
-    def ntable(i: int, cmask: int) -> bool:
+    @cache
+    def forest(i: int, cmask: int) -> Optional[Tuple[int, ...]]:
+        """(colors of tree i, image of its root) for an embedding of trees 0..i
+        that uses exactly cmask."""
         if i < 0:
-            return cmask == 0
-        key = (i, cmask)
-        if key in nmemo:
-            return nmemo[key]
-        root, children = trees[i]
-        res = False
+            return () if cmask == 0 else None
+        root, root_hosts = roots[i]
         sub = cmask
-        while True:
-            if sub:
-                for x in range(inst.g.n):
-                    if (sub >> c[x]) & 1 and table(children, root, 0, x, sub) \
-                            and ntable(i - 1, cmask & ~sub):
-                        res = True
-                        break
-            if res or sub == 0:
-                break
+        while sub:
+            for x in root_hosts:
+                if (sub >> c[x]) & 1 and table(root, 0, x, sub) is not None \
+                        and forest(i - 1, cmask & ~sub) is not None:
+                    return sub, x
             sub = (sub - 1) & cmask
-        nmemo[key] = res
-        return res
+        return None
 
-    if not ntable(n_trees - 1, full):
+    def read_tree(v: int, x: int, cmask: int) -> None:
+        vmap[v] = x
+        for j, (child, he, _hosts) in enumerate(kids[v]):
+            sub, y, eid = table(v, j, x, cmask)
+            emap[he] = eid
+            read_tree(child, y, sub)
+            cmask &= ~sub
+
+    cmask = (1 << k) - 1
+    if forest(len(roots) - 1, cmask) is None:
         return None
     vmap: Dict[int, int] = {}
     emap: Dict[int, int] = {}
-    cmask = full
-    for i in range(n_trees - 1, -1, -1):
-        root, children = trees[i]
-        done = False
-        sub = cmask
-        while not done:
-            if sub:
-                for x in range(inst.g.n):
-                    if (sub >> c[x]) & 1 and table(children, root, 0, x, sub) \
-                            and ntable(i - 1, cmask & ~sub):
-                        rebuild(children, root, 0, x, sub, vmap, emap)
-                        cmask &= ~sub
-                        done = True
-                        break
-            if done:
-                break
-            if sub == 0:
-                raise AssertionError("assembly reconstruction diverged")
-            sub = (sub - 1) & cmask
+    for i in range(len(roots) - 1, -1, -1):
+        sub, x = forest(i, cmask)
+        read_tree(roots[i][0], x, sub)
+        cmask &= ~sub
     emb = Embedding(vmap, emap)
     if not emb.verify(inst):
         raise AssertionError("colorful DP produced an invalid embedding")
     return emb
 
 
-@lru_cache(maxsize=None)
+@cache
 def _hash_family_cached(n: int, k: int):
     return build_hash_family(n, k)
 

@@ -47,26 +47,21 @@ class GuessContext:
 def reduce_terminals(inst: PrimalInstance) -> PrimalInstance:
     """Keep a greedy basis of the terminal columns and drop duplicate non-terminal columns.
 
-    The result carries ``immediate_no`` (terminal basis larger than k) and
-    ``merge_map`` (dropped duplicate edge -> surviving representative).
+    The result carries ``immediate_no`` (terminal basis larger than k).
     """
     term_cols = [inst.a_column(e) for e in inst.terminals]
     keep_idx = set(basis(term_cols))
     kept_terms = [e for i, e in enumerate(inst.terminals) if i in keep_idx]
     # duplicate non-terminal columns: keep the lowest edge id of each value
-    seen: Dict[int, int] = {}
-    merge_map: Dict[int, int] = {}
+    seen: Set[int] = set()
     kept_edges: Set[int] = set(kept_terms)
     for eid in inst.nonterminal_edges():
         key = inst.a_column(eid).bits
-        if key in seen:
-            merge_map[eid] = seen[key]
-        else:
-            seen[key] = eid
+        if key not in seen:
+            seen.add(key)
             kept_edges.add(eid)
     reduced = inst.restrict(kept_edges, terminals=kept_terms)
     reduced.immediate_no = len(kept_terms) > inst.k
-    reduced.merge_map = merge_map
     return reduced
 
 

@@ -74,6 +74,7 @@ CAP_CASES = {
     "DEMAND_CAP": ("derand", 0, TRIANGLE_YES, []),
     "EOCT_K_CAP": ("eoct", 0, TRIANGLE_DUAL, ["--q-override", "1"]),
     "SEPARATION_EXACT_VERTEX_CAP": ("multigraph", 2, TRIANGLE_DUAL, ["--q-override", "1"]),
+    "VERTEX_CAP": ("fileio", 2, TRIANGLE_YES, []),
 }
 
 
@@ -181,6 +182,22 @@ def test_gen_mc_solvable_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", out, "--oracle"]) == EXIT_YES
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, problem", [
+    (["random", "OUT", "--n", "0"], "n = 0, m = 10"),
+    (["random", "OUT", "--k", "-1"], "negative budget"),
+    (["3dm", "OUT", "--q", "0"], "size q = 0"),
+    (["3dm", "OUT", "--q", "1", "--triples", "2"], "2 distinct triples"),
+    (["random", "missing/OUT"], "No such file or directory"),
+])
+def test_gen_bad_arguments_exit_two(tmp_path, capsys, args, problem):
+    out = str(tmp_path / args[1])
+    assert main(["gen", args[0], out, *args[2:]]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and problem in captured.err, captured.err
+    assert not os.path.exists(out)
 
 
 def test_bench_rows_and_agreement(tmp_path, capsys):

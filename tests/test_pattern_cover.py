@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import all_embeddings, random_forest
+from spacecover.derand import build_hash_family
 from spacecover.multigraph import MultiGraph
 from spacecover.oracle import pattern_cover_bruteforce
 from spacecover.pattern_cover import (Embedding, PatternCoverInstance,
@@ -109,3 +110,23 @@ def test_colorful_solve_matches_rainbow_filter():
             assert got.verify(inst)
             image = {coloring[x] for x in got.vertex_map.values()}
             assert len(image) == k
+
+
+def test_solve_returns_first_admitting_colorful_embedding():
+    rng = random.Random(41)
+    found = 0
+    for _ in range(80):
+        inst = random_pattern_instance(rng)
+        got = solve(inst)
+        want = None
+        if inst.h.n <= inst.g.n:
+            for coloring in build_hash_family(inst.g.n, inst.h.n).functions:
+                want = colorful_solve(inst, coloring)
+                if want is not None:
+                    break
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.vertex_map == want.vertex_map
+            assert got.edge_map == want.edge_map
+            found += 1
+    assert found >= 20
