@@ -111,6 +111,15 @@ def contributes(e_prime: int, e: EscTerminal, x, inst: EdgeSetCoverInstance) -> 
     return fe == 1 if same_side else fe == 0
 
 
+def _required_parity(e_prime: int, e: EscTerminal) -> int:
+    """Side difference of e_prime's endpoints that the terminal e asks for.
+
+    It is f(e_prime), flipped on e's own edge: every other edge stays out of
+    cont(e, X) exactly at this parity, and e's own edge contributes exactly there.
+    """
+    return e.f.get(e_prime, 0) ^ (e_prime == e.edge)
+
+
 def cont(e: EscTerminal, x, inst: EdgeSetCoverInstance) -> Set[int]:
     return {e2 for e2 in inst.g.edge_ids() if contributes(e2, e, x, inst)}
 
@@ -223,14 +232,16 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
                 break
             f_set = frozenset(f_sub)
             alive = [(eid, inst.g.endpoints(eid)) for eid in inst.g.edge_ids()
-                     if eid not in f_set and eid not in inst.blocked]
-            # candidate partitions per terminal: on each component of G - F - blocked
-            # the non-contributing side assignment is unique up to a flip
+                     if eid not in f_set]
+            # candidate partitions per terminal: every edge outside F, blocked
+            # ones included, at its required parity; each component's side
+            # assignment is then unique up to a flip, and every flip is valid
             per_term: List[List[Tuple[FrozenSet[int], Tuple[int, ...]]]] = []
             ok = True
             for term in inst.terminals:
-                sides = signed_components(range(inst.g.n), [(u, v, term.f.get(eid, 0))
-                                                             for eid, (u, v) in alive])
+                sides = signed_components(range(inst.g.n),
+                                          [(u, v, _required_parity(eid, term))
+                                           for eid, (u, v) in alive])
                 if sides is None:
                     ok = False
                     break
@@ -238,16 +249,7 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
                 for flips in itertools.product((0, 1), repeat=len(sides)):
                     fx = frozenset(v for side, flip in zip(sides, flips)
                                    for v, c in side.items() if c ^ flip)
-                    c = cont(term, fx, inst)
-                    want = set() if term.edge is None else {term.edge}
-                    if (c & set(inst.blocked)) != want:
-                        continue
-                    if not (c - want) <= f_set:
-                        continue
                     options.append((fx, inst.class_parities(fx)))
-                if not options:
-                    ok = False
-                    break
                 per_term.append(options)
             if not ok:
                 continue
@@ -285,53 +287,21 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
 def preliminary_partition(inst: EdgeSetCoverInstance, term: EscTerminal
                           ) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
     """A partition that almost fits the terminal with at most k non-terminal
-    contributing edges, found through an edge-bipartization reduction."""
+    contributing edges.
+
+    EOCT runs on signed edges over the instance's own vertices, with no
+    gadget graph: each edge asks for its required parity, and a blocked edge
+    comes in k + 1 copies so that no solution within budget breaks it.
+    """
     k = inst.k
     g2 = MultiGraph(inst.g.n)
-    extra = [inst.g.n]  # next fresh vertex
-
-    def fresh() -> int:
-        v = extra[0]
-        extra[0] += 1
-        return v
-
-    gadget_edges: List[Tuple[int, int]] = []
-
-    def add(u: int, v: int) -> None:
-        gadget_edges.append((u, v))
-
+    parity: Dict[int, int] = {}
     for eid in inst.g.edge_ids():
         u, v = inst.g.endpoints(eid)
-        fe = term.f.get(eid, 0)
-        if eid in inst.blocked:
-            own = (term.edge == eid)
-            # own edge must contribute; other blocked edges must not
-            cross_required = (fe == 0) if own else (fe == 1)
-            if cross_required:
-                for _ in range(k + 1):
-                    add(u, v)
-            else:
-                w = fresh()
-                for _ in range(k + 1):
-                    add(u, w)
-                    add(w, v)
-        else:
-            if fe == 1:
-                add(u, v)
-            else:
-                z = fresh()
-                add(u, z)
-                add(z, v)
-    g2 = MultiGraph(extra[0])
-    for u, v in gadget_edges:
-        g2.add_edge(u, v)
-    res = eoct.solve(g2, k)
-    if res is None:
-        return None
-    _, (a, b) = res
-    y = frozenset(v for v in a if v < inst.g.n)
-    y_bar = frozenset(range(inst.g.n)) - y
-    return y, y_bar
+        for _ in range(k + 1 if eid in inst.blocked else 1):
+            parity[g2.add_edge(u, v)] = _required_parity(eid, term)
+    res = eoct.solve(g2, k, parity)
+    return None if res is None else res[1]
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +437,15 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
         w1, w2 = ainst.pin(term.tid)
         if not (w1 & fixed) <= x_t or (w2 & x_t):
             return None
+        y = y_side[term.tid]
         for eid in inst.g.edge_ids():
             u, v = inst.g.endpoints(eid)
             if u not in fixed or v not in fixed:
                 continue
-            if contributes(eid, term, y_side[term.tid], inst):
-                if eid == term.edge:
-                    continue
+            if ((u in y) != (v in y)) != _required_parity(eid, term):
                 if eid in inst.blocked:
                     return None
                 f_fix.add(eid)
-        if term.edge is not None:
-            u, v = inst.g.endpoints(term.edge)
-            if u in fixed and v in fixed and \
-                    not contributes(term.edge, term, y_side[term.tid], inst):
-                return None
     if len(f_fix) > k:
         return None
     # sub-solve each pocket (component plus its colored neighborhood)

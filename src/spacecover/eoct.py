@@ -1,9 +1,15 @@
-"""Exact edge odd cycle transversal (edge bipartization) via iterative compression."""
+"""Exact edge odd cycle transversal (edge bipartization) via iterative compression.
+
+Edges are signed: edge e asks side[u] ^ side[v] == parity[e], and plain edge
+bipartization is the case where every parity is 1.  Iterative compression
+works unchanged on signed edges, because flipping a vertex set X relative to
+a valid side map breaks exactly the kept edges that cross X.
+"""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .multigraph import MultiGraph, signed_components
 
@@ -12,9 +18,10 @@ __all__ = ["solve", "minimize"]
 EOCT_K_CAP = 12
 
 
-def _signed(g: MultiGraph, edges: Iterable[int], parity: int) -> List[Tuple[int, int, int]]:
+def _signed(g: MultiGraph, edges: Iterable[int],
+            parity: Mapping[int, int]) -> List[Tuple[int, int, int]]:
     """The given edges as (u, v, parity) triples for signed_components."""
-    return [(*g.endpoints(eid), parity) for eid in edges]
+    return [(*g.endpoints(eid), parity[eid]) for eid in edges]
 
 
 def _min_cut(g: MultiGraph, edges: Set[int],
@@ -26,7 +33,7 @@ def _min_cut(g: MultiGraph, edges: Set[int],
     """
     if not sources or not sinks:
         # nothing to separate: take full components around the forced side
-        comps = signed_components(range(g.n), _signed(g, edges, 0))
+        comps = signed_components(range(g.n), ((*g.endpoints(eid), 0) for eid in edges))
         return 0, {v for side in comps if not sources.isdisjoint(side) for v in side}
     cap: Dict[Tuple[int, int], int] = {}
     for eid in edges:
@@ -77,16 +84,17 @@ def _min_cut(g: MultiGraph, edges: Set[int],
         flow += bottleneck
 
 
-def _compress(g: MultiGraph, prefix: Set[int], s_cur: List[int], budget: int) -> Optional[List[int]]:
+def _compress(g: MultiGraph, parity: Mapping[int, int], prefix: Set[int],
+              s_cur: List[int], budget: int) -> Optional[List[int]]:
     """Find a bipartization set of size <= budget for the prefix graph, or None."""
     rest = prefix - set(s_cur)
-    c0 = {v: c for side in signed_components(range(g.n), _signed(g, rest, 1))
+    c0 = {v: c for side in signed_components(range(g.n), _signed(g, rest, parity))
           for v, c in side.items()}
     endpoints: List[int] = sorted({v for eid in s_cur for v in g.endpoints(eid)})
     for assign_bits in range(1 << len(endpoints)):
         a = {v: (assign_bits >> i) & 1 for i, v in enumerate(endpoints)}
         mono = [eid for eid in s_cur
-                if a[g.endpoints(eid)[0]] == a[g.endpoints(eid)[1]]]
+                if a[g.endpoints(eid)[0]] ^ a[g.endpoints(eid)[1]] != parity[eid]]
         if len(mono) > budget:
             continue
         # flip set X relative to c0; forced on the assigned endpoints
@@ -99,39 +107,49 @@ def _compress(g: MultiGraph, prefix: Set[int], s_cur: List[int], budget: int) ->
                     if (g.endpoints(eid)[0] in x) != (g.endpoints(eid)[1] in x)]
         new_s = sorted(mono + crossing)
         if len(new_s) <= budget and \
-                signed_components(range(g.n), _signed(g, prefix - set(new_s), 1)) is not None:
+                signed_components(range(g.n), _signed(g, prefix - set(new_s), parity)) is not None:
             return new_s
     return None
 
 
-def solve(g: MultiGraph, k: int) -> Optional[Tuple[FrozenSet[int], Tuple[FrozenSet[int], FrozenSet[int]]]]:
-    """Edge set S with |S| <= k and g - S bipartite, plus a witness bipartition."""
+def solve(g: MultiGraph, k: int, parity: Optional[Mapping[int, int]] = None
+          ) -> Optional[Tuple[FrozenSet[int], Tuple[FrozenSet[int], FrozenSet[int]]]]:
+    """Edge set S with |S| <= k such that sides exist meeting every edge outside S,
+    plus those sides as (side 0, side 1).
+
+    ``parity`` maps each edge id to its required side difference; without it
+    every edge asks for different sides, so g - S is bipartite.
+    """
     if k > EOCT_K_CAP:
         raise ValueError("beyond supported range: budget %d exceeds EOCT_K_CAP = %d"
                          % (k, EOCT_K_CAP))
-    loops = [eid for eid in g.edge_ids() if g.is_loop(eid)]
+    if parity is None:
+        parity = dict.fromkeys(g.edge_ids(), 1)
+    # a loop asking for different sides can never be met
+    loops = [eid for eid in g.edge_ids() if g.is_loop(eid) and parity[eid]]
     if len(loops) > k:
         return None
     budget = k - len(loops)
-    nonloop = [eid for eid in g.edge_ids() if not g.is_loop(eid)]
+    others = [eid for eid in g.edge_ids() if not (g.is_loop(eid) and parity[eid])]
     s_cur: List[int] = []
     prefix: Set[int] = set()
     color = dict.fromkeys(range(g.n), 0)
-    for eid in nonloop:
+    for eid in others:
         prefix.add(eid)
         u, v = g.endpoints(eid)
-        if color[u] != color[v]:
+        if color[u] ^ color[v] == parity[eid]:
             continue
         s_cur.append(eid)
         if len(s_cur) > budget:
-            compressed = _compress(g, prefix, s_cur, budget)
+            compressed = _compress(g, parity, prefix, s_cur, budget)
             if compressed is None:
                 return None
             s_cur = compressed
-        color = {w: c for side in signed_components(range(g.n), _signed(g, prefix - set(s_cur), 1))
+        color = {w: c for side in signed_components(range(g.n),
+                                                    _signed(g, prefix - set(s_cur), parity))
                  for w, c in side.items()}
     s_all = frozenset(loops) | frozenset(s_cur)
-    final = signed_components(range(g.n), _signed(g, set(nonloop) - set(s_cur), 1))
+    final = signed_components(range(g.n), _signed(g, set(others) - set(s_cur), parity))
     a = frozenset(v for side in final for v, c in side.items() if c == 0)
     return s_all, (a, frozenset(range(g.n)) - a)
 

@@ -139,7 +139,6 @@ class ResultReport:
     f_edges: Optional[List[int]] = None
     k: int = 0
     solver_ms: float = 0.0
-    oracle_answer: Optional[str] = None
     certificate: Optional[Dict] = None
     stats: Dict[str, int] = field(default_factory=dict)
 
@@ -153,8 +152,6 @@ class ResultReport:
         }
         if self.f_edges is not None:
             payload["f"] = sorted(self.f_edges)
-        if self.oracle_answer is not None:
-            payload["oracle_answer"] = self.oracle_answer
         if self.certificate is not None:
             payload["certificate"] = self.certificate
         return json.dumps(payload, sort_keys=True)
@@ -209,9 +206,7 @@ def parse_report(text: str) -> ResultReport:
     if certificate is not None:
         _check_certificate(certificate)
     return ResultReport(mode=mode, answer=answer, f_edges=f_edges, k=k,
-                        solver_ms=solver_ms,
-                        oracle_answer=payload.get("oracle_answer"),
-                        certificate=certificate,
+                        solver_ms=solver_ms, certificate=certificate,
                         stats=payload.get("stats", {}))
 
 

@@ -61,8 +61,8 @@ class SpaceCoverInstance:
         tset = set(self.terminals)
         return [eid for eid in self.graph.edge_ids() if eid not in tset]
 
-    def restrict(self, keep_edges: Iterable[int], terminals: Optional[Iterable[int]] = None,
-                 k: Optional[int] = None) -> "SpaceCoverInstance":
+    def restrict(self, keep_edges: Iterable[int],
+                 terminals: Optional[Iterable[int]] = None) -> "SpaceCoverInstance":
         """New instance keeping only the given edges (and their P columns)."""
         keep = set(keep_edges)
         graph = self.graph.without_edges(set(self.graph.edge_ids()) - keep)
@@ -76,7 +76,7 @@ class SpaceCoverInstance:
         p = Gf2Matrix(self.p.rows, len(eids), row_bits)
         terms = self.terminals if terminals is None else tuple(sorted(set(terminals)))
         terms = tuple(e for e in terms if e in keep)
-        return type(self)(graph, p, terms, self.k if k is None else k)
+        return type(self)(graph, p, terms, self.k)
 
     def __repr__(self) -> str:
         return "%s(n=%d, m=%d, |T|=%d, k=%d)" % (

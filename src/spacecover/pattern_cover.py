@@ -143,9 +143,10 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
     @cache
     def table(v: int, j: int, x: int, cmask: int) -> Optional[Tuple[int, ...]]:
         """(colors of child j's subtree, image of child j, host edge) for an embedding
-        of v with its children j, j+1, ... that puts v at x and uses exactly cmask."""
+        of v with its children j, j+1, ... that puts v at x and uses exactly cmask.
+        Callers pass only colour sets of size sizes[v, j]."""
         cx = 1 << c[x]
-        if not cmask & cx or cmask.bit_count() != sizes[v, j]:
+        if not cmask & cx:
             return None
         if j == len(kids[v]):
             return ()
@@ -154,13 +155,15 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
         if not cands:
             return None
         rest = cmask & ~cx
+        need = sizes[child, 0]
         # split colors: child's subtree takes sub (containing c(y)), the rest stays
         sub = rest
         while sub:
-            for y, eid in cands:
-                if (sub >> c[y]) & 1 and table(child, 0, y, sub) is not None \
-                        and table(v, j + 1, x, cmask & ~sub) is not None:
-                    return sub, y, eid
+            if sub.bit_count() == need:
+                for y, eid in cands:
+                    if (sub >> c[y]) & 1 and table(child, 0, y, sub) is not None \
+                            and table(v, j + 1, x, cmask & ~sub) is not None:
+                        return sub, y, eid
             sub = (sub - 1) & rest
         return None
 
@@ -171,12 +174,14 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
         if i < 0:
             return () if cmask == 0 else None
         root, root_hosts = roots[i]
+        need = sizes[root, 0]
         sub = cmask
         while sub:
-            for x in root_hosts:
-                if (sub >> c[x]) & 1 and table(root, 0, x, sub) is not None \
-                        and forest(i - 1, cmask & ~sub) is not None:
-                    return sub, x
+            if sub.bit_count() == need:
+                for x in root_hosts:
+                    if (sub >> c[x]) & 1 and table(root, 0, x, sub) is not None \
+                            and forest(i - 1, cmask & ~sub) is not None:
+                        return sub, x
             sub = (sub - 1) & cmask
         return None
 

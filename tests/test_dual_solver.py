@@ -1,11 +1,13 @@
+import itertools
 import random
 
 from helpers import (all_preliminary, complete_graph, doubled_path_dual,
                      dual_corpus, esc_from_random_dual)
 from spacecover import dual_solver
-from spacecover.dual_solver import (AnnotatedEscInstance, EscTerminal,
-                                    RecursParams, _small_case, build_esc,
-                                    contributes, fits, preliminary_partition,
+from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
+                                    EscTerminal, RecursParams, _small_case,
+                                    all_keys, build_esc, contributes, fits,
+                                    is_key_solution, preliminary_partition,
                                     recurs, reduce_terminals_dual, solve_esc,
                                     vertex_types)
 from spacecover.gf2 import Gf2Matrix
@@ -24,8 +26,6 @@ def test_vertex_types():
 def test_contributes_and_fits_semantics():
     g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
     term = EscTerminal(0, 0, (0,), {0: 0, 1: 0, 2: 1})
-    from spacecover.dual_solver import EdgeSetCoverInstance
-
     inst = EdgeSetCoverInstance(g, 1, 1, {0: 0, 1: 0, 2: 0}, [term],
                                 frozenset({0}))
     x = frozenset({0})
@@ -144,6 +144,65 @@ def test_solve_esc_disconnected_components():
                 assert fits(x_map[term.tid], term, inst) == "fits"
         checked += 1
     assert checked >= 10
+
+
+def exhaustive_key_minima(ainst):
+    """Least |F| per key, by trying every F and every per-terminal X.
+
+    A terminal's X is judged by is_key_solution on a one-terminal view, under
+    the key that X itself induces (its class parities and its part of W).
+    """
+    inst = ainst.esc
+    n = inst.g.n
+    free = [e for e in inst.g.edge_ids() if e not in inst.blocked]
+    xs = [frozenset(v for v in range(n) if (mask >> v) & 1) for mask in range(1 << n)]
+    reach = []  # (|F|, per terminal the set of (parities, X & W) some X attains)
+    for size in range(inst.k + 1):
+        for f_set in itertools.combinations(free, size):
+            per_term = []
+            for term in inst.terminals:
+                one = AnnotatedEscInstance(
+                    EdgeSetCoverInstance(inst.g, inst.k, inst.t, inst.classes,
+                                         [term], inst.blocked),
+                    ainst.w, {term.tid: ainst.pin(term.tid)})
+                per_term.append({(inst.class_parities(x), x & ainst.w) for x in xs
+                                 if is_key_solution(one, ((inst.class_parities(x),),
+                                                          (x & ainst.w,)),
+                                                    f_set, {term.tid: x})})
+            reach.append((size, per_term))
+    minima = {}
+    for key in all_keys(ainst):
+        h, lr = key
+        minima[key] = next((size for size, per_term in reach
+                            if all((h[i], lr[i]) in per_term[i]
+                                   for i in range(len(per_term)))), None)
+    return minima
+
+
+def test_small_case_with_boundary_and_pins_matches_exhaustive_search():
+    rng = random.Random(503)
+    checked = solvable = 0
+    for _ in range(40):
+        inst = esc_from_random_dual(rng, n_max=6, m_max=8)
+        n = inst.g.n
+        w = frozenset(rng.sample(range(n), rng.randrange(1, 3)))
+        pins = {}
+        for term in inst.terminals:
+            pinned = rng.sample(range(n), rng.randrange(0, 3))
+            w1 = frozenset(v for v in pinned if rng.random() < 0.5)
+            pins[term.tid] = (w1, frozenset(pinned) - w1)
+        ainst = AnnotatedEscInstance(inst, w, pins)
+        table = _small_case(ainst, RecursParams())
+        want = exhaustive_key_minima(ainst)
+        assert set(table) == set(want)
+        for key, ans in table.items():
+            assert (ans is None) == (want[key] is None), key
+            if ans is not None:
+                assert len(ans[0]) == want[key]
+                assert is_key_solution(ainst, key, ans[0], ans[1])
+                solvable += 1
+        checked += 1
+    assert checked == 40 and solvable > 0
 
 
 def test_preliminary_partition_matches_bruteforce_small():

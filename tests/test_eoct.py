@@ -82,6 +82,40 @@ def test_solution_and_bipartition_are_consistent():
             assert eoct.solve(g, k - 1) is None
 
 
+def signed_minimum(g, parity):
+    """Fewest edges whose side difference is wrong, over all 2^n side maps."""
+    best = None
+    for mask in range(1 << g.n):
+        broken = sum(1 for eid, (u, v) in g.edges()
+                     if ((mask >> u) ^ (mask >> v)) & 1 != parity[eid])
+        best = broken if best is None else min(best, broken)
+    return best
+
+
+def test_signed_edges_match_exhaustive_sides():
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randrange(1, 8)
+        g = MultiGraph(n)
+        parity = {}
+        for _ in range(rng.randrange(0, 13)):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.15 else rng.randrange(n)
+            for _ in range(rng.choice((1, 1, 2))):  # parallel copies share the parity
+                parity[g.add_edge(u, v)] = rng.getrandbits(1)
+        k = signed_minimum(g, parity)
+        res = eoct.solve(g, k, parity)
+        assert res is not None
+        s, (a, b) = res
+        assert len(s) <= k
+        assert a | b == frozenset(range(n)) and not a & b
+        for eid, (u, v) in g.edges():
+            if eid not in s:
+                assert ((u in b) != (v in b)) == parity[eid]
+        if k > 0:
+            assert eoct.solve(g, k - 1, parity) is None
+
+
 def test_budget_cap_enforced():
     with pytest.raises(ValueError):
         eoct.solve(complete_graph(3), eoct.EOCT_K_CAP + 1)
