@@ -214,14 +214,28 @@ def _hash_family_cached(n: int, k: int):
 
 
 def solve(inst: PatternCoverInstance) -> Optional[Embedding]:
-    """Find an embedding, or None when none exists; color coding over a perfect hash family."""
+    """Find an embedding, or None when none exists; color coding over the free pattern vertices.
+
+    Walking the hosts in order, each pin image takes the next reserved color
+    k - |U|, k - |U| + 1, ..., and the other g.n - |U| hosts take the colors
+    0..k - |U| - 1 of one function of a (g.n - |U|, k - |U|)-perfect hash
+    family (a single all-zero coloring when every pattern vertex is pinned).
+    A rainbow image uses each reserved color once, on its pin, so some
+    coloring admits every embedding.
+    """
     k = inst.h.n
     _check_pattern_size(k)
     if k == 0:
         return Embedding({}, {})
-    if k > inst.g.n:
+    pins = set(inst.f.values())
+    free, rest = k - len(pins), inst.g.n - len(pins)
+    if free > rest:
         return None
-    for coloring in _hash_family_cached(inst.g.n, k).functions:
+    family = _hash_family_cached(rest, free).functions if free else [(0,) * rest]
+    for phi in family:
+        colors = iter(phi)
+        reserved = iter(range(free, k))
+        coloring = [next(reserved) if x in pins else next(colors) for x in range(inst.g.n)]
         emb = colorful_solve(inst, coloring)
         if emb is not None:
             return emb

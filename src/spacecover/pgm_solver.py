@@ -140,33 +140,29 @@ def _odd_degree(h: MultiGraph, edge_subset) -> FrozenSet[int]:
     return frozenset(v for v, d in deg.items() if d % 2 == 1)
 
 
-def _injective_assignments(fixed: List[int], size: int, codomain: Sequence[int],
-                           tests: List[List[Tuple[int, object]]],
+def _injective_assignments(size: int, codomain: Sequence[int], tests: List[List[int]],
                            allowed) -> Iterator[Tuple[int, ...]]:
-    """Images of ``size`` new positions placed after the ``fixed`` ones, each failing branch cut.
+    """Injective images of ``size`` positions, each failing branch cut.
 
     Yields what ``itertools.permutations(codomain, size)`` yields (codomain
     values distinct), in its order, minus every tuple that fails a test.
-    ``tests[j]`` holds the ``(i, label)`` pairs decidable once new position j
-    is assigned: i indexes ``fixed`` followed by the new positions, with
-    ``i <= len(fixed) + j``, and the pair passes when
-    ``(image of i, image of new position j, label)`` is in ``allowed``.
+    ``tests[j]`` holds the positions ``i <= j`` decidable once position j is
+    assigned, and the pair passes when ``(image of i, image of j)`` is in
+    ``allowed``.
     """
-    base = len(fixed)
-    images = list(fixed) + [0] * size
+    images = [0] * size
     used: Set[int] = set()
 
     def walk(j: int) -> Iterator[Tuple[int, ...]]:
         if j == size:
-            yield tuple(images[base:])
+            yield tuple(images)
             return
-        pos = base + j
         for x in codomain:
             if x in used:
                 continue
-            images[pos] = x
-            for i, label in tests[j]:
-                if (images[i], x, label) not in allowed:
+            images[j] = x
+            for i in tests[j]:
+                if (images[i], x) not in allowed:
                     break
             else:
                 used.add(x)
@@ -176,24 +172,23 @@ def _injective_assignments(fixed: List[int], size: int, codomain: Sequence[int],
     return walk(0)
 
 
-def _host_pairs(inst: PrimalInstance) -> Dict[Tuple[int, int, None], List[int]]:
-    """Non-terminal host edges in edge id order, under ``(x, y, None)`` for both endpoint orders.
+def _host_pairs(inst: PrimalInstance) -> Dict[Tuple[int, int], List[int]]:
+    """Non-terminal host edges in edge id order, under both endpoint orders.
 
-    The ``None`` label lets the index serve as the ``allowed`` set of
-    ``_injective_assignments``.
+    The index also serves as the ``allowed`` set of ``_injective_assignments``.
     """
     term_set = set(inst.terminals)
-    by_pair: Dict[Tuple[int, int, None], List[int]] = {}
+    by_pair: Dict[Tuple[int, int], List[int]] = {}
     for ge in inst.graph.edge_ids():
         if ge not in term_set:
             x, y = inst.graph.endpoints(ge)
-            by_pair.setdefault((x, y, None), []).append(ge)
+            by_pair.setdefault((x, y), []).append(ge)
             if x != y:
-                by_pair.setdefault((y, x, None), []).append(ge)
+                by_pair.setdefault((y, x), []).append(ge)
     return by_pair
 
 
-def _pin_enumeration(by_pair: Dict[Tuple[int, int, None], List[int]], n_host: int,
+def _pin_enumeration(by_pair: Dict[Tuple[int, int], List[int]], n_host: int,
                      backbone: MultiGraph,
                      extra: List[int]) -> Iterator[Tuple[Dict[int, int], Dict[int, int]]]:
     """All injective (f, f_E) pin choices for the cycle-closing backbone edges.
@@ -206,16 +201,16 @@ def _pin_enumeration(by_pair: Dict[Tuple[int, int, None], List[int]], n_host: in
     vtilde = sorted({v for eid in extra for v in backbone.endpoints(eid)})
     at = {v: i for i, v in enumerate(vtilde)}
     # an extra edge is decided once its later endpoint has an image
-    tests: List[List[Tuple[int, object]]] = [[] for _ in vtilde]
+    tests: List[List[int]] = [[] for _ in vtilde]
     for eid in extra:
         i, j = sorted(at[v] for v in backbone.endpoints(eid))
-        tests[j].append((i, None))
-    for images in _injective_assignments([], len(vtilde), range(n_host), tests, by_pair):
+        tests[j].append(i)
+    for images in _injective_assignments(len(vtilde), range(n_host), tests, by_pair):
         f = dict(zip(vtilde, images))
         options = []
         for eid in extra:
             u, v = backbone.endpoints(eid)
-            options.append(by_pair[f[u], f[v], None])
+            options.append(by_pair[f[u], f[v]])
         for combo in itertools.product(*options):
             if len(set(combo)) != len(combo):
                 continue
@@ -223,11 +218,12 @@ def _pin_enumeration(by_pair: Dict[Tuple[int, int, None], List[int]], n_host: in
 
 
 def _witness_options(terminals, witnesses, h_edge_type, t, target_of, nv):
-    """Per terminal: parity vector -> [(subset, odd-degree set, target)], plus the walk choices.
+    """Per terminal: parity vector -> (target, odd-degree set -> its first subset), plus the walk choices.
 
-    The choices hold, per terminal, ``(parity vector, target)`` pairs in
-    sorted vector order. None when some terminal has no witness: the edge
-    types admit no guess.
+    Every witness of one (terminal, vector) has the same target. The choices
+    hold, per terminal, ``(parity vector, target)`` pairs in sorted vector
+    order. None when some terminal has no witness: the edge types admit no
+    guess.
     """
     sub_parities = []
     for sub, _odd in witnesses:
@@ -235,19 +231,18 @@ def _witness_options(terminals, witnesses, h_edge_type, t, target_of, nv):
         for eid in sub:
             parities[h_edge_type[eid] - 1] ^= 1
         sub_parities.append(tuple(parities))
-    per_term: Dict[int, Dict[Tuple[int, ...], List[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]]]] = {}
+    per_term: Dict[int, Dict[Tuple[int, ...], Tuple[FrozenSet[int], Dict[FrozenSet[int], FrozenSet[int]]]]] = {}
     for w_eid in terminals:
-        opts: Dict[Tuple[int, ...], List] = {}
+        opts: Dict[Tuple[int, ...], Tuple] = {}
         for (sub, odd), b in zip(witnesses, sub_parities):
             target = target_of(w_eid, b)
             if len(odd) != len(target) or len(target) > nv:
                 continue
-            opts.setdefault(b, []).append((sub, odd, target))
+            opts.setdefault(b, (target, {}))[1].setdefault(odd, sub)
         if not opts:
             return None
         per_term[w_eid] = opts
-    # every witness of one (terminal, vector) has the same target
-    choices = [[(b, per_term[w][b][0][2]) for b in sorted(per_term[w])] for w in terminals]
+    choices = [[(b, per_term[w][b][0]) for b in sorted(per_term[w])] for w in terminals]
     return per_term, choices
 
 
@@ -346,73 +341,89 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
 
 def _expand_guess(inst, backbone, forest, extra, f, f_e, ell, h, v_star, per_term,
                   h_edge_type, type_of, edge_by_sig, term_set):
-    """Enumerate (D, f*) for one parity restriction and emit surviving guesses.
+    """Read every (D, f*) of one parity restriction off the witnesses' odd sets.
 
-    V* (the targets of the chosen witnesses plus image(f)) is forced by h;
-    image(f) lies inside it, so D adds one backbone vertex per free target.
+    V* (the targets of the chosen witnesses plus image(f)) is forced by h,
+    and f* is a bijection from D onto V*. So terminal w is witnessed exactly
+    when O_w = f*^-1(target_w) is the odd-degree set of one of its
+    witnesses, and each choice of one such set per terminal that agrees with
+    the pins fixes D: the pinned vertices plus the union of the O_w. f* may
+    then only match a vertex of D with a free target that lies in the same
+    targets as the vertex lies in odd sets. The guesses are emitted in
+    (D minus the pinned vertices, images) order.
     """
-    vtilde = sorted(f)
-    fixed = [f[v] for v in vtilde]
-    free_targets = sorted(v_star - frozenset(fixed))
-    need = len(free_targets)
-    others = [v for v in range(backbone.n) if v not in f]
-
+    vtilde = frozenset(f)
     # forest edges are the backbone edges without a pinned host edge
     forest_ends = [(eid, backbone.endpoints(eid)) for eid in sorted(forest)]
     for eid, (u, v) in forest_ends:
         if u in f and v in f and (f[u], f[v], h_edge_type[eid]) not in edge_by_sig:
             return
-    base = len(vtilde)
-    edges = backbone.edges()
-    for extra_d in itertools.combinations(others, need):
-        d = frozenset(vtilde) | frozenset(extra_d)
-        at = {v: i for i, v in enumerate(vtilde)}
-        at.update((v, base + j) for j, v in enumerate(extra_d))
-        tests: List[List[Tuple[int, object]]] = [[] for _ in extra_d]
-        for eid, (u, v) in forest_ends:
-            if u in at and v in at and not (u in f and v in f):
-                i, j = sorted((at[u], at[v]))
-                tests[j - base].append((i, h_edge_type[eid]))
-        inside = [(eid, u, v) for eid, (u, v) in edges if u in d and v in d]
-        for images in _injective_assignments(fixed, need, free_targets, tests,
-                                             edge_by_sig):
+    free_ends = [(eid, u, v) for eid, (u, v) in forest_ends if not (u in f and v in f)]
+    free_targets = sorted(v_star - frozenset(f.values()))
+    need = len(free_targets)
+    # per terminal, its target and the odd sets that agree with the pins
+    targets = []
+    odd_options = []
+    for w_eid in inst.terminals:
+        target, odds = per_term[w_eid][h[w_eid]]
+        agree = [odd for odd in odds if all((v in odd) == (x in target) for v, x in f.items())]
+        if not agree:
+            return
+        targets.append(target)
+        odd_options.append(agree)
+    # signature of a free target: the terminals whose target holds it
+    target_class: Dict[int, List[int]] = {}
+    for y in free_targets:
+        target_class.setdefault(sum(1 << i for i, tg in enumerate(targets) if y in tg), []).append(y)
+
+    found = []
+    for odds in itertools.product(*odd_options):
+        extra_d = sorted(frozenset().union(*odds) - vtilde)
+        if len(extra_d) != need:
+            continue
+        # signature of a backbone vertex: the chosen odd sets that hold it
+        vertex_class: Dict[int, List[int]] = {}
+        for v in extra_d:
+            vertex_class.setdefault(sum(1 << i for i, odd in enumerate(odds) if v in odd), []).append(v)
+        if any(len(target_class.get(sig, ())) != len(vs) for sig, vs in vertex_class.items()):
+            continue
+        groups = list(vertex_class.items())
+        for perms in itertools.product(*(itertools.permutations(target_class[sig])
+                                         for sig, _vs in groups)):
             f_star = dict(f)
-            f_star.update(zip(extra_d, images))
-            # backbone edges with both ends pinned must map to unique host edges
-            f_star_e = {}
-            for eid, u, v in inside:
-                if eid in f_e:
-                    f_star_e[eid] = f_e[eid]
-                    continue
-                f_star_e[eid] = edge_by_sig[f_star[u], f_star[v], h_edge_type[eid]]
-            if len(set(f_star_e.values())) != len(f_star_e):
-                continue
-            # interesting: each terminal has a witness mapped correctly by f*
-            e_subsets = {}
-            ok = True
-            for w_eid in inst.terminals:
-                hit = None
-                for sub, odd, target in per_term[w_eid][h[w_eid]]:
-                    if odd <= d and frozenset(f_star[v] for v in odd) == target:
-                        hit = sub
-                        break
-                if hit is None:
-                    ok = False
-                    break
-                e_subsets[w_eid] = hit
-            if not ok:
-                continue
-            ctx = GuessContext(backbone=backbone, forest=forest, extra=tuple(extra),
-                               f=dict(f), f_e=dict(f_e), ell=dict(ell), h=dict(h),
-                               d=d, f_star=f_star, f_star_e=f_star_e,
-                               e_subsets=e_subsets)
-            host = inst.graph.without_edges(set(f_star_e.values()) | term_set)
-            ell_g = {ge: type_of[ge] for ge in host.edge_ids()}
-            pattern = backbone.without_edges(set(f_star_e))
-            ell_h = {eid: h_edge_type[eid] for eid in pattern.edge_ids()}
-            pci = PatternCoverInstance(g=host, ell_g=ell_g, h=pattern, ell_h=ell_h,
-                                       u=d, f=f_star)
-            yield pci, ctx
+            for (_sig, vs), ys in zip(groups, perms):
+                f_star.update(zip(vs, ys))
+            if all((f_star[u], f_star[v], h_edge_type[eid]) in edge_by_sig
+                   for eid, u, v in free_ends if u in f_star and v in f_star):
+                found.append((tuple(extra_d), tuple(f_star[v] for v in extra_d), odds))
+    found.sort(key=lambda item: item[:2])
+
+    edges = backbone.edges()
+    for extra_d, images, odds in found:
+        d = vtilde | frozenset(extra_d)
+        f_star = dict(f)
+        f_star.update(zip(extra_d, images))
+        # backbone edges with both ends pinned must map to unique host edges
+        f_star_e = {}
+        for eid, (u, v) in edges:
+            if u in d and v in d:
+                f_star_e[eid] = f_e[eid] if eid in f_e else \
+                    edge_by_sig[f_star[u], f_star[v], h_edge_type[eid]]
+        if len(set(f_star_e.values())) != len(f_star_e):
+            continue
+        e_subsets = {w_eid: per_term[w_eid][h[w_eid]][1][odd]
+                     for w_eid, odd in zip(inst.terminals, odds)}
+        ctx = GuessContext(backbone=backbone, forest=forest, extra=tuple(extra),
+                           f=dict(f), f_e=dict(f_e), ell=dict(ell), h=dict(h),
+                           d=d, f_star=f_star, f_star_e=f_star_e,
+                           e_subsets=e_subsets)
+        host = inst.graph.without_edges(set(f_star_e.values()) | term_set)
+        ell_g = {ge: type_of[ge] for ge in host.edge_ids()}
+        pattern = backbone.without_edges(set(f_star_e))
+        ell_h = {eid: h_edge_type[eid] for eid in pattern.edge_ids()}
+        pci = PatternCoverInstance(g=host, ell_g=ell_g, h=pattern, ell_h=ell_h,
+                                   u=d, f=f_star)
+        yield pci, ctx
 
 
 def solve(inst: PrimalInstance,

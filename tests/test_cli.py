@@ -27,6 +27,19 @@ terminals 2
 
 TRIANGLE_DUAL = TRIANGLE_YES.replace("mode primal", "mode dual").replace("k 2", "k 1")
 
+# A 4-cycle with one terminal: only the 3-edge path covers it, so some guess
+# leaves two pattern vertices free and needs a hash family with k = 2.
+SQUARE_YES = """SCPM v1
+mode primal
+n 4 m 4 k 3
+edge 0 1
+edge 1 2
+edge 2 3
+edge 0 3
+pert 0
+terminals 3
+"""
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -65,13 +78,14 @@ def test_solve_json_report_checks(tmp_path, capsys):
 
 
 # Each cap is lowered until the triangle reaches it: the primal rows through
-# backbones, cycle counts, patterns and hash families, the dual rows through
-# the recursion (with q = 1 the triangle has no separation, so EOCT runs).
+# backbones, cycle counts and patterns, the dual rows through the recursion
+# (with q = 1 the triangle has no separation, so EOCT runs). Hash families
+# colour only free pattern vertices, so the square reaches DEMAND_CAP.
 CAP_CASES = {
     "BACKBONE_EDGE_CAP": ("pgm_solver", 1, TRIANGLE_YES, []),
     "CYCLE_COUNT_EDGE_CAP": ("multigraph", 1, TRIANGLE_YES, []),
     "PATTERN_VERTEX_CAP": ("pattern_cover", 1, TRIANGLE_YES, []),
-    "DEMAND_CAP": ("derand", 0, TRIANGLE_YES, []),
+    "DEMAND_CAP": ("derand", 0, SQUARE_YES, []),
     "EOCT_K_CAP": ("eoct", 0, TRIANGLE_DUAL, ["--q-override", "1"]),
     "SEPARATION_EXACT_VERTEX_CAP": ("multigraph", 2, TRIANGLE_DUAL, ["--q-override", "1"]),
     "VERTEX_CAP": ("fileio", 2, TRIANGLE_YES, []),

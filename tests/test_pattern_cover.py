@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import all_embeddings, random_forest
+from spacecover import pattern_cover
 from spacecover.derand import build_hash_family
 from spacecover.multigraph import MultiGraph
 from spacecover.oracle import pattern_cover_bruteforce
@@ -23,6 +24,15 @@ def random_pattern_instance(rng, gn_max=8, hn_max=5, t_max=3):
     pins = rng.sample(range(h.n), min(rng.randrange(0, 3), h.n, g.n))
     targets = rng.sample(range(g.n), len(pins))
     return PatternCoverInstance(g, ell_g, h, ell_h,
+                                frozenset(pins), dict(zip(pins, targets)))
+
+
+def repinned(inst, rng):
+    """The instance with 0..min(h.n, g.n) pattern vertices pinned to random hosts."""
+    count = rng.randrange(0, min(inst.h.n, inst.g.n) + 1)
+    pins = rng.sample(range(inst.h.n), count)
+    targets = rng.sample(range(inst.g.n), count)
+    return PatternCoverInstance(inst.g, inst.ell_g, inst.h, inst.ell_h,
                                 frozenset(pins), dict(zip(pins, targets)))
 
 
@@ -119,8 +129,19 @@ def test_solve_returns_first_admitting_colorful_embedding():
         inst = random_pattern_instance(rng)
         got = solve(inst)
         want = None
-        if inst.h.n <= inst.g.n:
-            for coloring in build_hash_family(inst.g.n, inst.h.n).functions:
+        # pin images take the reserved colors free, free + 1, ... in host order
+        pins = sorted(inst.f.values())
+        others = [x for x in range(inst.g.n) if x not in inst.f.values()]
+        free = inst.h.n - len(pins)
+        if free <= len(others):
+            family = build_hash_family(len(others), free).functions if free \
+                else [(0,) * len(others)]
+            for phi in family:
+                coloring = [0] * inst.g.n
+                for x, c in zip(others, phi):
+                    coloring[x] = c
+                for j, x in enumerate(pins):
+                    coloring[x] = free + j
                 want = colorful_solve(inst, coloring)
                 if want is not None:
                     break
@@ -130,3 +151,44 @@ def test_solve_returns_first_admitting_colorful_embedding():
             assert got.edge_map == want.edge_map
             found += 1
     assert found >= 20
+
+
+def test_solve_matches_bruteforce_from_no_pins_to_all():
+    rng = random.Random(53)
+    seen = {"no pins": 0, "all pinned": 0, "free >= 2": 0, "free > hosts left": 0}
+    yes = 0
+    for _ in range(400):
+        inst = repinned(random_pattern_instance(rng, gn_max=7, hn_max=6, t_max=2), rng)
+        free, rest = inst.h.n - len(inst.u), inst.g.n - len(inst.u)
+        seen["no pins"] += not inst.u
+        seen["all pinned"] += free == 0
+        seen["free >= 2"] += 2 <= free <= rest
+        seen["free > hosts left"] += free > rest
+        got = solve(inst)
+        want = pattern_cover_bruteforce(inst)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.verify(inst)
+            yes += 1
+    assert min(seen.values()) >= 20, seen
+    assert yes >= 40
+
+
+def test_solve_hashes_only_the_free_pattern_vertices(monkeypatch):
+    requested = []
+
+    def recording(n, k):
+        requested.append((n, k))
+        return build_hash_family(n, k)
+
+    monkeypatch.setattr(pattern_cover, "build_hash_family", recording)
+    pattern_cover._hash_family_cached.cache_clear()
+    rng = random.Random(59)
+    for _ in range(200):
+        inst = repinned(random_pattern_instance(rng, gn_max=8, hn_max=6), rng)
+        before = len(requested)
+        solve(inst)
+        free, rest = inst.h.n - len(inst.u), inst.g.n - len(inst.u)
+        assert all(args == (rest, free) for args in requested[before:])
+    pattern_cover._hash_family_cached.cache_clear()
+    assert len(requested) >= 10 and any(k >= 2 for _n, k in requested)
