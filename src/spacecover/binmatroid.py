@@ -6,13 +6,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
-from .gf2 import Gf2Matrix, Gf2Vector, in_span, rank_of_ints
+from .gf2 import Gf2Matrix, Gf2Vector, in_span
 
 __all__ = [
     "BinaryMatroid",
     "SpanCertificate",
     "CocycleCertificate",
-    "is_independent",
     "span_contains",
     "is_cocycle",
     "dual_span_contains",
@@ -57,13 +56,6 @@ class BinaryMatroid:
 
     def columns(self, ids: Iterable[int]) -> List[Gf2Vector]:
         return [self.rep.column(j) for j in ids]
-
-
-def is_independent(m: BinaryMatroid, f: Iterable[int]) -> bool:
-    """True iff the selected columns are linearly independent."""
-    ids = list(f)
-    cols = m.columns(ids)
-    return rank_of_ints([c.bits for c in cols]) == len(ids)
 
 
 def span_contains(m: BinaryMatroid, f: Iterable[int], t: Iterable[int]) -> Optional[SpanCertificate]:

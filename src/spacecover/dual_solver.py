@@ -22,7 +22,6 @@ __all__ = [
     "RecursParams",
     "vertex_types",
     "contributes",
-    "fits",
     "build_esc",
     "solve_esc",
     "recurs",
@@ -124,25 +123,14 @@ def cont(e: EscTerminal, x, inst: EdgeSetCoverInstance) -> Set[int]:
     return {e2 for e2 in inst.g.edge_ids() if contributes(e2, e, x, inst)}
 
 
-def fits(x, e: EscTerminal, inst: EdgeSetCoverInstance,
-         target_b: Optional[Tuple[int, ...]] = None) -> str:
-    """'fits', 'almost', or 'neither' for the partition (X, complement) and terminal e."""
-    c = cont(e, x, inst)
-    blocked_hits = c & set(inst.blocked)
-    want = set() if e.edge is None else {e.edge}
-    if blocked_hits != want:
-        return "neither"
-    b = e.b if target_b is None else target_b
-    if inst.class_parities(frozenset(x)) == tuple(b):
-        return "fits"
-    return "almost"
-
-
 def all_keys(ainst: AnnotatedEscInstance):
-    """Every (parity restriction, per-terminal W-partition) key, in sorted order."""
+    """Every (parity restriction, per-terminal W-partition) key, in sorted order.
+
+    Every answer table is built in this order, and its readers rely on it.
+    """
     terms = ainst.esc.terminals
     t = ainst.esc.t
-    h_options = list(itertools.product(*(sorted(itertools.product((0, 1), repeat=t))
+    h_options = list(itertools.product(*(itertools.product((0, 1), repeat=t)
                                          for _ in terms)))
     w_sorted = sorted(ainst.w)
     subsets = []
@@ -216,13 +204,18 @@ def _multiplicity_reduce(inst: EdgeSetCoverInstance) -> EdgeSetCoverInstance:
 
 
 def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
-    """Branch (a): enumerate F and propagate per-component side assignments."""
+    """Branch (a): enumerate F and propagate per-component side assignments.
+
+    For each F, every terminal gets a reach table from its side assignments:
+    (class parities of X, W & X) -> the first X that meets the terminal's
+    pins.  A key is solved by F exactly when each of its per-terminal parts
+    is reached, so F fills the still unsolved keys in the product of the
+    reach tables.  The table is built and filled in ``all_keys`` order.
+    """
     params.bump("small")
     inst = _multiplicity_reduce(ainst.esc)
-    ainst = AnnotatedEscInstance(inst, ainst.w, ainst.pins)
-    keys = list(all_keys(ainst))
-    table = {key: None for key in keys}
-    unsolved = set(keys)
+    table = {key: None for key in all_keys(ainst)}
+    unsolved = len(table)
     nonblocked = [eid for eid in inst.g.edge_ids() if eid not in inst.blocked]
     for size in range(min(inst.k, len(nonblocked)) + 1):
         if not unsolved:
@@ -233,50 +226,31 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
             f_set = frozenset(f_sub)
             alive = [(eid, inst.g.endpoints(eid)) for eid in inst.g.edge_ids()
                      if eid not in f_set]
-            # candidate partitions per terminal: every edge outside F, blocked
-            # ones included, at its required parity; each component's side
-            # assignment is then unique up to a flip, and every flip is valid
-            per_term: List[List[Tuple[FrozenSet[int], Tuple[int, ...]]]] = []
-            ok = True
+            # every edge outside F, blocked ones included, at its required
+            # parity: each component's side assignment is then unique up to
+            # a flip, and every flip is valid
+            reach = []
             for term in inst.terminals:
                 sides = signed_components(range(inst.g.n),
                                           [(u, v, _required_parity(eid, term))
                                            for eid, (u, v) in alive])
                 if sides is None:
-                    ok = False
-                    break
-                options = []
+                    break  # no side assignment for this terminal: F solves no key
+                w1, w2 = ainst.pin(term.tid)
+                by_part: Dict[Tuple, FrozenSet[int]] = {}
                 for flips in itertools.product((0, 1), repeat=len(sides)):
                     fx = frozenset(v for side, flip in zip(sides, flips)
                                    for v, c in side.items() if c ^ flip)
-                    options.append((fx, inst.class_parities(fx)))
-                per_term.append(options)
-            if not ok:
-                continue
-            for key in sorted(unsolved):
-                h, lr = key
-                choice: Dict[int, FrozenSet[int]] = {}
-                good = True
-                for i, term in enumerate(inst.terminals):
-                    l_set, r_set = lr[i], ainst.w - lr[i]
-                    w1, w2 = ainst.pin(term.tid)
-                    pick = None
-                    for fx, par in per_term[i]:
-                        if par != tuple(h[i]):
-                            continue
-                        if not (l_set <= fx and w1 <= fx):
-                            continue
-                        if (r_set & fx) or (w2 & fx):
-                            continue
-                        pick = fx
-                        break
-                    if pick is None:
-                        good = False
-                        break
-                    choice[term.tid] = pick
-                if good:
-                    table[key] = (f_set, choice)
-                    unsolved.discard(key)
+                    if w1 <= fx and not w2 & fx:
+                        by_part.setdefault((inst.class_parities(fx), ainst.w & fx), fx)
+                reach.append(by_part)
+            else:
+                for parts in itertools.product(*(by_part.items() for by_part in reach)):
+                    key = (tuple(h for (h, _), _ in parts), tuple(lr for (_, lr), _ in parts))
+                    if table[key] is None:
+                        table[key] = (f_set, {term.tid: fx for term, (_, fx)
+                                              in zip(inst.terminals, parts)})
+                        unsolved -= 1
     return table
 
 
@@ -286,8 +260,8 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
 
 def preliminary_partition(inst: EdgeSetCoverInstance, term: EscTerminal
                           ) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
-    """A partition that almost fits the terminal with at most k non-terminal
-    contributing edges.
+    """An e-preliminary partition: of the blocked edges only the terminal's
+    own contributes, and at most k others do.
 
     EOCT runs on signed edges over the instance's own vertices, with no
     gadget graph: each edge asks for its required parity, and a blocked edge
@@ -317,7 +291,7 @@ _SEP_CACHE: Dict[Tuple, object] = {}
 
 
 def _separation_cached(g: MultiGraph, q: int, p: int):
-    key = (g.n, tuple(tuple(sorted(e)) for _, e in g.edges()), q, p)
+    key = (g.n, tuple((eid, min(u, v), max(u, v)) for eid, (u, v) in g.edges()), q, p)
     if key not in _SEP_CACHE:
         _SEP_CACHE[key] = good_edge_separation(g, q, p)
     return _SEP_CACHE[key]
@@ -474,7 +448,7 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
             sub_table = recurs(sub_ainst, params)
         # each answer adds the sides and parities of the pocket's interior only
         options = []
-        for (_, lr_sub), ans in sorted(sub_table.items(), key=lambda kv: str(kv[0])):
+        for (_, lr_sub), ans in sub_table.items():
             if ans is None:
                 continue
             f_sub, x_sub = ans
@@ -543,15 +517,13 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
             if v in q_side:
                 v_protect.add(v)
     # redundant grouping of the remaining Q vertices by full behavioral signature
-    sorted_keys = sorted(q_table, key=str)
     sig_of: Dict[int, Tuple] = {}
     for v in sorted(q_side - v_protect):
         nv = vmap[v]
         pin_sig = tuple((v in ainst.pin(t.tid)[0], v in ainst.pin(t.tid)[1])
                         for t in inst.terminals)
         side_sig = []
-        for key in sorted_keys:
-            ans = q_table[key]
+        for ans in q_table.values():
             if ans is None:
                 side_sig.append(None)
             else:
@@ -562,8 +534,7 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
         groups.setdefault(sig, []).append(v)
     z_set: Set[int] = set()
     rep_of: Dict[int, int] = {}
-    for sig in sorted(groups, key=str):
-        members = sorted(groups[sig])
+    for members in groups.values():  # each in ascending vertex order
         if len(members) % 2 == 0:
             members = members[:-1]  # drop one to make the set odd; it stays ordinary
         if len(members) < 2:
@@ -656,11 +627,7 @@ def _lift_breakable(ainst, q_side, p_side, q_table, q_vmap, q_inv_v, q_emap,
     h_q = []
     lr_q = []
     for term in inst.terminals:
-        par = [0] * inst.t
-        for v in x_orig[term.tid]:
-            if v in q_side:
-                par[inst.classes[v]] ^= 1
-        h_q.append(tuple(par))
+        h_q.append(inst.class_parities(x_orig[term.tid] & q_side))
         lr_q.append(frozenset(q_vmap[v] for v in w_q if v in x_orig[term.tid]))
     q_ans = q_table.get((tuple(h_q), tuple(lr_q)))
     if q_ans is None:
@@ -716,15 +683,13 @@ def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None)
     """
     if params is None:
         params = RecursParams()
+    ainst = AnnotatedEscInstance(inst)
+    terms = inst.terminals
+    root = (tuple(term.b for term in terms), tuple(frozenset() for _ in terms))
     comps = connected_components(inst.g)
     if len(comps) <= 1:
-        ainst = AnnotatedEscInstance(inst)
-        table = recurs(ainst, params)
-        root = (tuple(term.b for term in inst.terminals),
-                tuple(frozenset() for _ in inst.terminals))
-        return table.get(root)
+        return recurs(ainst, params).get(root)
     # disconnected: combine per-component tables over parity splits
-    terms = inst.terminals
     states = {tuple(tuple([0] * inst.t) for _ in terms): (frozenset(), {t.tid: set() for t in terms})}
     for comp in sorted(comps, key=min):
         sub_inst, vmap, emap = _restricted_instance(inst, sorted(comp))
@@ -732,24 +697,18 @@ def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None)
         sub_table = recurs(AnnotatedEscInstance(sub_inst), params)
         options = [(h_sub, frozenset(emap[e] for e in ans[0]),
                     {tid: {inv_v[v] for v in xs} for tid, xs in ans[1].items()})
-                   for (h_sub, _), ans in sorted(sub_table.items(), key=lambda kv: str(kv[0]))
+                   for (h_sub, _), ans in sub_table.items()
                    if ans is not None]
         states = _combine_parities(states, options, inst.k)
         if not states:
             return None
-    target = tuple(tuple(term.b) for term in terms)
-    hit = states.get(target)
+    hit = states.get(root[0])
     if hit is None:
         return None
     f_set, x_map = hit
     x_frozen = {tid: frozenset(xs) for tid, xs in x_map.items()}
-    for term in terms:
-        if fits(x_frozen[term.tid], term, inst) != "fits":
-            return None
-        c = cont(term, x_frozen[term.tid], inst)
-        want = set() if term.edge is None else {term.edge}
-        if not (c - want) <= f_set:
-            return None
+    if not is_key_solution(ainst, root, f_set, x_frozen):
+        return None
     return frozenset(f_set), x_frozen
 
 

@@ -11,6 +11,8 @@ from .multigraph import MultiGraph, incidence_matrix
 
 __all__ = ["SpaceCoverInstance", "PrimalInstance", "DualInstance", "random_instance"]
 
+LOOP_PROB = 0.1  # chance that a random edge is a loop
+
 
 class SpaceCoverInstance:
     """Shared state of both problem modes: (G, P, T, k) with A = I(G) + P.
@@ -97,14 +99,14 @@ class DualInstance(SpaceCoverInstance):
 
 
 def random_instance(mode: str, n: int, m: int, r: int, num_terminals: int, k: int,
-                    rng: random.Random, loop_prob: float = 0.1) -> SpaceCoverInstance:
+                    rng: random.Random) -> SpaceCoverInstance:
     """Random connected-ish multigraph with P a sum of r random rank-1 matrices."""
     if min(n, m, r, num_terminals) < 0 or (m > 0 and n == 0):
         raise ValueError("bad size n = %d, m = %d, r = %d, terminals = %d: none may be "
                          "negative, and edges need a vertex" % (n, m, r, num_terminals))
     g = MultiGraph(n)
     for _ in range(m):
-        if n == 1 or rng.random() < loop_prob:
+        if n == 1 or rng.random() < LOOP_PROB:
             v = rng.randrange(n)
             g.add_edge(v, v)
         else:

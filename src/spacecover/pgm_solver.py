@@ -291,8 +291,7 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
             continue
         x, y = inst.graph.endpoints(ge)
         for sig in ((x, y, type_of[ge]), (y, x, type_of[ge])):
-            if sig not in edge_by_sig or ge < edge_by_sig[sig]:
-                edge_by_sig[sig] = ge
+            edge_by_sig.setdefault(sig, ge)
 
     # a terminal's target depends only on (terminal, parity vector)
     targets: Dict[Tuple[int, Tuple[int, ...]], FrozenSet[int]] = {}

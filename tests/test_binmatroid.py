@@ -4,25 +4,13 @@ import pytest
 
 from helpers import complete_graph
 from spacecover.binmatroid import (BinaryMatroid, dual_span_contains, is_cocycle,
-                                   is_independent, span_contains)
+                                   span_contains)
 from spacecover.gf2 import Gf2Matrix
 from spacecover.multigraph import incidence_matrix
 
 
 def k4_matroid():
     return BinaryMatroid(incidence_matrix(complete_graph(4)))
-
-
-def test_is_independent_matches_forests():
-    m = k4_matroid()
-    g = complete_graph(4)
-    eids = g.edge_ids()
-    # a spanning tree is independent, a triangle is not
-    by_ends = {tuple(sorted(g.endpoints(e))): e for e in eids}
-    tree = [by_ends[(0, 1)], by_ends[(1, 2)], by_ends[(2, 3)]]
-    triangle = [by_ends[(0, 1)], by_ends[(1, 2)], by_ends[(0, 2)]]
-    assert is_independent(m, tree)
-    assert not is_independent(m, triangle)
 
 
 def test_span_contains_certificate_verifies():

@@ -5,14 +5,14 @@ from helpers import (all_preliminary, complete_graph, doubled_path_dual,
                      dual_corpus, esc_from_random_dual)
 from spacecover import dual_solver
 from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
-                                    EscTerminal, RecursParams, _small_case,
-                                    all_keys, build_esc, contributes, fits,
-                                    is_key_solution, preliminary_partition,
-                                    recurs, reduce_terminals_dual, solve_esc,
-                                    vertex_types)
+                                    EscTerminal, RecursParams, _multiplicity_reduce,
+                                    _required_parity, _small_case, all_keys,
+                                    build_esc, contributes, is_key_solution,
+                                    preliminary_partition, recurs,
+                                    reduce_terminals_dual, solve_esc, vertex_types)
 from spacecover.gf2 import Gf2Matrix
 from spacecover.instances import DualInstance
-from spacecover.multigraph import MultiGraph, connected_components
+from spacecover.multigraph import MultiGraph, connected_components, signed_components
 from spacecover.oracle import solve_dual_bruteforce
 
 
@@ -33,10 +33,15 @@ def test_contributes_and_fits_semantics():
     assert contributes(0, term, x, inst)
     assert not contributes(1, term, x, inst)
     assert not contributes(2, term, x, inst)
-    assert fits(x, term, inst) == "almost"
-    assert fits(x, term, inst, target_b=(1,)) == "fits"
-    # partition where a second blocked hit would appear
-    assert fits(frozenset(), term, inst) == "neither"
+    ainst = AnnotatedEscInstance(inst)
+    even, odd = (((0,),), (frozenset(),)), (((1,),), (frozenset(),))
+    # X almost fits: only the terminal's own edge contributes, at the wrong parity
+    assert not is_key_solution(ainst, even, frozenset(), {0: x})
+    assert is_key_solution(ainst, odd, frozenset(), {0: x})
+    # X = {} fits neither: edge 2 contributes and the terminal's own edge does not,
+    # so even F = {2} leaves X short of its one blocked hit
+    for key in (even, odd):
+        assert not is_key_solution(ainst, key, frozenset({2}), {0: frozenset()})
 
 
 def test_build_esc_flip_maps():
@@ -140,8 +145,7 @@ def test_solve_esc_disconnected_components():
         if got is not None:
             f_set, x_map = got
             assert len(f_set) == len(want[0]) <= inst.k
-            for term in inst.terminals:
-                assert fits(x_map[term.tid], term, inst) == "fits"
+            assert is_key_solution(AnnotatedEscInstance(inst), root, f_set, x_map)
         checked += 1
     assert checked >= 10
 
@@ -203,6 +207,93 @@ def test_small_case_with_boundary_and_pins_matches_exhaustive_search():
                 solvable += 1
         checked += 1
     assert checked == 40 and solvable > 0
+
+
+def small_case_per_key_scan(ainst):
+    """The small case as a scan of every terminal's options for each unsolved key."""
+    inst = _multiplicity_reduce(ainst.esc)
+    keys = list(all_keys(ainst))
+    table = {key: None for key in keys}
+    unsolved = set(keys)
+    nonblocked = [eid for eid in inst.g.edge_ids() if eid not in inst.blocked]
+    for size in range(min(inst.k, len(nonblocked)) + 1):
+        for f_sub in itertools.combinations(nonblocked, size):
+            f_set = frozenset(f_sub)
+            alive = [(eid, inst.g.endpoints(eid)) for eid in inst.g.edge_ids()
+                     if eid not in f_set]
+            per_term = []
+            for term in inst.terminals:
+                sides = signed_components(range(inst.g.n),
+                                          [(u, v, _required_parity(eid, term))
+                                           for eid, (u, v) in alive])
+                if sides is None:
+                    break
+                options = []
+                for flips in itertools.product((0, 1), repeat=len(sides)):
+                    fx = frozenset(v for side, flip in zip(sides, flips)
+                                   for v, c in side.items() if c ^ flip)
+                    options.append((fx, inst.class_parities(fx)))
+                per_term.append(options)
+            else:
+                for key in sorted(unsolved):
+                    h, lr = key
+                    choice = {}
+                    for i, term in enumerate(inst.terminals):
+                        l_set, r_set = lr[i], ainst.w - lr[i]
+                        w1, w2 = ainst.pin(term.tid)
+                        pick = next((fx for fx, par in per_term[i]
+                                     if par == tuple(h[i]) and l_set <= fx and w1 <= fx
+                                     and not (r_set & fx) and not (w2 & fx)), None)
+                        if pick is None:
+                            break
+                        choice[term.tid] = pick
+                    else:
+                        table[key] = (f_set, choice)
+                        unsolved.discard(key)
+    return table
+
+
+def test_small_case_reach_tables_match_per_key_scan():
+    rng = random.Random(907)
+    solved = 0
+    for _ in range(240):
+        inst = esc_from_random_dual(rng, n_max=7, m_max=9)
+        n = inst.g.n
+        w = frozenset(rng.sample(range(n), rng.randrange(1, 3)))
+        pins = {}
+        for term in inst.terminals:
+            pinned = rng.sample(range(n), rng.randrange(0, 3))
+            w1 = frozenset(v for v in pinned if rng.random() < 0.5)
+            pins[term.tid] = (w1, frozenset(pinned) - w1)
+        ainst = AnnotatedEscInstance(inst, w, pins)
+        got = _small_case(ainst, RecursParams())
+        want = small_case_per_key_scan(ainst)
+        assert list(got) == list(want)
+        for key, ans in got.items():
+            assert (ans is None) == (want[key] is None), key
+            if ans is not None:
+                assert ans[0] == want[key][0]
+                assert list(ans[1].items()) == list(want[key][1].items())
+                solved += 1
+    assert solved >= 200
+
+
+def test_separation_cache_keys_on_edge_ids(monkeypatch):
+    # two copies of one path whose edge ids differ: the cached separation's
+    # crossing edges are read as ids of the graph being split
+    monkeypatch.setattr(dual_solver, "_SEP_CACHE", {})
+    plain = doubled_path_dual(length=18, dup_at=0, k=1)
+    g = MultiGraph(plain.graph.n, [(0, 1)] * 5 + [ends for _, ends in plain.graph.edges()])
+    padded = DualInstance(g, Gf2Matrix(g.n, g.num_edges), [plain.terminals[0] + 5], 1)
+    shifted = padded.restrict(range(5, g.num_edges))
+    assert shifted.graph.edge_ids() == [eid + 5 for eid in plain.graph.edge_ids()]
+    for inst in (plain, shifted):
+        params = RecursParams(q=2, p=2, s=16)
+        got = dual_solver.solve(inst, params=params)
+        want = solve_dual_bruteforce(inst)
+        assert (got is None) == (want is None)
+        assert params.stats.get("breakable", 0) >= 1
+    assert len(dual_solver._SEP_CACHE) >= 2
 
 
 def test_preliminary_partition_matches_bruteforce_small():
