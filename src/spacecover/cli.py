@@ -218,6 +218,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --p-override needs --q-override: without it the dual solve "
               "never reaches the recursion", file=sys.stderr)
         return EXIT_ERROR
+    for flag in ("q_override", "p_override"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print("error: --%s must be non-negative" % flag.replace("_", "-"), file=sys.stderr)
+            return EXIT_ERROR
     handlers = {"solve": _cmd_solve, "check": _cmd_check,
                 "gen": _cmd_gen, "bench": _cmd_bench}
     return handlers[args.command](args)

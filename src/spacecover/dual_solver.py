@@ -287,16 +287,6 @@ def _universal_cached(n: int, k: int, p: int):
     return build_universal_set(n, k, p)
 
 
-_SEP_CACHE: Dict[Tuple, object] = {}
-
-
-def _separation_cached(g: MultiGraph, q: int, p: int):
-    key = (g.n, tuple((eid, min(u, v), max(u, v)) for eid, (u, v) in g.edges()), q, p)
-    if key not in _SEP_CACHE:
-        _SEP_CACHE[key] = good_edge_separation(g, q, p)
-    return _SEP_CACHE[key]
-
-
 def recurs(ainst: AnnotatedEscInstance, params: RecursParams):
     """Complete answer table over all (h, W-partition) keys for a connected instance."""
     inst = ainst.esc
@@ -305,7 +295,7 @@ def recurs(ainst: AnnotatedEscInstance, params: RecursParams):
     n = inst.g.n
     if params.s is None or n <= params.s or not is_connected(inst.g):
         return _small_case(ainst, params)
-    sep = _separation_cached(inst.g, params.q, params.p)
+    sep = good_edge_separation(inst.g, params.q, params.p)
     if sep == UNBREAKABLE:
         return _unbreakable_case(ainst, params)
     return _breakable_case(ainst, params, sep)

@@ -8,10 +8,9 @@ a valid side map breaks exactly the kept edges that cross X.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from .multigraph import MultiGraph, signed_components
+from .multigraph import MultiGraph, min_cut, signed_components
 
 __all__ = ["solve", "minimize"]
 
@@ -22,66 +21,6 @@ def _signed(g: MultiGraph, edges: Iterable[int],
             parity: Mapping[int, int]) -> List[Tuple[int, int, int]]:
     """The given edges as (u, v, parity) triples for signed_components."""
     return [(*g.endpoints(eid), parity[eid]) for eid in edges]
-
-
-def _min_cut(g: MultiGraph, edges: Set[int],
-             sources: Set[int], sinks: Set[int]) -> Tuple[int, Set[int]]:
-    """Min edge cut separating sources from sinks in (V, edges).
-
-    Returns (cut value, source-side vertex set X).  Unit capacity per edge;
-    parallel edges accumulate.
-    """
-    if not sources or not sinks:
-        # nothing to separate: take full components around the forced side
-        comps = signed_components(range(g.n), ((*g.endpoints(eid), 0) for eid in edges))
-        return 0, {v for side in comps if not sources.isdisjoint(side) for v in side}
-    cap: Dict[Tuple[int, int], int] = {}
-    for eid in edges:
-        u, v = g.endpoints(eid)
-        if u == v:
-            continue
-        cap[(u, v)] = cap.get((u, v), 0) + 1
-        cap[(v, u)] = cap.get((v, u), 0) + 1
-    s, t = -1, -2
-    big = g.num_edges + 1
-    for v in sources:
-        cap[(s, v)] = big
-        cap[(v, s)] = 0
-    for v in sinks:
-        cap[(v, t)] = cap.get((v, t), 0) + big
-        cap[(t, v)] = 0
-    adj2: Dict[int, List[int]] = {}
-    for (u, v) in cap:
-        adj2.setdefault(u, []).append(v)
-    flow = 0
-    while True:
-        parent: Dict[int, Tuple[int, int]] = {}
-        dq = deque([s])
-        seen = {s}
-        while dq and t not in seen:
-            v = dq.popleft()
-            for w in adj2.get(v, []):
-                if w not in seen and cap.get((v, w), 0) > 0:
-                    seen.add(w)
-                    parent[w] = (v, cap[(v, w)])
-                    dq.append(w)
-        if t not in seen:
-            x = {v for v in seen if 0 <= v < g.n}
-            return flow, x
-        # augment along the BFS path (reverse arcs exist in cap by construction)
-        bottleneck = None
-        v = t
-        while v != s:
-            u, c = parent[v]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            v = u
-        v = t
-        while v != s:
-            u, _ = parent[v]
-            cap[(u, v)] -= bottleneck
-            cap[(v, u)] = cap.get((v, u), 0) + bottleneck
-            v = u
-        flow += bottleneck
 
 
 def _compress(g: MultiGraph, parity: Mapping[int, int], prefix: Set[int],
@@ -100,7 +39,7 @@ def _compress(g: MultiGraph, parity: Mapping[int, int], prefix: Set[int],
         # flip set X relative to c0; forced on the assigned endpoints
         sources = {v for v in endpoints if a[v] != c0[v]}
         sinks = {v for v in endpoints if a[v] == c0[v]}
-        cut, x = _min_cut(g, rest, sources, sinks)
+        cut, x = min_cut(g, rest, sources, sinks, budget - len(mono) + 1)
         if len(mono) + cut > budget:
             continue
         crossing = [eid for eid in rest

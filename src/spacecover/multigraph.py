@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -18,6 +19,7 @@ __all__ = [
     "is_connected",
     "count_simple_cycles",
     "spanning_forest",
+    "min_cut",
     "good_edge_separation",
 ]
 
@@ -235,6 +237,63 @@ def spanning_forest(g: MultiGraph) -> Set[int]:
     return forest
 
 
+def min_cut(g: MultiGraph, edges: Iterable[int], sources: Set[int], sinks: Set[int],
+            limit: int) -> Tuple[int, Set[int]]:
+    """Min edge cut separating sources from sinks in (V, edges).
+
+    Returns (cut value, source-side vertex set X).  Unit capacity per edge;
+    parallel edges accumulate.  Augmenting stops once the flow reaches
+    ``limit``: the result is then (flow, set()) with flow >= limit.
+    """
+    if not sources or not sinks:
+        # nothing to separate: take full components around the forced side
+        comps = signed_components(range(g.n), ((*g.endpoints(eid), 0) for eid in edges))
+        return 0, {v for side in comps if not sources.isdisjoint(side) for v in side}
+    cap: Dict[Tuple[int, int], int] = {}
+    for eid in edges:
+        u, v = g.endpoints(eid)
+        if u != v:
+            cap[(u, v)] = cap.get((u, v), 0) + 1
+            cap[(v, u)] = cap.get((v, u), 0) + 1
+    s, t = -1, -2
+    big = g.num_edges + 1
+    for v in sources:
+        cap[(s, v)] = big
+        cap[(v, s)] = 0
+    for v in sinks:
+        cap[(v, t)] = cap.get((v, t), 0) + big
+        cap[(t, v)] = 0
+    adj2: Dict[int, List[int]] = {}
+    for (u, v) in cap:
+        adj2.setdefault(u, []).append(v)
+    flow = 0
+    while flow < limit:
+        parent: Dict[int, int] = {}
+        dq = deque([s])
+        seen = {s}
+        while dq and t not in seen:
+            v = dq.popleft()
+            for w in adj2[v]:
+                if w not in seen and cap[(v, w)] > 0:
+                    seen.add(w)
+                    parent[w] = v
+                    dq.append(w)
+        if t not in seen:
+            return flow, {v for v in seen if v >= 0}
+        # augment along the BFS path (reverse arcs exist in cap by construction)
+        path = []
+        v = t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(cap[arc] for arc in path)
+        for u, v in path:
+            cap[(u, v)] -= bottleneck
+            cap[(v, u)] += bottleneck
+        flow += bottleneck
+    return flow, set()
+
+
 def _side_ok(edges: List[Tuple[int, int, int]], side: Set[int]) -> bool:
     return len(signed_components(side, edges)) == 1
 
@@ -243,14 +302,18 @@ def good_edge_separation(g: MultiGraph, q: int, p: int):
     """A (q,p)-good edge separation of a connected g, or UNBREAKABLE.
 
     Both sides must be connected and larger than q, with at most p crossing
-    edges.  Exact subset search; graphs with more than
-    SEPARATION_EXACT_VERTEX_CAP vertices that could hold a separation are
-    refused with ValueError.
+    edges.  In order: g must be connected; n <= 2q is unbreakable; so is a
+    graph where every 0-v min cut exceeds p, since each separation is a 0-v
+    cut for some v.  Otherwise an exact subset search returns the first
+    separating vertex mask; graphs with more than SEPARATION_EXACT_VERTEX_CAP
+    vertices that reach it are refused with ValueError.
     """
     if not is_connected(g):
         raise ValueError("good_edge_separation requires a connected graph")
     n = g.n
     if n <= 2 * q:
+        return UNBREAKABLE
+    if all(min_cut(g, g.edge_ids(), {0}, {v}, p + 1)[0] > p for v in range(1, n)):
         return UNBREAKABLE
     if n > SEPARATION_EXACT_VERTEX_CAP:
         raise ValueError("beyond supported range: vertex count %d exceeds "

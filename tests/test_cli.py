@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 import spacecover
-from spacecover import dual_solver, pattern_cover, pgm_solver
+from spacecover import pattern_cover, pgm_solver
 from spacecover.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from spacecover.fileio import parse_file, serialize_instance
 from spacecover.gf2 import Gf2Matrix
@@ -95,8 +95,7 @@ CAP_CASES = {
 @pytest.mark.parametrize("cap", list(CAP_CASES))
 def test_solve_refuses_past_each_cap(tmp_path, capsys, monkeypatch, cap):
     module, value, text, extra = CAP_CASES[cap]
-    # no cached backbone class, family or separation may answer in place of a capped build
-    monkeypatch.setattr(dual_solver, "_SEP_CACHE", {})
+    # no cached backbone class or family may answer in place of a capped build
     pgm_solver._backbone_classes.cache_clear()
     pattern_cover._hash_family_cached.cache_clear()
     monkeypatch.setattr(importlib.import_module("spacecover." + module), cap, value)
@@ -113,6 +112,17 @@ def test_p_override_needs_q_override(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("--p-override needs --q-override") == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("flag", ["--q-override", "--p-override"])
+def test_negative_threshold_exits_two(tmp_path, capsys, command, flag):
+    inst = write(tmp_path / "tri.scpm", TRIANGLE_DUAL)
+    other = "--p-override" if flag == "--q-override" else "--q-override"
+    assert main([command, inst, flag + "=-1", other, "2"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s must be non-negative" % flag in captured.err, captured.err
 
 
 def test_check_tampered_witness_exit_one(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_threshold_free_params_take_the_small_case(monkeypatch):
     def no_search(*args):
         raise AssertionError("a separation search ran without thresholds")
 
-    monkeypatch.setattr(dual_solver, "_separation_cached", no_search)
+    monkeypatch.setattr(dual_solver, "good_edge_separation", no_search)
     inst = doubled_path_dual(length=16, dup_at=3, k=1)
     assert inst.graph.n == 17
     esc = build_esc(inst, {inst.terminals[0]: (1,)})
@@ -278,10 +278,9 @@ def test_small_case_reach_tables_match_per_key_scan():
     assert solved >= 200
 
 
-def test_separation_cache_keys_on_edge_ids(monkeypatch):
-    # two copies of one path whose edge ids differ: the cached separation's
+def test_breakable_split_on_shifted_edge_ids():
+    # two copies of one path whose edge ids differ: each separation's
     # crossing edges are read as ids of the graph being split
-    monkeypatch.setattr(dual_solver, "_SEP_CACHE", {})
     plain = doubled_path_dual(length=18, dup_at=0, k=1)
     g = MultiGraph(plain.graph.n, [(0, 1)] * 5 + [ends for _, ends in plain.graph.edges()])
     padded = DualInstance(g, Gf2Matrix(g.n, g.num_edges), [plain.terminals[0] + 5], 1)
@@ -293,7 +292,6 @@ def test_separation_cache_keys_on_edge_ids(monkeypatch):
         want = solve_dual_bruteforce(inst)
         assert (got is None) == (want is None)
         assert params.stats.get("breakable", 0) >= 1
-    assert len(dual_solver._SEP_CACHE) >= 2
 
 
 def test_preliminary_partition_matches_bruteforce_small():

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from helpers import complete_graph, path_graph
 from spacecover.gf2 import rank
-from spacecover.multigraph import (UNBREAKABLE, MultiGraph, connected_components,
-                                   count_simple_cycles, good_edge_separation,
-                                   incidence_matrix, is_connected,
-                                   signed_components, spanning_forest)
+from spacecover.multigraph import (UNBREAKABLE, EdgeSeparation, MultiGraph,
+                                   connected_components, count_simple_cycles,
+                                   good_edge_separation, incidence_matrix, is_connected,
+                                   min_cut, signed_components, spanning_forest)
 
 
 def test_stable_edge_ids():
@@ -109,6 +109,73 @@ def test_good_edge_separation_clique_unbreakable():
 def test_good_edge_separation_refuses_past_exact_cap():
     with pytest.raises(ValueError, match="beyond supported range.*SEPARATION_EXACT_VERTEX_CAP"):
         good_edge_separation(path_graph(21), q=2, p=2)
+
+
+def test_good_edge_separation_clique_past_exact_cap_unbreakable():
+    # every 0-v cut of K21 has 20 edges, so no mask search is needed
+    assert good_edge_separation(complete_graph(21), 2, 2) == UNBREAKABLE
+
+
+def mask_search_separation(g, q, p):
+    """Reference: the first (q,p)-good vertex mask, by exhaustive search."""
+    n = g.n
+    if n <= 2 * q:
+        return UNBREAKABLE
+    edges = g.edges()
+    for mask in range(1 << (n - 1)):
+        side = {0} | {v for v in range(1, n) if (mask >> (v - 1)) & 1}
+        other = set(range(n)) - side
+        if len(side) <= q or len(other) <= q:
+            continue
+        cross = tuple(eid for eid, (u, v) in edges if (u in side) != (v in side))
+        if len(cross) <= p and all(len(connected_components(g, part)) == 1
+                                   for part in (side, other)):
+            return EdgeSeparation(frozenset(side), frozenset(other), cross)
+    return UNBREAKABLE
+
+
+def random_connected_multigraph(rng, n):
+    """A random spanning tree plus random extra edges, loops and parallels."""
+    g = MultiGraph(n)
+    for v in range(1, n):
+        g.add_edge(rng.randrange(v), v)
+    for _ in range(rng.randrange(2 * n)):
+        u = rng.randrange(n)
+        g.add_edge(u, u if rng.random() < 0.1 else rng.randrange(n))
+    return g
+
+
+def test_good_edge_separation_matches_mask_search():
+    rng = random.Random(1201)
+    unbreakable = 0
+    for _ in range(400):
+        g = random_connected_multigraph(rng, rng.randint(3, 12))
+        q, p = rng.choice((1, 2)), rng.randint(0, 4)
+        got = good_edge_separation(g, q, p)
+        assert got == mask_search_separation(g, q, p), (g.edges(), q, p)
+        unbreakable += got == UNBREAKABLE
+    assert unbreakable >= 50 and 400 - unbreakable >= 50
+
+
+def test_flow_limit_caps_only_at_the_limit():
+    rng = random.Random(1202)
+    capped = 0
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        g = random_connected_multigraph(rng, n)
+        edges = [eid for eid in g.edge_ids() if rng.random() < 0.8]
+        verts = rng.sample(range(n), rng.randint(2, n))
+        cut = rng.randint(1, len(verts) - 1)
+        sources, sinks = set(verts[:cut]), set(verts[cut:])
+        full = min_cut(g, edges, sources, sinks, g.num_edges + 1)
+        for limit in range(1, g.num_edges + 2):
+            value, x = min_cut(g, edges, sources, sinks, limit)
+            if value < limit:
+                assert (value, x) == full
+            else:
+                assert full[0] >= limit and x == set()
+                capped += 1
+    assert capped > 0
 
 
 def test_good_edge_separation_requires_connected():
