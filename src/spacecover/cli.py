@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import random
 import sys
@@ -23,7 +24,12 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and shared by later ones.
+
+    Not built at import: importing the CLI stays cheap.
+    """
     parser = argparse.ArgumentParser(prog="spacecover",
                                      description="Space Cover solvers for perturbed "
                                                  "graphic matroids and their duals")

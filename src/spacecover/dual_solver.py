@@ -74,7 +74,7 @@ class AnnotatedEscInstance:
 
 @dataclass
 class RecursParams:
-    """Recursion thresholds and the branch counters of one solve.
+    """Recursion thresholds, the branch counters and the separations of one solve.
 
     Without thresholds every instance takes the small case.  The recursion
     (good separations, EOCT, universal sets, the lift) runs only when q, p
@@ -87,6 +87,9 @@ class RecursParams:
     p: Optional[int] = None
     s: Optional[int] = None
     stats: Dict[str, int] = field(default_factory=dict)
+    # (n, edges) -> good_edge_separation of that graph under q and p; every
+    # parity guess of a solve meets the same graphs again
+    separations: Dict[Tuple, object] = field(default_factory=dict, init=False)
 
     def bump(self, name: str) -> None:
         self.stats[name] = self.stats.get(name, 0) + 1
@@ -295,7 +298,10 @@ def recurs(ainst: AnnotatedEscInstance, params: RecursParams):
     n = inst.g.n
     if params.s is None or n <= params.s or not is_connected(inst.g):
         return _small_case(ainst, params)
-    sep = good_edge_separation(inst.g, params.q, params.p)
+    key = (n, tuple(inst.g.edges()))
+    sep = params.separations.get(key)
+    if sep is None:
+        sep = params.separations[key] = good_edge_separation(inst.g, params.q, params.p)
     if sep == UNBREAKABLE:
         return _unbreakable_case(ainst, params)
     return _breakable_case(ainst, params, sep)

@@ -217,52 +217,77 @@ def _pin_enumeration(by_pair: Dict[Tuple[int, int], List[int]], n_host: int,
             yield f, dict(zip(extra, combo))
 
 
-def _witness_options(terminals, witnesses, h_edge_type, t, target_of, nv):
-    """Per terminal: parity vector -> (target, odd-degree set -> its first subset), plus the walk choices.
+class _TargetRow(dict):
+    """One terminal's (parity vector, target) per parity mask, each computed on first use.
 
-    Every witness of one (terminal, vector) has the same target. The choices
-    hold, per terminal, ``(parity vector, target)`` pairs in sorted vector
-    order. None when some terminal has no witness: the edge types admit no
-    guess.
+    Bit ``t - j`` of a mask is the parity of type j, so ascending masks run in
+    sorted vector order. Entries are filled on demand, not for all 2^t
+    masks: t is not capped, and a backbone of at most k edges reaches few.
     """
-    sub_parities = []
-    for sub, _odd in witnesses:
-        parities = [0] * t
+
+    def __init__(self, w: Gf2Vector, classes: List[Gf2Vector]):
+        super().__init__()
+        self.w = w
+        self.classes = classes
+
+    def __missing__(self, mask: int) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
+        t = len(self.classes)
+        b = tuple((mask >> (t - 1 - i)) & 1 for i in range(t))
+        entry = self[mask] = (b, terminal_target_vertices(self.w, b, self.classes))
+        return entry
+
+
+def _witness_options(witnesses, edge_bit: Dict[int, int], rows: List[_TargetRow]):
+    """Per terminal, its witness choices under one typing of the backbone edges, or None.
+
+    ``witnesses`` holds every backbone edge subset with its odd-degree set,
+    ``edge_bit`` the parity-mask bit of each backbone edge's type, and
+    ``rows`` each terminal's targets. One pass groups the subsets by (parity
+    mask, odd-set size), each odd set keeping its first subset. A terminal
+    then reads, per mask, the group at the size of its target: every witness
+    of one (terminal, vector) has that target. A choice is (parity vector,
+    target, odd set -> subset), in sorted vector order. None when some
+    terminal has no choice: the typing admits no guess.
+    """
+    groups: Dict[Tuple[int, int], Dict[FrozenSet[int], FrozenSet[int]]] = {}
+    for sub, odd in witnesses:
+        mask = 0
         for eid in sub:
-            parities[h_edge_type[eid] - 1] ^= 1
-        sub_parities.append(tuple(parities))
-    per_term: Dict[int, Dict[Tuple[int, ...], Tuple[FrozenSet[int], Dict[FrozenSet[int], FrozenSet[int]]]]] = {}
-    for w_eid in terminals:
-        opts: Dict[Tuple[int, ...], Tuple] = {}
-        for (sub, odd), b in zip(witnesses, sub_parities):
-            target = target_of(w_eid, b)
-            if len(odd) != len(target) or len(target) > nv:
-                continue
-            opts.setdefault(b, (target, {}))[1].setdefault(odd, sub)
-        if not opts:
+            mask ^= edge_bit[eid]
+        groups.setdefault((mask, len(odd)), {}).setdefault(odd, sub)
+    masks = sorted({mask for mask, _size in groups})
+    choices = []
+    for row in rows:
+        options = []
+        for mask in masks:
+            b, target = row[mask]
+            odds = groups.get((mask, len(target)))
+            if odds is not None:
+                options.append((b, target, odds))
+        if not options:
             return None
-        per_term[w_eid] = opts
-    choices = [[(b, per_term[w][b][0]) for b in sorted(per_term[w])] for w in terminals]
-    return per_term, choices
+        choices.append(options)
+    return choices
 
 
 def _bounded_parities(choices, base: FrozenSet[int],
-                      cap: int) -> Iterator[Tuple[Tuple[Tuple[int, ...], ...], FrozenSet[int]]]:
-    """(vector per terminal, V*) in ``itertools.product`` order over ``choices``.
+                      cap: int) -> Iterator[Tuple[Tuple[Tuple, ...], FrozenSet[int]]]:
+    """(choice per terminal, V*) in ``itertools.product`` order over ``choices``.
 
-    V* is ``base`` plus the chosen targets; a branch is cut as soon as it
-    exceeds ``cap`` vertices, since adding targets never shrinks it.
+    A choice's second field is its target. V* is ``base`` plus the chosen
+    targets; a branch is cut as soon as it exceeds ``cap`` vertices, since
+    adding targets never shrinks it.
     """
-    picked: List[Tuple[int, ...]] = []
+    picked: List[Tuple] = []
 
     def walk(i: int, union: FrozenSet[int]):
         if i == len(choices):
             yield tuple(picked), union
             return
-        for b, target in choices[i]:
-            grown = union | target
+        for choice in choices[i]:
+            grown = union | choice[1]
             if len(grown) <= cap:
-                picked.append(b)
+                picked.append(choice)
                 yield from walk(i + 1, grown)
                 picked.pop()
 
@@ -272,16 +297,30 @@ def _bounded_parities(choices, base: FrozenSet[int],
 def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCoverInstance, GuessContext]]:
     """Every admissible guess of the chain, as a Pattern Cover instance plus its context.
 
-    The input must already be terminal-reduced and column-deduplicated.
-    Guesses are pruned as they are built: a parity choice whose V* outgrows
-    the backbone, and a partial pin or (D, f*) map with an unmatched edge,
-    are dropped before their extensions are enumerated.
+    The input must already be terminal-reduced and column-deduplicated. Each
+    quantity is computed once, at the outermost loop level it depends on,
+    and each prune drops a branch before its extensions are enumerated:
+
+    - per instance: the edge types, each terminal's target per parity mask
+      (filled on first use) and the host edge indexes;
+    - per backbone: the spanning forest, the forest edge endpoints, and
+      every edge subset with its odd-degree set;
+    - per tuple of extra-edge types: the forest labellings in product order,
+      each with its witness options. A labelling under which some terminal
+      has no witness is dropped here, once for all pins;
+    - per pin (f, f_E): image(f), the free forest edges, and the pinned
+      forest edges. A labelling is dropped for this pin when a forest edge
+      with both ends pinned has no host edge of its type;
+    - per labelling: the parity choices, walked with the branch cut once V*
+      outgrows the backbone;
+    - per parity choice: (D, f*), read off the witnesses' odd sets by
+      ``_expand_guess``. An odd set that disagrees with the pins, and a
+      partial f* with an unmatched edge, are dropped there.
     """
     t, types = edge_types(inst.p)
     classes, _ = distinct_columns(inst.p)
     type_of = {eid: types[inst.col_of[eid]] for eid in inst.graph.edge_ids()}
     term_set = set(inst.terminals)
-    term_cols = {e: inst.a_column(e) for e in inst.terminals}
     n_host = inst.graph.n
     by_pair = _host_pairs(inst)
     # lookup: (host endpoints in either order, type) -> host edge (unique after dedup)
@@ -292,16 +331,7 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
         x, y = inst.graph.endpoints(ge)
         for sig in ((x, y, type_of[ge]), (y, x, type_of[ge])):
             edge_by_sig.setdefault(sig, ge)
-
-    # a terminal's target depends only on (terminal, parity vector)
-    targets: Dict[Tuple[int, Tuple[int, ...]], FrozenSet[int]] = {}
-
-    def target_of(w_eid: int, b: Tuple[int, ...]) -> FrozenSet[int]:
-        target = targets.get((w_eid, b))
-        if target is None:
-            target = terminal_target_vertices(term_cols[w_eid], b, classes)
-            targets[w_eid, b] = target
-        return target
+    rows = [_TargetRow(inst.a_column(w), classes) for w in inst.terminals]
 
     for backbone in enumerate_backbones(inst.k, t):
         if backbone.num_edges > inst.k or backbone.n > n_host:
@@ -309,62 +339,61 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
         forest = frozenset(spanning_forest(backbone))
         extra = [eid for eid in backbone.edge_ids() if eid not in forest]
         forest_list = sorted(forest)
+        forest_ends = [(eid, backbone.endpoints(eid)) for eid in forest_list]
         # every edge subset with its odd-degree set, by size, then combinations order
         all_h_edges = backbone.edge_ids()
         witnesses = [(frozenset(sub), _odd_degree(backbone, sub))
                      for size in range(len(all_h_edges) + 1)
                      for sub in itertools.combinations(all_h_edges, size)]
-        # the witness options depend on the backbone edge types only, not on f
-        options_by_types: Dict[Tuple[int, ...], Optional[Tuple]] = {}
+        labellings_by_extra: Dict[Tuple[int, ...], List[Tuple]] = {}
         for f, f_e in _pin_enumeration(by_pair, n_host, backbone, extra):
+            extra_types = tuple(type_of[f_e[eid]] for eid in extra)
+            labellings = labellings_by_extra.get(extra_types)
+            if labellings is None:
+                labellings = labellings_by_extra[extra_types] = []
+                for labels in itertools.product(range(1, t + 1), repeat=len(forest_list)):
+                    ell = dict(zip(forest_list, labels))
+                    edge_type = dict(ell)
+                    edge_type.update(zip(extra, extra_types))
+                    choices = _witness_options(
+                        witnesses, {eid: 1 << (t - typ) for eid, typ in edge_type.items()}, rows)
+                    if choices is not None:
+                        labellings.append((ell, edge_type, choices))
             image = frozenset(f.values())
-            for labels in itertools.product(range(1, t + 1), repeat=len(forest_list)):
-                ell = dict(zip(forest_list, labels))
-                h_edge_type = dict(ell)
-                for eid in extra:
-                    h_edge_type[eid] = type_of[f_e[eid]]
-                key = tuple(h_edge_type.values())
-                if key not in options_by_types:
-                    options_by_types[key] = _witness_options(
-                        inst.terminals, witnesses, h_edge_type, t, target_of, backbone.n)
-                found = options_by_types[key]
-                if found is None:
+            vtilde = frozenset(f)
+            pinned_ends = [(eid, f[u], f[v]) for eid, (u, v) in forest_ends if u in f and v in f]
+            free_ends = [(eid, u, v) for eid, (u, v) in forest_ends if not (u in f and v in f)]
+            for ell, edge_type, choices in labellings:
+                if pinned_ends and any((x, y, ell[eid]) not in edge_by_sig
+                                       for eid, x, y in pinned_ends):
                     continue
-                per_term, choices = found
-                for h_combo, v_star in _bounded_parities(choices, image, backbone.n):
-                    h = dict(zip(inst.terminals, h_combo))
-                    yield from _expand_guess(inst, backbone, forest, extra, f, f_e, ell,
-                                             h, v_star, per_term, h_edge_type, type_of,
-                                             edge_by_sig, term_set)
+                for picked, v_star in _bounded_parities(choices, image, backbone.n):
+                    yield from _expand_guess(inst, backbone, forest, extra, f, f_e, vtilde,
+                                             image, free_ends, ell, edge_type, picked, v_star,
+                                             type_of, edge_by_sig, term_set)
 
 
-def _expand_guess(inst, backbone, forest, extra, f, f_e, ell, h, v_star, per_term,
-                  h_edge_type, type_of, edge_by_sig, term_set):
+def _expand_guess(inst, backbone, forest, extra, f, f_e, vtilde, image, free_ends, ell,
+                  edge_type, picked, v_star, type_of, edge_by_sig, term_set):
     """Read every (D, f*) of one parity restriction off the witnesses' odd sets.
 
-    V* (the targets of the chosen witnesses plus image(f)) is forced by h,
-    and f* is a bijection from D onto V*. So terminal w is witnessed exactly
-    when O_w = f*^-1(target_w) is the odd-degree set of one of its
-    witnesses, and each choice of one such set per terminal that agrees with
-    the pins fixes D: the pinned vertices plus the union of the O_w. f* may
-    then only match a vertex of D with a free target that lies in the same
-    targets as the vertex lies in odd sets. The guesses are emitted in
-    (D minus the pinned vertices, images) order.
+    ``picked`` holds each terminal's (parity vector, target, odd sets)
+    choice, and ``free_ends`` the forest edges without both ends pinned.
+    V* (the chosen targets plus image(f)) is forced by the choices, and f*
+    is a bijection from D onto V*. So terminal w is witnessed exactly when
+    O_w = f*^-1(target_w) is the odd-degree set of one of its witnesses, and
+    each choice of one such set per terminal that agrees with the pins fixes
+    D: the pinned vertices plus the union of the O_w. f* may then only match
+    a vertex of D with a free target that lies in the same targets as the
+    vertex lies in odd sets. The guesses are emitted in (D minus the pinned
+    vertices, images) order.
     """
-    vtilde = frozenset(f)
-    # forest edges are the backbone edges without a pinned host edge
-    forest_ends = [(eid, backbone.endpoints(eid)) for eid in sorted(forest)]
-    for eid, (u, v) in forest_ends:
-        if u in f and v in f and (f[u], f[v], h_edge_type[eid]) not in edge_by_sig:
-            return
-    free_ends = [(eid, u, v) for eid, (u, v) in forest_ends if not (u in f and v in f)]
-    free_targets = sorted(v_star - frozenset(f.values()))
+    free_targets = sorted(v_star - image)
     need = len(free_targets)
     # per terminal, its target and the odd sets that agree with the pins
     targets = []
     odd_options = []
-    for w_eid in inst.terminals:
-        target, odds = per_term[w_eid][h[w_eid]]
+    for _b, target, odds in picked:
         agree = [odd for odd in odds if all((v in odd) == (x in target) for v, x in f.items())]
         if not agree:
             return
@@ -392,7 +421,7 @@ def _expand_guess(inst, backbone, forest, extra, f, f_e, ell, h, v_star, per_ter
             f_star = dict(f)
             for (_sig, vs), ys in zip(groups, perms):
                 f_star.update(zip(vs, ys))
-            if all((f_star[u], f_star[v], h_edge_type[eid]) in edge_by_sig
+            if all((f_star[u], f_star[v], edge_type[eid]) in edge_by_sig
                    for eid, u, v in free_ends if u in f_star and v in f_star):
                 found.append((tuple(extra_d), tuple(f_star[v] for v in extra_d), odds))
     found.sort(key=lambda item: item[:2])
@@ -407,19 +436,20 @@ def _expand_guess(inst, backbone, forest, extra, f, f_e, ell, h, v_star, per_ter
         for eid, (u, v) in edges:
             if u in d and v in d:
                 f_star_e[eid] = f_e[eid] if eid in f_e else \
-                    edge_by_sig[f_star[u], f_star[v], h_edge_type[eid]]
+                    edge_by_sig[f_star[u], f_star[v], edge_type[eid]]
         if len(set(f_star_e.values())) != len(f_star_e):
             continue
-        e_subsets = {w_eid: per_term[w_eid][h[w_eid]][1][odd]
-                     for w_eid, odd in zip(inst.terminals, odds)}
+        h = {w_eid: b for w_eid, (b, _target, _odds) in zip(inst.terminals, picked)}
+        e_subsets = {w_eid: choice[2][odd]
+                     for w_eid, choice, odd in zip(inst.terminals, picked, odds)}
         ctx = GuessContext(backbone=backbone, forest=forest, extra=tuple(extra),
-                           f=dict(f), f_e=dict(f_e), ell=dict(ell), h=dict(h),
+                           f=dict(f), f_e=dict(f_e), ell=dict(ell), h=h,
                            d=d, f_star=f_star, f_star_e=f_star_e,
                            e_subsets=e_subsets)
         host = inst.graph.without_edges(set(f_star_e.values()) | term_set)
         ell_g = {ge: type_of[ge] for ge in host.edge_ids()}
         pattern = backbone.without_edges(set(f_star_e))
-        ell_h = {eid: h_edge_type[eid] for eid in pattern.edge_ids()}
+        ell_h = {eid: edge_type[eid] for eid in pattern.edge_ids()}
         pci = PatternCoverInstance(g=host, ell_g=ell_g, h=pattern, ell_h=ell_h,
                                    u=d, f=f_star)
         yield pci, ctx

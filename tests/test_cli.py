@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 import spacecover
-from spacecover import pattern_cover, pgm_solver
+from spacecover import cli, pattern_cover, pgm_solver
 from spacecover.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from spacecover.fileio import parse_file, serialize_instance
 from spacecover.gf2 import Gf2Matrix
@@ -112,6 +112,17 @@ def test_p_override_needs_q_override(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("--p-override needs --q-override") == 2
+
+
+def test_main_twice_carries_no_option_over(tmp_path, capsys):
+    # the parser is built once per process; each call still parses afresh
+    inst = write(tmp_path / "tri.scpm", TRIANGLE_DUAL)
+    assert main(["solve", inst, "--q-override", "2", "--p-override", "2"]) == EXIT_YES
+    assert main(["solve", inst, "--p-override", "2"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out.startswith("yes F=")
+    assert "--p-override needs --q-override" in captured.err
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

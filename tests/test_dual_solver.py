@@ -321,6 +321,35 @@ def test_unbreakable_branch_on_small_clique():
     assert params.stats.get("unbreakable", 0) >= 1
 
 
+class _ForgetfulTable(dict):
+    """A separation table that keeps nothing: every recursion step searches again."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_separation_table_searches_each_graph_once(monkeypatch):
+    searched = []
+    search = dual_solver.good_edge_separation
+    monkeypatch.setattr(dual_solver, "good_edge_separation",
+                        lambda g, q, p: searched.append((g.n, tuple(g.edges()))) or search(g, q, p))
+    g = complete_graph(6)
+    dup = g.add_edge(0, 1)
+    # each parity guess of these solves meets the same graph again
+    cases = [(DualInstance(g, Gf2Matrix(6, g.num_edges), [dup], 1), 4)]
+    cases += [(doubled_path_dual(length=17, dup_at=j, k=1), 16) for j in (0, 6, 12)]
+    for inst, s in cases:
+        runs = []
+        for table in ({}, _ForgetfulTable()):
+            searched.clear()
+            params = RecursParams(q=2, p=2, s=s)
+            params.separations = table
+            runs.append((dual_solver.solve(inst, params=params), params.stats, list(searched)))
+        (got, stats, once), (want, want_stats, again) = runs
+        assert got == want and stats == want_stats
+        assert len(once) == len(set(once)) == len(set(again)) < len(again)
+
+
 def test_breakable_branch_on_doubled_path():
     inst = doubled_path_dual(length=18, dup_at=0, k=1)
     params = RecursParams(q=2, p=2, s=16)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import primal_corpus
 from spacecover import pgm_solver
-from spacecover.gf2 import Gf2Matrix, distinct_columns
+from spacecover.gf2 import Gf2Matrix, Gf2Vector, distinct_columns
 from spacecover.instances import PrimalInstance, random_instance
 from spacecover.multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from spacecover.oracle import solve_primal_bruteforce
@@ -303,6 +303,92 @@ def test_pattern_instances_match_unpruned_reference(n, r, num_terminals, k, seed
     got = [_guess_record(*guess) for guess in pgm_solver.build_pattern_instances(inst)]
     want = [_guess_record(*guess) for guess in _reference_pattern_instances(inst)]
     assert got == want
+
+
+def _bench_size_instance(seed):
+    """A terminal-reduced host with n 8-12, m in [1.8n, 2n], r 1-2, |T| 2-3 and k = 3.
+
+    Two parallel pairs and two loops give the cycle-closing backbone edges
+    host edges to be pinned to.
+    """
+    rng = random.Random(seed)
+    while True:
+        n, r, num_terminals = rng.randint(8, 12), rng.randint(1, 2), rng.randint(2, 3)
+        m = rng.randint((9 * n + 4) // 5, 2 * n)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m - 4)]
+        edges += [edges[0], edges[1], (edges[2][0], edges[2][0]), (edges[3][1], edges[3][1])]
+        row_bits = [0] * n
+        for _ in range(r):
+            col_pat, row_pat = rng.getrandbits(n), rng.getrandbits(m)
+            for i in range(n):
+                if (col_pat >> i) & 1:
+                    row_bits[i] ^= row_pat
+        terminals = rng.sample(range(m), num_terminals)
+        inst = reduce_terminals(PrimalInstance(MultiGraph(n, edges), Gf2Matrix(n, m, row_bits),
+                                               terminals, 3))
+        if not inst.immediate_no and inst.terminals:
+            return inst
+
+
+def test_pattern_instances_match_unpruned_reference_at_bench_sizes():
+    pinned = pinned_forest = 0
+    for seed in range(12):
+        inst = _bench_size_instance(seed)
+        guesses = list(pgm_solver.build_pattern_instances(inst))
+        want = [_guess_record(*guess) for guess in _reference_pattern_instances(inst)]
+        assert [_guess_record(*guess) for guess in guesses] == want, seed
+        for _pci, ctx in guesses:
+            pinned += bool(ctx.f)
+            pinned_forest += any(set(ctx.backbone.endpoints(eid)) <= set(ctx.f)
+                                 for eid in ctx.forest)
+    # the pins, and the check on forest edges with both ends pinned, took part
+    assert pinned and pinned_forest
+
+
+def _witness_options_by_scan(witnesses, edge_type, t, terminal_cols, classes, nv):
+    """Per terminal, its choices by a scan of every subset, or None: the options before grouping."""
+    choices = []
+    for w in terminal_cols:
+        opts = {}
+        for sub, odd in witnesses:
+            b = [0] * t
+            for eid in sub:
+                b[edge_type[eid] - 1] ^= 1
+            b = tuple(b)
+            target = terminal_target_vertices(w, b, classes)
+            if len(odd) != len(target) or len(target) > nv:
+                continue
+            opts.setdefault(b, (target, {}))[1].setdefault(odd, sub)
+        if not opts:
+            return None
+        choices.append([(b, opts[b][0], list(opts[b][1].items())) for b in sorted(opts)])
+    return choices
+
+
+def test_witness_options_match_plain_scan():
+    rng = random.Random(11)
+    n_host = 5
+    for me in range(1, 4):
+        for backbone, _cycles in pgm_solver._backbone_classes(me):
+            edges = backbone.edge_ids()
+            witnesses = [(frozenset(sub), pgm_solver._odd_degree(backbone, sub))
+                         for size in range(len(edges) + 1)
+                         for sub in itertools.combinations(edges, size)]
+            for t in range(1, 4):
+                classes = [Gf2Vector(n_host, rng.getrandbits(n_host)) for _ in range(t)]
+                cols = [Gf2Vector(n_host, rng.getrandbits(n_host))
+                        for _ in range(rng.randint(1, 3))]
+                rows = [pgm_solver._TargetRow(w, classes) for w in cols]
+                for key in itertools.product(range(1, t + 1), repeat=len(edges)):
+                    edge_type = dict(zip(edges, key))
+                    got = pgm_solver._witness_options(
+                        witnesses, {eid: 1 << (t - typ) for eid, typ in edge_type.items()}, rows)
+                    want = _witness_options_by_scan(witnesses, edge_type, t, cols, classes,
+                                                    backbone.n)
+                    if got is not None:
+                        got = [[(b, target, list(odds.items())) for b, target, odds in options]
+                               for options in got]
+                    assert got == want, (backbone.edges(), key)
 
 
 @settings(max_examples=200, deadline=None)
