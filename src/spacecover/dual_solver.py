@@ -363,17 +363,21 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
     pbig = 2 * (k + 1) * len(terms)
     k_u = min(nbig, n)
     p_u = min(pbig, k_u)
-    colorings = _universal_cached(n, k_u, p_u).functions
     verts = set(range(n))
+    # An attempt depends only on the alignment and the coloring's small
+    # components, and the table keeps strictly smaller candidates only, so
+    # each distinct pocket list is tried once, in first-coloring order.
+    pocket_lists = dict.fromkeys(
+        tuple(tuple(sorted(c)) for c in connected_components(
+            inst.g, verts - {v for v in range(n) if coloring[v]})
+            if len(c) <= params.q * len(terms))
+        for coloring in _universal_cached(n, k_u, p_u).functions)
     adj = inst.g.adjacency()
     for align in itertools.product((0, 1), repeat=len(terms)):
         y_side = {}
         for term, flip in zip(terms, align):
             y_side[term.tid] = prelim[term.tid] if flip == 0 else verts - prelim[term.tid]
-        for coloring in colorings:
-            p_set = {v for v in range(n) if coloring[v]}
-            comps = connected_components(inst.g, verts - p_set)
-            small = [sorted(c) for c in comps if len(c) <= params.q * len(terms)]
+        for small in pocket_lists:
             interior = set().union(*small)
             fixed = verts - interior
             attempt = _assemble_attempt(ainst, params, y_side, fixed, small, adj)
@@ -392,7 +396,7 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
 
 
 def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
-    """Solve one (alignment, coloring) attempt; returns a per-key assembly closure."""
+    """Solve one (alignment, pocket list) attempt; returns a per-key assembly closure."""
     inst = ainst.esc
     k = inst.k
     terms = inst.terminals

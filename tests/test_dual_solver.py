@@ -359,3 +359,68 @@ def test_breakable_branch_on_doubled_path():
     if got is not None:
         assert len(got[0]) == len(want[0])
     assert params.stats.get("breakable", 0) >= 1
+
+
+def _unbreakable_every_coloring(ainst, params):
+    """_unbreakable_case assembling every coloring, repeated pocket lists included."""
+    params.bump("unbreakable")
+    inst = ainst.esc
+    n, k, terms = inst.g.n, inst.k, inst.terminals
+    keys = list(all_keys(ainst))
+    table = {key: None for key in keys}
+    prelim = {}
+    for term in terms:
+        y = preliminary_partition(inst, term)
+        if y is None:
+            return table
+        prelim[term.tid] = y[0]
+    k_u = min((params.q + 2 * (k + 1)) * len(terms), n)
+    p_u = min(2 * (k + 1) * len(terms), k_u)
+    verts = set(range(n))
+    adj = inst.g.adjacency()
+    for align in itertools.product((0, 1), repeat=len(terms)):
+        y_side = {term.tid: prelim[term.tid] if flip == 0 else verts - prelim[term.tid]
+                  for term, flip in zip(terms, align)}
+        for coloring in dual_solver._universal_cached(n, k_u, p_u).functions:
+            comps = connected_components(inst.g, verts - {v for v in range(n) if coloring[v]})
+            small = [sorted(c) for c in comps if len(c) <= params.q * len(terms)]
+            fixed = verts - set().union(*small)
+            attempt = dual_solver._assemble_attempt(ainst, params, y_side, fixed, small, adj)
+            if attempt is None:
+                continue
+            for key in keys:
+                cand = attempt(key)
+                if cand is None or not is_key_solution(ainst, key, *cand):
+                    continue
+                if table[key] is None or len(cand[0]) < len(table[key][0]):
+                    table[key] = cand
+    return table
+
+
+def test_unbreakable_case_tries_each_pocket_list_once(monkeypatch):
+    calls = []
+    assemble = dual_solver._assemble_attempt
+    monkeypatch.setattr(dual_solver, "_assemble_attempt",
+                        lambda *a: calls.append(a) or assemble(*a))
+    # K_8 plus a doubled edge, perturbed so that {terminal, edge 0} is a
+    # cocycle: (8, 6, 4) colorings leave some pocket lists twice
+    g = complete_graph(8)
+    term = g.add_edge(0, 1)
+    star = sum(1 << j for j, (a, b) in g.edges() if (a == 0) != (b == 0))
+    inst = DualInstance(g, Gf2Matrix(8, g.num_edges, [star ^ (1 << term) ^ 1] * 8), [term], 1)
+    kept, _ = reduce_terminals_dual(inst)
+    t, _ = vertex_types(inst.p)
+    tried = every = answered = 0
+    for combo in itertools.product(itertools.product((0, 1), repeat=t), repeat=len(kept)):
+        esc = build_esc(inst, dict(zip(kept, combo)), active_terminals=kept,
+                        blocked=inst.terminals)
+        runs = []
+        for case in (dual_solver._unbreakable_case, _unbreakable_every_coloring):
+            calls.clear()
+            params = RecursParams(q=2, p=2, s=4)
+            runs.append((case(AnnotatedEscInstance(esc), params), params.stats, len(calls)))
+        (got, stats, once), (want, want_stats, again) = runs
+        assert got == want and stats == want_stats
+        tried, every = tried + once, every + again
+        answered += sum(ans is not None for ans in got.values())
+    assert 0 < tried < every and answered
