@@ -10,10 +10,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from . import eoct
 from .binmatroid import CocycleCertificate, dual_span_contains
 from .derand import build_universal_set
-from .gf2 import Gf2Matrix, Gf2Vector, basis, distinct_rows
+from .gf2 import Gf2Matrix, Gf2Vector, basis, distinct_rows, nullspace, spans_all
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
-                         good_edge_separation, is_connected, signed_components)
+                         good_edge_separation, incidence_matrix, is_connected,
+                         signed_components)
 
 __all__ = [
     "EscTerminal",
@@ -206,29 +207,64 @@ def _multiplicity_reduce(inst: EdgeSetCoverInstance) -> EdgeSetCoverInstance:
     return EdgeSetCoverInstance(g2, inst.k, inst.t, inst.classes, terms, inst.blocked)
 
 
+def _balance_words(g: MultiGraph, parities: List[Dict[int, int]]
+                   ) -> Tuple[Dict[int, int], List[int]]:
+    """Each edge's row and each signing's odd word over a cycle basis of g.
+
+    The basis is the kernel of the incidence matrix, so a loop (a one-edge
+    cycle) and a parallel pair (a two-edge cycle) need no special case.
+    Bit i of an edge's row says that basis cycle i passes through the edge;
+    bit i of an odd word says that basis cycle i has odd total parity under
+    that signing (edge id -> parity).  The signed graph g - F is balanced
+    iff the odd word lies in the span of F's rows.
+    """
+    eids = g.edge_ids()
+    cycles = [c.bits for c in nullspace(incidence_matrix(g))]
+    row = dict(zip(eids, Gf2Matrix(len(cycles), len(eids), cycles).transpose().row_bits))
+    odd = []
+    for parity in parities:
+        odd_edges = sum(1 << j for j, eid in enumerate(eids) if parity[eid])
+        odd.append(sum(1 << i for i, c in enumerate(cycles) if (c & odd_edges).bit_count() & 1))
+    return row, odd
+
+
 def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
     """Branch (a): enumerate F and propagate per-component side assignments.
 
-    For each F, every terminal gets a reach table from its side assignments:
-    (class parities of X, W & X) -> the first X that meets the terminal's
-    pins.  A key is solved by F exactly when each of its per-terminal parts
-    is reached, so F fills the still unsolved keys in the product of the
-    reach tables.  The table is built and filled in ``all_keys`` order.
+    A terminal has a side assignment in G - F, every edge at its required
+    parity, iff every cycle that avoids F has even parity (Harary's balance
+    theorem).  Over a cycle basis of G, blocked edges included, a sum of
+    basis cycles avoids F iff it is orthogonal to the rows of F's edges, so
+    all such cycles are even iff the terminal's odd word lies in the span of
+    those rows (``_balance_words``).  An F that fails this test for some
+    terminal is skipped untraversed.  It is exactly an F whose traversal
+    would meet an odd cycle and solve no key, so the table is unchanged.
+
+    For each F that passes, every terminal gets a reach table from its side
+    assignments: (class parities of X, W & X) -> the first X that meets the
+    terminal's pins.  A key is solved by F exactly when each of its
+    per-terminal parts is reached, so F fills the still unsolved keys in the
+    product of the reach tables.  The table is built and filled in
+    ``all_keys`` order.
     """
     params.bump("small")
     inst = _multiplicity_reduce(ainst.esc)
     table = {key: None for key in all_keys(ainst)}
     unsolved = len(table)
-    nonblocked = [eid for eid in inst.g.edge_ids() if eid not in inst.blocked]
+    eids = inst.g.edge_ids()
+    row, odd = _balance_words(inst.g, [{eid: _required_parity(eid, term) for eid in eids}
+                                       for term in inst.terminals])
+    nonblocked = [eid for eid in eids if eid not in inst.blocked]
     for size in range(min(inst.k, len(nonblocked)) + 1):
         if not unsolved:
             break
         for f_sub in itertools.combinations(nonblocked, size):
             if not unsolved:
                 break
+            if not spans_all([row[eid] for eid in f_sub], odd):
+                continue  # some terminal keeps an odd cycle: F solves no key
             f_set = frozenset(f_sub)
-            alive = [(eid, inst.g.endpoints(eid)) for eid in inst.g.edge_ids()
-                     if eid not in f_set]
+            alive = [(eid, inst.g.endpoints(eid)) for eid in eids if eid not in f_set]
             # every edge outside F, blocked ones included, at its required
             # parity: each component's side assignment is then unique up to
             # a flip, and every flip is valid
@@ -237,8 +273,6 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
                 sides = signed_components(range(inst.g.n),
                                           [(u, v, _required_parity(eid, term))
                                            for eid, (u, v) in alive])
-                if sides is None:
-                    break  # no side assignment for this terminal: F solves no key
                 w1, w2 = ainst.pin(term.tid)
                 by_part: Dict[Tuple, FrozenSet[int]] = {}
                 for flips in itertools.product((0, 1), repeat=len(sides)):
@@ -247,13 +281,12 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
                     if w1 <= fx and not w2 & fx:
                         by_part.setdefault((inst.class_parities(fx), ainst.w & fx), fx)
                 reach.append(by_part)
-            else:
-                for parts in itertools.product(*(by_part.items() for by_part in reach)):
-                    key = (tuple(h for (h, _), _ in parts), tuple(lr for (_, lr), _ in parts))
-                    if table[key] is None:
-                        table[key] = (f_set, {term.tid: fx for term, (_, fx)
-                                              in zip(inst.terminals, parts)})
-                        unsolved -= 1
+            for parts in itertools.product(*(by_part.items() for by_part in reach)):
+                key = (tuple(h for (h, _), _ in parts), tuple(lr for (_, lr), _ in parts))
+                if table[key] is None:
+                    table[key] = (f_set, {term.tid: fx for term, (_, fx)
+                                          in zip(inst.terminals, parts)})
+                    unsolved -= 1
     return table
 
 
@@ -718,8 +751,6 @@ def reduce_terminals_dual(inst: DualInstance) -> Tuple[Tuple[int, ...], bool]:
     Returns (kept terminal edges, immediate-no flag).  All terminals stay in
     the instance as blocked edges; only the basis carries cut obligations.
     """
-    from .gf2 import nullspace
-
     null_rows = nullspace(inst.a_matrix)
     dual_rep = Gf2Matrix(len(null_rows), inst.a_matrix.cols,
                          [v.bits for v in null_rows])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Gf2Vector",
@@ -14,6 +14,7 @@ __all__ = [
     "distinct_rows",
     "nullspace",
     "rank_of_ints",
+    "spans_all",
 ]
 
 
@@ -139,16 +140,33 @@ class Gf2Matrix:
         return "Gf2Matrix(%dx%d)" % (self.rows, self.cols)
 
 
-def rank_of_ints(rows: List[int]) -> int:
-    """Rank of a list of packed row vectors via Gaussian elimination."""
+def _reduced(pivots: List[int], word: int) -> int:
+    """word minus its part in the span of the echelon ``pivots``; 0 iff inside."""
+    for p in pivots:
+        if word & (p & -p):
+            word ^= p
+    return word
+
+
+def _echelon(rows: Iterable[int]) -> List[int]:
+    """Packed rows in echelon form: each pivot's lowest bit is in no later pivot."""
     pivots: List[int] = []
     for word in rows:
-        for p in pivots:
-            if word & (p & -p):
-                word ^= p
+        word = _reduced(pivots, word)
         if word:
             pivots.append(word)
-    return len(pivots)
+    return pivots
+
+
+def rank_of_ints(rows: List[int]) -> int:
+    """Rank of a list of packed row vectors via Gaussian elimination."""
+    return len(_echelon(rows))
+
+
+def spans_all(rows: Iterable[int], words: Iterable[int]) -> bool:
+    """Whether every packed word lies in the GF(2) span of the packed rows."""
+    pivots = _echelon(rows)
+    return not any(_reduced(pivots, word) for word in words)
 
 
 def rank(m: Gf2Matrix) -> int:
@@ -190,10 +208,7 @@ def basis(vectors: List[Gf2Vector]) -> List[int]:
     pivots: List[int] = []
     chosen: List[int] = []
     for idx, v in enumerate(vectors):
-        word = v.bits
-        for p in pivots:
-            if word & (p & -p):
-                word ^= p
+        word = _reduced(pivots, v.bits)
         if word:
             pivots.append(word)
             chosen.append(idx)

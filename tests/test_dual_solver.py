@@ -10,7 +10,7 @@ from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
                                     build_esc, contributes, is_key_solution,
                                     preliminary_partition, recurs,
                                     reduce_terminals_dual, solve_esc, vertex_types)
-from spacecover.gf2 import Gf2Matrix
+from spacecover.gf2 import Gf2Matrix, spans_all
 from spacecover.instances import DualInstance
 from spacecover.multigraph import MultiGraph, connected_components, signed_components
 from spacecover.oracle import solve_dual_bruteforce
@@ -253,13 +253,17 @@ def small_case_per_key_scan(ainst):
     return table
 
 
-def test_small_case_reach_tables_match_per_key_scan():
-    rng = random.Random(907)
+def _assert_matches_per_key_scan(rng, count, w_sizes, **sizes):
+    """_small_case equals small_case_per_key_scan, F and every X included.
+
+    Draws ``count`` annotated instances with a W of ``w_sizes`` (least,
+    most) vertices and returns how many keys were solved.
+    """
     solved = 0
-    for _ in range(240):
-        inst = esc_from_random_dual(rng, n_max=7, m_max=9)
+    for _ in range(count):
+        inst = esc_from_random_dual(rng, **sizes)
         n = inst.g.n
-        w = frozenset(rng.sample(range(n), rng.randrange(1, 3)))
+        w = frozenset(rng.sample(range(n), rng.randrange(w_sizes[0], w_sizes[1] + 1)))
         pins = {}
         for term in inst.terminals:
             pinned = rng.sample(range(n), rng.randrange(0, 3))
@@ -275,7 +279,80 @@ def test_small_case_reach_tables_match_per_key_scan():
                 assert ans[0] == want[key][0]
                 assert list(ans[1].items()) == list(want[key][1].items())
                 solved += 1
-    assert solved >= 200
+    return solved
+
+
+def test_small_case_reach_tables_match_per_key_scan():
+    assert _assert_matches_per_key_scan(random.Random(907), 240, (1, 2),
+                                        n_max=7, m_max=9) >= 200
+
+
+def test_small_case_matches_per_key_scan_on_larger_instances():
+    # up to 10 vertices, 16 edges, k = 3 and rank 2, so F of three edges
+    # and several vertex classes are reached; W may be empty
+    assert _assert_matches_per_key_scan(random.Random(911), 600, (0, 2), n_max=10,
+                                        m_max=16, k_max=3, r_max=2) >= 200
+
+
+def test_balance_words_decide_signed_components():
+    # loops, parallel edges, isolated vertices and several components
+    rng = random.Random(919)
+    checked = balanced = 0
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        g = MultiGraph(n + rng.randrange(0, 3))
+        for _ in range(rng.randrange(0, 11)):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.15 else rng.randrange(n)
+            g.add_edge(u, v)
+            if rng.random() < 0.2:
+                g.add_edge(u, v)
+        if g.num_edges and rng.random() < 0.3:
+            g = g.without_edges([rng.choice(g.edge_ids())])
+        eids = g.edge_ids()
+        parity = {eid: rng.getrandbits(1) for eid in eids}
+        row, (odd,) = dual_solver._balance_words(g, [parity])
+        for size in range(4):
+            for f_sub in itertools.combinations(eids, size):
+                sides = signed_components(range(g.n), [(*g.endpoints(eid), parity[eid])
+                                                       for eid in eids if eid not in f_sub])
+                assert spans_all([row[eid] for eid in f_sub], [odd]) == (sides is not None)
+                checked += 1
+                balanced += sides is not None
+    assert checked >= 2000 and 0 < balanced < checked
+
+
+def test_small_case_traverses_only_balanced_f(monkeypatch):
+    # a path with edge (7, 8) tripled, one copy the terminal, at k = 2: the
+    # two other copies close odd cycles with the terminal's own edge, so
+    # almost every F is rejected before any traversal
+    g = MultiGraph(19, [(v, v + 1) for v in range(18)])
+    term = g.add_edge(7, 8)
+    g.add_edge(7, 8)
+    inst = DualInstance(g, Gf2Matrix(g.n, g.num_edges), [term], 2)
+    esc = build_esc(inst, {term: (0,)})
+    ainst = AnnotatedEscInstance(esc)
+    tried, traversals = [], []
+    real_spans_all, real_signed = dual_solver.spans_all, dual_solver.signed_components
+
+    def counting_spans_all(rows, words):
+        tried.append(1)
+        return real_spans_all(rows, words)
+
+    def counting_signed(vertices, edges):
+        traversals.append(1)
+        return real_signed(vertices, edges)
+
+    monkeypatch.setattr(dual_solver, "spans_all", counting_spans_all)
+    monkeypatch.setattr(dual_solver, "signed_components", counting_signed)
+    table = _small_case(ainst, RecursParams())
+    monkeypatch.undo()
+    assert len(tried) >= 100
+    assert len(traversals) <= 0.05 * len(tried)
+    want = small_case_per_key_scan(ainst)
+    assert list(table) == list(want)
+    assert all(table[key] == want[key] for key in want)
+    assert any(ans is not None for ans in table.values())
 
 
 def test_breakable_split_on_shifted_edge_ids():

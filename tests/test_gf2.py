@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacecover.gf2 import (Gf2Matrix, Gf2Vector, basis, distinct_columns,
                             distinct_rows, in_span, nullspace, rank,
-                            rank_of_ints)
+                            rank_of_ints, spans_all)
 
 
 def test_vector_roundtrip_and_indexing():
@@ -36,6 +38,17 @@ def test_rank_examples():
     assert rank(Gf2Matrix.from_strings(["100", "010", "001"])) == 3
     assert rank(Gf2Matrix(3, 3)) == 0
     assert rank_of_ints([0b101, 0b101, 0b010]) == 2
+
+
+def test_spans_all_agrees_with_rank():
+    rng = random.Random(23)
+    for _ in range(500):
+        rows = [rng.getrandbits(6) for _ in range(rng.randrange(0, 4))]
+        words = [rng.getrandbits(6) for _ in range(rng.randrange(0, 3))]
+        want = all(rank_of_ints(rows + [w]) == rank_of_ints(rows) for w in words)
+        assert spans_all(rows, words) == want
+    assert spans_all([0b110, 0b011], [0b101, 0])
+    assert not spans_all([0b110], [0b110, 0b011])
 
 
 def test_in_span_returns_witness():
