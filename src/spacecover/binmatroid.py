@@ -1,15 +1,14 @@
-"""Binary matroid semantics over a representing GF(2) matrix."""
+"""Span and cocycle certificates of the binary matroid on the columns of a GF(2) matrix."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, Optional
 
-from .gf2 import Gf2Matrix, Gf2Vector, in_span
+from .gf2 import Gf2Matrix, in_span, support
 
 __all__ = [
-    "BinaryMatroid",
     "SpanCertificate",
     "CocycleCertificate",
     "span_contains",
@@ -24,12 +23,12 @@ class SpanCertificate:
 
     parts: Dict[int, FrozenSet[int]]
 
-    def verify(self, m: "BinaryMatroid") -> bool:
+    def verify(self, a: Gf2Matrix) -> bool:
         for w, part in self.parts.items():
-            acc = Gf2Vector(m.rep.rows)
+            acc = 0
             for e in part:
-                acc = acc ^ m.rep.column(e)
-            if acc != m.rep.column(w):
+                acc ^= a.column(e)
+            if acc != a.column(w):
                 return False
         return True
 
@@ -41,51 +40,39 @@ class CocycleCertificate:
     edge_set: FrozenSet[int]
     x: FrozenSet[int]
 
-    def verify(self, m: "BinaryMatroid") -> bool:
-        acc = Gf2Vector(m.rep.cols)
+    def verify(self, a: Gf2Matrix) -> bool:
+        acc = 0
         for v in self.x:
-            acc = acc ^ m.rep.row(v)
-        return acc.support() == self.edge_set
+            acc ^= a.row_bits[v]
+        return support(acc) == self.edge_set
 
 
-class BinaryMatroid:
-    """Matroid on the column indices of ``rep``; independence = linear independence."""
-
-    def __init__(self, rep: Gf2Matrix):
-        self.rep = rep
-
-    def columns(self, ids: Iterable[int]) -> List[Gf2Vector]:
-        return [self.rep.column(j) for j in ids]
-
-
-def span_contains(m: BinaryMatroid, f: Iterable[int], t: Iterable[int]) -> Optional[SpanCertificate]:
+def span_contains(a: Gf2Matrix, f: Iterable[int], t: Iterable[int]) -> Optional[SpanCertificate]:
     """Certificate that every column of t lies in the span of f's columns, or None."""
     f_ids = sorted(set(f))
     t_ids = sorted(set(t))
     if set(f_ids) & set(t_ids):
         raise ValueError("solution and terminal sets overlap")
-    f_cols = m.columns(f_ids)
+    f_cols = [a.column(j) for j in f_ids]
     parts: Dict[int, FrozenSet[int]] = {}
     for w in t_ids:
-        combo = in_span(f_cols, m.rep.column(w))
+        combo = in_span(f_cols, a.column(w))
         if combo is None:
             return None
         parts[w] = frozenset(f_ids[i] for i in combo)
     return SpanCertificate(parts)
 
 
-def is_cocycle(m: BinaryMatroid, f: Iterable[int]) -> Optional[CocycleCertificate]:
+def is_cocycle(a: Gf2Matrix, f: Iterable[int]) -> Optional[CocycleCertificate]:
     """Certificate that f is a cocycle: its characteristic vector lies in the row space."""
     f_ids = frozenset(f)
-    char = Gf2Vector(m.rep.cols, sum(1 << e for e in f_ids))
-    rows = [m.rep.row(i) for i in range(m.rep.rows)]
-    combo = in_span(rows, char)
+    combo = in_span(a.row_bits, sum(1 << e for e in f_ids))
     if combo is None:
         return None
     return CocycleCertificate(f_ids, frozenset(combo))
 
 
-def dual_span_contains(m: BinaryMatroid, f: Iterable[int], t: Iterable[int]) -> Optional[Dict[int, CocycleCertificate]]:
+def dual_span_contains(a: Gf2Matrix, f: Iterable[int], t: Iterable[int]) -> Optional[Dict[int, CocycleCertificate]]:
     """Per-terminal certificates that t lies in the dual span of f, or None.
 
     For each terminal W we need some F_W subseteq f with F_W + {W} a cocycle;
@@ -100,7 +87,7 @@ def dual_span_contains(m: BinaryMatroid, f: Iterable[int], t: Iterable[int]) -> 
         found = None
         for size in range(len(f_ids) + 1):
             for sub in itertools.combinations(f_ids, size):
-                cert = is_cocycle(m, set(sub) | {w})
+                cert = is_cocycle(a, set(sub) | {w})
                 if cert is not None:
                     found = cert
                     break

@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "side threshold q and small-case threshold q^4")
     p_solve.add_argument("--p-override", type=int, default=None,
                          help="crossing-edge threshold of the dual recursion "
-                              "(default 2(k+1); needs --q-override)")
+                              "(default 2(k+1); needs --q-override); below "
+                              "2(k+1) a \"no\" is not proven exact")
     p_solve.add_argument("--json", action="store_true",
                          help="emit a JSON result report on stdout")
 
@@ -84,7 +85,11 @@ def _dual_params(inst: DualInstance, args) -> Optional[RecursParams]:
     q = args.q_override
     if q is None:
         return None
-    p = 2 * (inst.k + 1) if args.p_override is None else args.p_override
+    exact_p = 2 * (inst.k + 1)
+    p = exact_p if args.p_override is None else args.p_override
+    if p < exact_p:
+        print("note: --p-override %d is below 2(k+1) = %d, so a \"no\" is not proven exact"
+              % (p, exact_p), file=sys.stderr)
     return RecursParams(q, p, q ** 4)
 
 

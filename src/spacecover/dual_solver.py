@@ -10,7 +10,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from . import eoct
 from .binmatroid import CocycleCertificate, dual_span_contains
 from .derand import build_universal_set
-from .gf2 import Gf2Matrix, Gf2Vector, basis, distinct_rows, nullspace, spans_all
+from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
                          good_edge_separation, incidence_matrix, is_connected,
@@ -219,7 +219,7 @@ def _balance_words(g: MultiGraph, parities: List[Dict[int, int]]
     iff the odd word lies in the span of F's rows.
     """
     eids = g.edge_ids()
-    cycles = [c.bits for c in nullspace(incidence_matrix(g))]
+    cycles = nullspace(incidence_matrix(g))
     row = dict(zip(eids, Gf2Matrix(len(cycles), len(eids), cycles).transpose().row_bits))
     odd = []
     for parity in parities:
@@ -380,10 +380,16 @@ def _combine_parities(states, options, k: int):
 
 def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
     """Branch (b): align preliminary partitions, color, recurse into small pockets."""
-    params.bump("unbreakable")
     inst = ainst.esc
     n, k = inst.g.n, inst.k
     terms = inst.terminals
+    nbig = (params.q + 2 * (k + 1)) * len(terms)
+    pbig = 2 * (k + 1) * len(terms)
+    if n < nbig:
+        # an (n, nbig, pbig)-universal set needs nbig vertices; colourings of
+        # fewer have too few zeros to form the pockets a solution needs
+        return _small_case(ainst, params)
+    params.bump("unbreakable")
     keys = list(all_keys(ainst))
     table = {key: None for key in keys}
     prelim = {}
@@ -392,10 +398,6 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
         if y is None:
             return table  # no almost-fitting partition exists for this terminal at all
         prelim[term.tid] = y[0]
-    nbig = (params.q + 2 * (k + 1)) * len(terms)
-    pbig = 2 * (k + 1) * len(terms)
-    k_u = min(nbig, n)
-    p_u = min(pbig, k_u)
     verts = set(range(n))
     # An attempt depends only on the alignment and the coloring's small
     # components, and the table keeps strictly smaller candidates only, so
@@ -404,7 +406,7 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
         tuple(tuple(sorted(c)) for c in connected_components(
             inst.g, verts - {v for v in range(n) if coloring[v]})
             if len(c) <= params.q * len(terms))
-        for coloring in _universal_cached(n, k_u, p_u).functions)
+        for coloring in _universal_cached(n, nbig, pbig).functions)
     adj = inst.g.adjacency()
     for align in itertools.product((0, 1), repeat=len(terms)):
         y_side = {}
@@ -695,16 +697,16 @@ def build_esc(inst: DualInstance, parity_guess: Dict[int, Tuple[int, ...]],
     class_rows = []
     for cls in class_sets:
         v = min(cls)
-        class_rows.append(inst.p.row(v))
+        class_rows.append(inst.p.row_bits[v])
     eids = inst.graph.edge_ids()
     terms = []
     for eid in active:
         b = tuple(parity_guess[eid])
-        p_w = Gf2Vector(inst.p.cols)
+        p_w = 0
         for bit, row in zip(b, class_rows):
             if bit:
-                p_w = p_w ^ row
-        f = {e: p_w[inst.col_of[e]] for e in eids}
+                p_w ^= row
+        f = {e: (p_w >> inst.col_of[e]) & 1 for e in eids}
         terms.append(EscTerminal(eid, eid, b, f))
     return EdgeSetCoverInstance(inst.graph.copy(), inst.k, t, classes, terms, blocked_set)
 
@@ -752,8 +754,7 @@ def reduce_terminals_dual(inst: DualInstance) -> Tuple[Tuple[int, ...], bool]:
     the instance as blocked edges; only the basis carries cut obligations.
     """
     null_rows = nullspace(inst.a_matrix)
-    dual_rep = Gf2Matrix(len(null_rows), inst.a_matrix.cols,
-                         [v.bits for v in null_rows])
+    dual_rep = Gf2Matrix(len(null_rows), inst.a_matrix.cols, null_rows)
     term_cols = [dual_rep.column(inst.col_of[e]) for e in inst.terminals]
     keep = basis(term_cols)
     kept = tuple(inst.terminals[i] for i in keep)
@@ -767,10 +768,10 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
     kept, immediate_no = reduce_terminals_dual(inst)
     if immediate_no:
         return None
-    matroid = inst.matroid()
+    a = inst.a_matrix
     term_cols = [inst.col_of[e] for e in inst.terminals]
     if not kept:
-        certs = dual_span_contains(matroid, [], term_cols)
+        certs = dual_span_contains(a, [], term_cols)
         if certs is None:
             raise AssertionError("empty dual basis must span the dropped terminals")
         return frozenset(), certs
@@ -785,7 +786,7 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
         if sol is None:
             continue
         f_set, _x = sol
-        certs = dual_span_contains(matroid, [inst.col_of[e] for e in f_set], term_cols)
+        certs = dual_span_contains(a, [inst.col_of[e] for e in f_set], term_cols)
         if certs is not None and len(f_set) <= inst.k:
             return frozenset(f_set), certs
     return None

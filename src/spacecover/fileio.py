@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, to_string
 from .instances import DualInstance, PrimalInstance, SpaceCoverInstance
 from .multigraph import MultiGraph
 
@@ -121,11 +121,10 @@ def serialize_instance(inst: SpaceCoverInstance) -> str:
     for eid in eids:
         u, v = inst.graph.endpoints(eid)
         out.append("edge %d %d" % (u, v))
-    rows = [(i, inst.p.row(i)) for i in range(inst.p.rows)
-            if inst.p.row(i).bits]
+    rows = [(i, bits) for i, bits in enumerate(inst.p.row_bits) if bits]
     out.append("pert %d" % len(rows))
-    for i, row in rows:
-        out.append("%d %s" % (i, row.to_string()))
+    for i, bits in rows:
+        out.append("%d %s" % (i, to_string(bits, inst.p.cols)))
     out.append("terminals %s" % " ".join(str(inst.col_of[e]) for e in inst.terminals))
     return "\n".join(out) + "\n"
 
@@ -274,8 +273,8 @@ def verify_report(inst: SpaceCoverInstance, report: ResultReport) -> Optional[st
                 return "terminal %d cites edges outside the witness" % term
             acc = 0
             for e in part:
-                acc ^= a.column(inst.col_of[e]).bits
-            if acc != a.column(inst.col_of[term]).bits:
+                acc ^= a.column(inst.col_of[e])
+            if acc != a.column(inst.col_of[term]):
                 return "terminal %d: cited columns do not sum to it" % term
         else:
             edges = set(part.get("edges", []))

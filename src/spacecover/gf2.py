@@ -1,81 +1,35 @@
-"""Bit-packed GF(2) vectors and matrices: rank, span, basis, distinct rows/columns."""
+"""GF(2) vectors as packed ints and bit-packed matrices: rank, span, basis, distinct rows/columns.
+
+A vector is a plain int: bit i is coordinate i.
+"""
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "Gf2Vector",
     "Gf2Matrix",
+    "support",
+    "to_string",
     "rank",
     "in_span",
     "basis",
     "distinct_columns",
     "distinct_rows",
     "nullspace",
-    "rank_of_ints",
     "spans_all",
 ]
 
 
-class Gf2Vector:
-    """A vector over GF(2) of length n, coordinates packed into a Python int.
+def support(bits: int) -> frozenset:
+    """The coordinates set in a packed vector."""
+    return frozenset(i for i in range(bits.bit_length()) if (bits >> i) & 1)
 
-    Bit i of ``bits`` is coordinate i (little-endian); bits at or above n are
-    always zero.
-    """
 
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int = 0):
-        if n < 0:
-            raise ValueError("negative length")
-        self.n = n
-        self.bits = bits & ((1 << n) - 1)
-
-    @classmethod
-    def from_coords(cls, coords) -> "Gf2Vector":
-        coords = list(coords)
-        bits = 0
-        for i, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << i
-        return cls(len(coords), bits)
-
-    @classmethod
-    def from_string(cls, s: str) -> "Gf2Vector":
-        return cls.from_coords(int(ch) for ch in s)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.n, other.n))
-        return Gf2Vector(self.n, self.bits ^ other.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Gf2Vector) and self.n == other.n and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def support(self) -> frozenset:
-        return frozenset(i for i in range(self.n) if (self.bits >> i) & 1)
-
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
-
-    def to_string(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
-
-    def __repr__(self) -> str:
-        return "Gf2Vector(%s)" % self.to_string()
+def to_string(bits: int, n: int) -> str:
+    """The n coordinates of a packed vector as 0/1 characters, coordinate 0 first."""
+    # a sentinel bit above coordinate n - 1 keeps the leading zeros
+    return bin(bits | (1 << n))[3:][::-1]
 
 
 class Gf2Matrix:
@@ -103,22 +57,21 @@ class Gf2Matrix:
         for line in lines:
             if len(line) != cols:
                 raise ValueError("ragged rows")
-            bits.append(Gf2Vector.from_string(line).bits)
+            if set(line) - {"0", "1"}:
+                raise ValueError("row %r has a character other than 0 and 1" % line)
+            bits.append(int(line[::-1], 2) if cols else 0)
         return cls(len(lines), cols, bits)
 
-    def row(self, i: int) -> Gf2Vector:
-        return Gf2Vector(self.cols, self.row_bits[i])
-
-    def column(self, j: int) -> Gf2Vector:
+    def column(self, j: int) -> int:
         if not 0 <= j < self.cols:
             raise IndexError(j)
         bits = 0
         for i in range(self.rows):
             bits |= ((self.row_bits[i] >> j) & 1) << i
-        return Gf2Vector(self.rows, bits)
+        return bits
 
     def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.cols, self.rows, [self.column(j).bits for j in range(self.cols)])
+        return Gf2Matrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
 
     def __xor__(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -134,7 +87,7 @@ class Gf2Matrix:
         return hash((self.rows, self.cols, tuple(self.row_bits)))
 
     def to_strings(self) -> List[str]:
-        return [self.row(i).to_string() for i in range(self.rows)]
+        return [to_string(bits, self.cols) for bits in self.row_bits]
 
     def __repr__(self) -> str:
         return "Gf2Matrix(%dx%d)" % (self.rows, self.cols)
@@ -158,11 +111,6 @@ def _echelon(rows: Iterable[int]) -> List[int]:
     return pivots
 
 
-def rank_of_ints(rows: List[int]) -> int:
-    """Rank of a list of packed row vectors via Gaussian elimination."""
-    return len(_echelon(rows))
-
-
 def spans_all(rows: Iterable[int], words: Iterable[int]) -> bool:
     """Whether every packed word lies in the GF(2) span of the packed rows."""
     pivots = _echelon(rows)
@@ -171,29 +119,26 @@ def spans_all(rows: Iterable[int], words: Iterable[int]) -> bool:
 
 def rank(m: Gf2Matrix) -> int:
     """GF(2) rank of the matrix; the input is left unchanged."""
-    return rank_of_ints(list(m.row_bits))
+    return len(_echelon(m.row_bits))
 
 
-def in_span(basis_set: List[Gf2Vector], target: Gf2Vector) -> Optional[frozenset]:
+def in_span(basis_set: List[int], target: int) -> Optional[frozenset]:
     """Subset of indices of basis_set whose XOR equals target, or None.
 
     Deterministic: pivots are chosen greedily in input order, free choices
     resolved toward the empty combination.
     """
-    for v in basis_set:
-        if v.n != target.n:
-            raise ValueError("dimension mismatch")
     # pairs of (vector bits, tag over input indices), kept in echelon form
     pivots: List[Tuple[int, int, int]] = []  # (pivot bit, vector bits, tag bits)
-    for idx, v in enumerate(basis_set):
-        word, tag = v.bits, 1 << idx
+    for idx, word in enumerate(basis_set):
+        tag = 1 << idx
         for pb, pv, pt in pivots:
             if word & pb:
                 word ^= pv
                 tag ^= pt
         if word:
             pivots.append((word & -word, word, tag))
-    res, tag = target.bits, 0
+    res, tag = target, 0
     for pb, pv, pt in pivots:
         if res & pb:
             res ^= pv
@@ -203,19 +148,19 @@ def in_span(basis_set: List[Gf2Vector], target: Gf2Vector) -> Optional[frozenset
     return frozenset(i for i in range(len(basis_set)) if (tag >> i) & 1)
 
 
-def basis(vectors: List[Gf2Vector]) -> List[int]:
+def basis(vectors: List[int]) -> List[int]:
     """Indices of a greedy (first independent kept) basis of the given vectors."""
     pivots: List[int] = []
     chosen: List[int] = []
     for idx, v in enumerate(vectors):
-        word = _reduced(pivots, v.bits)
+        word = _reduced(pivots, v)
         if word:
             pivots.append(word)
             chosen.append(idx)
     return chosen
 
 
-def nullspace(m: Gf2Matrix) -> List[Gf2Vector]:
+def nullspace(m: Gf2Matrix) -> List[int]:
     """Basis of the right kernel {x : Mx = 0}, one vector per free column."""
     pivots: List[Tuple[int, int]] = []  # (pivot column, fully reduced row bits)
     for word in m.row_bits:
@@ -229,7 +174,7 @@ def nullspace(m: Gf2Matrix) -> List[Gf2Vector]:
                     pivots[i] = (pc2, pv2 ^ word)
             pivots.append((pc, word))
     pivot_cols = {pc for pc, _ in pivots}
-    out: List[Gf2Vector] = []
+    out: List[int] = []
     for j in range(m.cols):
         if j in pivot_cols:
             continue
@@ -237,28 +182,27 @@ def nullspace(m: Gf2Matrix) -> List[Gf2Vector]:
         for pc, pv in pivots:
             if (pv >> j) & 1:
                 bits |= 1 << pc
-        out.append(Gf2Vector(m.cols, bits))
+        out.append(bits)
     return out
 
 
-def _distinct(vecs: List[Gf2Vector]) -> Tuple[List[Gf2Vector], Dict[int, int]]:
-    classes: List[Gf2Vector] = []
+def _distinct(vecs: List[int]) -> Tuple[List[int], Dict[int, int]]:
+    classes: List[int] = []
     seen: Dict[int, int] = {}
     cls_of: Dict[int, int] = {}
     for i, v in enumerate(vecs):
-        key = v.bits
-        if key not in seen:
-            seen[key] = len(classes)
+        if v not in seen:
+            seen[v] = len(classes)
             classes.append(v)
-        cls_of[i] = seen[key]
+        cls_of[i] = seen[v]
     return classes, cls_of
 
 
-def distinct_columns(m: Gf2Matrix) -> Tuple[List[Gf2Vector], Dict[int, int]]:
+def distinct_columns(m: Gf2Matrix) -> Tuple[List[int], Dict[int, int]]:
     """Distinct columns in first-occurrence order plus a column -> class map."""
     return _distinct([m.column(j) for j in range(m.cols)])
 
 
-def distinct_rows(m: Gf2Matrix) -> Tuple[List[Gf2Vector], Dict[int, int]]:
+def distinct_rows(m: Gf2Matrix) -> Tuple[List[int], Dict[int, int]]:
     """Distinct rows in first-occurrence order plus a row -> class map."""
-    return _distinct([m.row(i) for i in range(m.rows)])
+    return _distinct(m.row_bits)

@@ -5,8 +5,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional
 
-from .binmatroid import BinaryMatroid
-from .gf2 import Gf2Matrix, Gf2Vector, rank
+from .gf2 import Gf2Matrix, rank
 from .multigraph import MultiGraph, incidence_matrix
 
 __all__ = ["SpaceCoverInstance", "PrimalInstance", "DualInstance", "random_instance"]
@@ -50,13 +49,7 @@ class SpaceCoverInstance:
     def r(self) -> int:
         return rank(self.p)
 
-    def matroid(self) -> BinaryMatroid:
-        return BinaryMatroid(self.a_matrix)
-
-    def p_column(self, eid: int) -> Gf2Vector:
-        return self.p.column(self.col_of[eid])
-
-    def a_column(self, eid: int) -> Gf2Vector:
+    def a_column(self, eid: int) -> int:
         return self.a_matrix.column(self.col_of[eid])
 
     def nonterminal_edges(self) -> List[int]:
@@ -68,14 +61,14 @@ class SpaceCoverInstance:
         """New instance keeping only the given edges (and their P columns)."""
         keep = set(keep_edges)
         graph = self.graph.without_edges(set(self.graph.edge_ids()) - keep)
-        eids = graph.edge_ids()
+        cols = [self.col_of[eid] for eid in graph.edge_ids()]
         row_bits = []
-        for i in range(self.p.rows):
+        for row in self.p.row_bits:
             bits = 0
-            for j, eid in enumerate(eids):
-                bits |= self.p.row(i)[self.col_of[eid]] << j
+            for j, c in enumerate(cols):
+                bits |= ((row >> c) & 1) << j
             row_bits.append(bits)
-        p = Gf2Matrix(self.p.rows, len(eids), row_bits)
+        p = Gf2Matrix(self.p.rows, len(cols), row_bits)
         terms = self.terminals if terminals is None else tuple(sorted(set(terminals)))
         terms = tuple(e for e in terms if e in keep)
         return type(self)(graph, p, terms, self.k)

@@ -38,12 +38,12 @@ def _candidate_sets(eids: List[int], k: int):
 
 def solve_primal_bruteforce(inst: PrimalInstance) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
     """Lexicographically first minimum F (by edge id) with T in span(F), or None."""
-    matroid = inst.matroid()
+    a = inst.a_matrix
     terms = [inst.col_of[e] for e in inst.terminals]
     nonterm = inst.nonterminal_edges()
     _guard_subsets(len(nonterm), inst.k)
     for sub in _candidate_sets(nonterm, inst.k):
-        cert = span_contains(matroid, [inst.col_of[e] for e in sub], terms)
+        cert = span_contains(a, [inst.col_of[e] for e in sub], terms)
         if cert is not None:
             return frozenset(sub), cert
     return None
@@ -51,12 +51,12 @@ def solve_primal_bruteforce(inst: PrimalInstance) -> Optional[Tuple[FrozenSet[in
 
 def solve_dual_bruteforce(inst: DualInstance) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
     """Minimum F with T in the dual span of F, via per-terminal cocycle search."""
-    matroid = inst.matroid()
+    a = inst.a_matrix
     terms = [inst.col_of[e] for e in inst.terminals]
     nonterm = inst.nonterminal_edges()
     _guard_subsets(len(nonterm), inst.k)
     for sub in _candidate_sets(nonterm, inst.k):
-        certs = dual_span_contains(matroid, [inst.col_of[e] for e in sub], terms)
+        certs = dual_span_contains(a, [inst.col_of[e] for e in sub], terms)
         if certs is not None:
             return frozenset(sub), certs
     return None
@@ -138,7 +138,7 @@ def eoct_bruteforce(g: MultiGraph, k: int) -> Optional[FrozenSet[int]]:
 
 def minimal_primal_solutions(inst: PrimalInstance) -> List[FrozenSet[int]]:
     """All inclusion-minimal F with |F| <= k and T in span(F)."""
-    matroid = inst.matroid()
+    a = inst.a_matrix
     terms = [inst.col_of[e] for e in inst.terminals]
     nonterm = inst.nonterminal_edges()
     _guard_subsets(len(nonterm), inst.k)
@@ -147,6 +147,6 @@ def minimal_primal_solutions(inst: PrimalInstance) -> List[FrozenSet[int]]:
         fs = frozenset(sub)
         if any(other <= fs for other in hits):
             continue
-        if span_contains(matroid, [inst.col_of[e] for e in sub], terms) is not None:
+        if span_contains(a, [inst.col_of[e] for e in sub], terms) is not None:
             hits.append(fs)
     return hits

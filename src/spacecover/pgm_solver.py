@@ -9,7 +9,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from . import pattern_cover
 from .binmatroid import SpanCertificate, span_contains
-from .gf2 import Gf2Matrix, Gf2Vector, basis, distinct_columns
+from .gf2 import Gf2Matrix, basis, distinct_columns, support
 from .instances import PrimalInstance
 from .multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from .pattern_cover import PatternCoverInstance
@@ -56,7 +56,7 @@ def reduce_terminals(inst: PrimalInstance) -> PrimalInstance:
     seen: Set[int] = set()
     kept_edges: Set[int] = set(kept_terms)
     for eid in inst.nonterminal_edges():
-        key = inst.a_column(eid).bits
+        key = inst.a_column(eid)
         if key not in seen:
             seen.add(key)
             kept_edges.add(eid)
@@ -121,14 +121,14 @@ def enumerate_backbones(k: int, t: int) -> Iterator[MultiGraph]:
                 yield g
 
 
-def terminal_target_vertices(w: Gf2Vector, h_w: Tuple[int, ...],
-                             classes: List[Gf2Vector]) -> FrozenSet[int]:
+def terminal_target_vertices(w: int, h_w: Tuple[int, ...],
+                             classes: List[int]) -> FrozenSet[int]:
     """Support of (sum of selected class columns) + W: the vertices a terminal must hit."""
     acc = w
     for b, c in zip(h_w, classes):
         if b:
-            acc = acc ^ c
-    return acc.support()
+            acc ^= c
+    return support(acc)
 
 
 def _odd_degree(h: MultiGraph, edge_subset) -> FrozenSet[int]:
@@ -225,7 +225,7 @@ class _TargetRow(dict):
     masks: t is not capped, and a backbone of at most k edges reaches few.
     """
 
-    def __init__(self, w: Gf2Vector, classes: List[Gf2Vector]):
+    def __init__(self, w: int, classes: List[int]):
         super().__init__()
         self.w = w
         self.classes = classes
@@ -462,10 +462,10 @@ def solve(inst: PrimalInstance,
     reduced = reduce_terminals(inst)
     if reduced.immediate_no:
         return None
-    matroid = inst.matroid()
+    a = inst.a_matrix
     term_cols = [inst.col_of[e] for e in inst.terminals]
     if not reduced.terminals:
-        cert = span_contains(matroid, [], term_cols)
+        cert = span_contains(a, [], term_cols)
         if cert is None:
             raise AssertionError("empty terminal basis must span the dropped terminals")
         return frozenset(), cert
@@ -476,7 +476,7 @@ def solve(inst: PrimalInstance,
         if emb is None:
             continue
         host_edges = set(emb.edge_map.values()) | set(ctx.f_star_e.values())
-        cert = span_contains(matroid, [inst.col_of[e] for e in host_edges], term_cols)
+        cert = span_contains(a, [inst.col_of[e] for e in host_edges], term_cols)
         if cert is not None and len(host_edges) <= inst.k:
             return frozenset(host_edges), cert
     return None

@@ -68,7 +68,7 @@ def test_criterion_02_dual_oracle_equivalence():
         yes += 1
         f, certs = got
         assert len(f) <= inst.k and not set(f) & set(inst.terminals)
-        m = inst.matroid()
+        m = inst.a_matrix
         assert set(certs) == {inst.col_of[e] for e in inst.terminals}
         for cc in certs.values():
             assert cc.verify(m)
@@ -320,8 +320,8 @@ def test_criterion_08_derandomization():
 
 def _primal_yes_fast(inst):
     """Exact yes/no by scanning exact-size column subsets (span is monotone)."""
-    term_cols = [inst.a_column(e).bits for e in inst.terminals]
-    free = [inst.a_column(e).bits for e in inst.nonterminal_edges()]
+    term_cols = [inst.a_column(e) for e in inst.terminals]
+    free = [inst.a_column(e) for e in inst.nonterminal_edges()]
 
     def spans(vectors):
         pivots = []

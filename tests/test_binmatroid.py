@@ -3,14 +3,13 @@ import random
 import pytest
 
 from helpers import complete_graph
-from spacecover.binmatroid import (BinaryMatroid, dual_span_contains, is_cocycle,
-                                   span_contains)
+from spacecover.binmatroid import dual_span_contains, is_cocycle, span_contains
 from spacecover.gf2 import Gf2Matrix
 from spacecover.multigraph import incidence_matrix
 
 
 def k4_matroid():
-    return BinaryMatroid(incidence_matrix(complete_graph(4)))
+    return incidence_matrix(complete_graph(4))
 
 
 def test_span_contains_certificate_verifies():
@@ -45,7 +44,7 @@ def test_is_cocycle_on_graph_cut():
 
 def test_dual_span_contains_certificates():
     g = complete_graph(4)
-    m = BinaryMatroid(incidence_matrix(g))
+    m = incidence_matrix(g)
     by_ends = {tuple(sorted(g.endpoints(e))): e for e in g.edge_ids()}
     w = by_ends[(0, 1)]
     f = [by_ends[(0, 2)], by_ends[(0, 3)]]
@@ -63,8 +62,7 @@ def test_dual_span_randomized_consistency():
     for _ in range(30):
         rows = rng.randrange(2, 5)
         cols = rng.randrange(3, 7)
-        rep = Gf2Matrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
-        m = BinaryMatroid(rep)
+        m = Gf2Matrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
         w = rng.randrange(cols)
         f = [j for j in range(cols) if j != w and rng.random() < 0.5]
         certs = dual_span_contains(m, f, [w])

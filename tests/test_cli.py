@@ -77,16 +77,23 @@ def test_solve_json_report_checks(tmp_path, capsys):
     capsys.readouterr()
 
 
+# K_5 with a doubled edge as its terminal: with q = 1 it has no separation,
+# and its 5 vertices reach nbig = (q + 2(k+1))|T|, so the unbreakable branch
+# runs EOCT.
+K5_DUAL = ("SCPM v1\nmode dual\nn 5 m 11 k 1\n"
+           + "".join("edge %d %d\n" % (u, v) for u in range(5) for v in range(u + 1, 5))
+           + "edge 0 1\npert 0\nterminals 10\n")
+
 # Each cap is lowered until the triangle reaches it: the primal rows through
 # backbones, cycle counts and patterns, the dual rows through the recursion
-# (with q = 1 the triangle has no separation, so EOCT runs). Hash families
-# colour only free pattern vertices, so the square reaches DEMAND_CAP.
+# (with q = 1 the triangle has no separation). Hash families colour only free
+# pattern vertices, so the square reaches DEMAND_CAP, and K_5 reaches EOCT.
 CAP_CASES = {
     "BACKBONE_EDGE_CAP": ("pgm_solver", 1, TRIANGLE_YES, []),
     "CYCLE_COUNT_EDGE_CAP": ("multigraph", 1, TRIANGLE_YES, []),
     "PATTERN_VERTEX_CAP": ("pattern_cover", 1, TRIANGLE_YES, []),
     "DEMAND_CAP": ("derand", 0, SQUARE_YES, []),
-    "EOCT_K_CAP": ("eoct", 0, TRIANGLE_DUAL, ["--q-override", "1"]),
+    "EOCT_K_CAP": ("eoct", 0, K5_DUAL, ["--q-override", "1"]),
     "SEPARATION_EXACT_VERTEX_CAP": ("multigraph", 2, TRIANGLE_DUAL, ["--q-override", "1"]),
     "VERTEX_CAP": ("fileio", 2, TRIANGLE_YES, []),
 }
@@ -112,6 +119,40 @@ def test_p_override_needs_q_override(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("--p-override needs --q-override") == 2
+
+
+# Three vertices lie below nbig = (q + 2(k+1))|T| = 5 at q = 1, so the
+# unbreakable branch must not colour them; the answer is F = {0}.
+BELOW_NBIG_YES = """SCPM v1
+mode dual
+n 3 m 4 k 1
+edge 2 1
+edge 2 2
+edge 2 1
+edge 0 2
+pert 2
+0 0011
+1 0011
+terminals 3
+"""
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"], ["--q-override", "1"]])
+def test_solve_below_nbig_vertices_says_yes(tmp_path, capsys, extra):
+    inst = write(tmp_path / "small.scpm", BELOW_NBIG_YES)
+    assert main(["solve", inst, *extra]) == EXIT_YES
+    assert capsys.readouterr().out.strip() == "yes F=0"
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_p_override_below_two_k_plus_two_notes_no_is_inexact(tmp_path, capsys, command):
+    inst = write(tmp_path / "tri.scpm", TRIANGLE_DUAL)
+    note = 'below 2(k+1) = 4, so a "no" is not proven exact'
+    main([command, inst, "--q-override", "2", "--p-override", "2"])
+    assert note in capsys.readouterr().err
+    for extra in ([], ["--p-override", "4"]):
+        main([command, inst, "--q-override", "2", *extra])
+        assert "note:" not in capsys.readouterr().err
 
 
 def test_main_twice_carries_no_option_over(tmp_path, capsys):

@@ -11,7 +11,7 @@ from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
                                     preliminary_partition, recurs,
                                     reduce_terminals_dual, solve_esc, vertex_types)
 from spacecover.gf2 import Gf2Matrix, spans_all
-from spacecover.instances import DualInstance
+from spacecover.instances import DualInstance, random_instance
 from spacecover.multigraph import MultiGraph, connected_components, signed_components
 from spacecover.oracle import solve_dual_bruteforce
 
@@ -121,7 +121,7 @@ def test_solve_matches_oracle_small_corpus():
             f, certs = got
             assert len(f) <= inst.k
             assert not set(f) & set(inst.terminals)
-            m = inst.matroid()
+            m = inst.a_matrix
             for cc in certs.values():
                 assert cc.verify(m)
     assert stats["guesses"] > 0
@@ -398,6 +398,25 @@ def test_unbreakable_branch_on_small_clique():
     assert params.stats.get("unbreakable", 0) >= 1
 
 
+def test_recursion_below_nbig_vertices_matches_oracle():
+    # q = 1 and s = 1 send graphs of fewer than nbig = (q + 2(k+1))|T|
+    # vertices into the unbreakable branch, whose universal sets need nbig
+    unbreakable = 0
+    for seed in range(1300):
+        rng = random.Random(seed)
+        n, m, r = rng.randrange(3, 10), rng.randrange(2, 16), rng.randrange(0, 2)
+        num_terms, k = rng.randrange(1, 3), rng.randrange(0, 3)
+        inst = random_instance("dual", n, m, r, num_terms, k, rng)
+        params = RecursParams(1, 2 * (k + 1), 1)
+        got = dual_solver.solve(inst, params)
+        want = solve_dual_bruteforce(inst)
+        assert (got is None) == (want is None), seed
+        if got is not None:
+            assert all(cc.verify(inst.a_matrix) for cc in got[1].values())
+        unbreakable += params.stats.get("unbreakable", 0)
+    assert unbreakable
+
+
 class _ForgetfulTable(dict):
     """A separation table that keeps nothing: every recursion step searches again."""
 
@@ -451,8 +470,8 @@ def _unbreakable_every_coloring(ainst, params):
         if y is None:
             return table
         prelim[term.tid] = y[0]
-    k_u = min((params.q + 2 * (k + 1)) * len(terms), n)
-    p_u = min(2 * (k + 1) * len(terms), k_u)
+    k_u = (params.q + 2 * (k + 1)) * len(terms)
+    p_u = 2 * (k + 1) * len(terms)
     verts = set(range(n))
     adj = inst.g.adjacency()
     for align in itertools.product((0, 1), repeat=len(terms)):

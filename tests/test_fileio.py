@@ -31,7 +31,7 @@ def test_parse_sample():
     assert inst.mode == "primal"
     assert inst.graph.n == 3 and inst.graph.num_edges == 3 and inst.k == 2
     assert inst.terminals == (2,)
-    assert inst.p.row(0).to_string() == "101"
+    assert inst.p.to_strings()[0] == "101"
 
 
 def test_round_trip_500_random_instances():

@@ -4,32 +4,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacecover.gf2 import (Gf2Matrix, Gf2Vector, basis, distinct_columns,
-                            distinct_rows, in_span, nullspace, rank,
-                            rank_of_ints, spans_all)
+from spacecover.gf2 import (Gf2Matrix, basis, distinct_columns, distinct_rows,
+                            in_span, nullspace, rank, spans_all, support,
+                            to_string)
 
 
-def test_vector_roundtrip_and_indexing():
-    v = Gf2Vector.from_string("10110")
-    assert v.to_string() == "10110"
-    assert [v[i] for i in range(5)] == [1, 0, 1, 1, 0]
-    assert v.weight() == 3
-    assert v.support() == frozenset({0, 2, 3})
-    with pytest.raises(IndexError):
-        v[5]
+def test_support_and_to_string():
+    (v,) = Gf2Matrix.from_strings(["10110"]).row_bits
+    assert v == 0b01101
+    assert to_string(v, 5) == "10110"
+    assert to_string(v, 7) == "1011000"
+    assert to_string(0, 3) == "000" and to_string(0, 0) == ""
+    assert support(v) == frozenset({0, 2, 3})
+    assert support(0) == frozenset()
 
 
-def test_vector_xor_dimension_check():
-    a = Gf2Vector.from_string("101")
-    b = Gf2Vector.from_string("011")
-    assert (a ^ b).to_string() == "110"
+def test_from_strings_refuses_characters_other_than_0_and_1():
+    for lines in (["12", "21"], ["1 ", "01"], ["1_0"], ["+1"], ["10", "0a"]):
+        with pytest.raises(ValueError):
+            Gf2Matrix.from_strings(lines)
     with pytest.raises(ValueError):
-        a ^ Gf2Vector(4)
+        Gf2Matrix.from_strings(["10", "1"])
+    assert Gf2Matrix.from_strings(["", ""]) == Gf2Matrix(2, 0)
 
 
 def test_matrix_transpose_and_column():
     m = Gf2Matrix.from_strings(["110", "011"])
-    assert m.column(1).to_string() == "11"
+    assert m.column(1) == 0b11
+    assert m.column(2) == 0b10
+    with pytest.raises(IndexError):
+        m.column(3)
     assert m.transpose().to_strings() == ["10", "11", "01"]
 
 
@@ -37,7 +41,7 @@ def test_rank_examples():
     assert rank(Gf2Matrix.from_strings(["110", "011", "101"])) == 2
     assert rank(Gf2Matrix.from_strings(["100", "010", "001"])) == 3
     assert rank(Gf2Matrix(3, 3)) == 0
-    assert rank_of_ints([0b101, 0b101, 0b010]) == 2
+    assert rank(Gf2Matrix(3, 3, [0b101, 0b101, 0b010])) == 2
 
 
 def test_spans_all_agrees_with_rank():
@@ -45,25 +49,23 @@ def test_spans_all_agrees_with_rank():
     for _ in range(500):
         rows = [rng.getrandbits(6) for _ in range(rng.randrange(0, 4))]
         words = [rng.getrandbits(6) for _ in range(rng.randrange(0, 3))]
-        want = all(rank_of_ints(rows + [w]) == rank_of_ints(rows) for w in words)
+        want = all(rank(Gf2Matrix(len(rows) + 1, 6, rows + [w]))
+                   == rank(Gf2Matrix(len(rows), 6, rows)) for w in words)
         assert spans_all(rows, words) == want
     assert spans_all([0b110, 0b011], [0b101, 0])
     assert not spans_all([0b110], [0b110, 0b011])
 
 
 def test_in_span_returns_witness():
-    vecs = [Gf2Vector.from_string("110"), Gf2Vector.from_string("011")]
-    target = Gf2Vector.from_string("101")
-    combo = in_span(vecs, target)
+    vecs = [0b011, 0b110]
+    combo = in_span(vecs, 0b101)
     assert combo == frozenset({0, 1})
-    assert in_span(vecs, Gf2Vector.from_string("111")) is None
-    assert in_span([], Gf2Vector(3)) == frozenset()
+    assert in_span(vecs, 0b111) is None
+    assert in_span([], 0) == frozenset()
 
 
 def test_basis_greedy_order():
-    vecs = [Gf2Vector.from_string("110"), Gf2Vector.from_string("110"),
-            Gf2Vector.from_string("011"), Gf2Vector.from_string("101")]
-    assert basis(vecs) == [0, 2]
+    assert basis([0b011, 0b011, 0b110, 0b101]) == [0, 2]
 
 
 def test_nullspace_dimensions():
@@ -72,15 +74,15 @@ def test_nullspace_dimensions():
     assert len(kern) == 2
     for v in kern:
         for i in range(m.rows):
-            assert bin(m.row_bits[i] & v.bits).count("1") % 2 == 0
+            assert bin(m.row_bits[i] & v).count("1") % 2 == 0
 
 
 def test_distinct_rows_and_columns():
     m = Gf2Matrix.from_strings(["101", "101", "010"])
     rows, row_cls = distinct_rows(m)
-    assert len(rows) == 2 and row_cls == {0: 0, 1: 0, 2: 1}
+    assert rows == [0b101, 0b010] and row_cls == {0: 0, 1: 0, 2: 1}
     cols, col_cls = distinct_columns(m)
-    assert len(cols) == 2 and col_cls == {0: 0, 1: 1, 2: 0}
+    assert cols == [0b011, 0b100] and col_cls == {0: 0, 1: 1, 2: 0}
 
 
 @st.composite
@@ -107,14 +109,14 @@ def test_rank_transpose_invariant(m):
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.integers(0, 1 << 30))
 def test_in_span_witness_sums_to_target(m, pick):
-    vecs = [m.row(i) for i in range(m.rows)]
-    target = Gf2Vector(m.cols)
+    vecs = m.row_bits
+    target = 0
     for i in range(m.rows):
         if (pick >> i) & 1:
-            target = target ^ vecs[i]
+            target ^= vecs[i]
     combo = in_span(vecs, target)
     assert combo is not None
-    acc = Gf2Vector(m.cols)
+    acc = 0
     for i in combo:
-        acc = acc ^ vecs[i]
+        acc ^= vecs[i]
     assert acc == target

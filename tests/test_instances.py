@@ -34,7 +34,7 @@ def test_a_matrix_adds_perturbation():
     g = MultiGraph(2, [(0, 1)])
     p = Gf2Matrix.from_strings(["1", "0"])
     inst = PrimalInstance(g, p, [], 0)
-    assert inst.a_column(0).to_string() == "01"
+    assert inst.a_column(0) == 0b10
     assert inst.r == 1
 
 
@@ -45,7 +45,7 @@ def test_restrict_keeps_column_alignment():
     sub = inst.restrict(keep)
     assert sub.mode == "primal"
     for eid in sub.graph.edge_ids():
-        assert sub.p_column(eid) == inst.p_column(eid)
+        assert sub.p.column(sub.col_of[eid]) == inst.p.column(inst.col_of[eid])
         assert sub.graph.endpoints(eid) == inst.graph.endpoints(eid)
     assert set(sub.terminals) == set(inst.terminals) & set(keep)
 

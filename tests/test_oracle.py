@@ -21,7 +21,7 @@ def test_primal_triangle():
     assert res is not None
     f, cert = res
     assert f == frozenset({0, 1})
-    assert cert.verify(triangle("primal", 2).matroid())
+    assert cert.verify(triangle("primal", 2).a_matrix)
 
 
 def test_dual_triangle():
@@ -30,7 +30,7 @@ def test_dual_triangle():
     assert res is not None
     f, certs = res
     assert len(f) == 1
-    assert certs[2].verify(triangle("dual", 1).matroid())
+    assert certs[2].verify(triangle("dual", 1).a_matrix)
     assert solve_dual_bruteforce(triangle("dual", 0)) is None
 
 
@@ -51,7 +51,7 @@ def test_minimal_solutions_are_minimal_and_valid():
 
     for inst in primal_corpus(30, seed=78, k_max=2):
         sols = minimal_primal_solutions(inst)
-        m = inst.matroid()
+        m = inst.a_matrix
         terms = [inst.col_of[e] for e in inst.terminals]
         for f in sols:
             assert span_contains(m, [inst.col_of[e] for e in f], terms) is not None
@@ -79,7 +79,7 @@ def test_dual_certificates_reverify():
         if res is None:
             continue
         f, certs = res
-        m = inst.matroid()
+        m = inst.a_matrix
         assert set(certs) == {inst.col_of[e] for e in inst.terminals}
         for cc in certs.values():
             assert cc.verify(m)
