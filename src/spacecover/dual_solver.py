@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import eoct
 from .binmatroid import CocycleCertificate, dual_span_contains
-from .derand import build_universal_set
 from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
@@ -78,10 +76,10 @@ class RecursParams:
     """Recursion thresholds, the branch counters and the separations of one solve.
 
     Without thresholds every instance takes the small case.  The recursion
-    (good separations, EOCT, universal sets, the lift) runs only when q, p
-    and s are given explicitly.  It is a theory-only path: the paper's
-    thresholds give s >= 2^16 vertices whenever k >= 1, which leaves every
-    solvable instance in the small case.
+    (good separations, EOCT, the unbreakable branch's pockets, the lift)
+    runs only when q, p and s are given explicitly.  It is a theory-only
+    path: the paper's thresholds give s >= 2^16 vertices whenever k >= 1,
+    which leaves every solvable instance in the small case.
     """
 
     q: Optional[int] = None
@@ -318,11 +316,6 @@ def preliminary_partition(inst: EdgeSetCoverInstance, term: EscTerminal
 # recursion
 
 
-@lru_cache(maxsize=None)
-def _universal_cached(n: int, k: int, p: int):
-    return build_universal_set(n, k, p)
-
-
 def recurs(ainst: AnnotatedEscInstance, params: RecursParams):
     """Complete answer table over all (h, W-partition) keys for a connected instance."""
     inst = ainst.esc
@@ -379,15 +372,29 @@ def _combine_parities(states, options, k: int):
 
 
 def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
-    """Branch (b): align preliminary partitions, color, recurse into small pockets."""
+    """Branch (b): align preliminary partitions, then recurse into small pockets.
+
+    The paper colours the vertices with an (n, nbig, pbig)-universal set to
+    reach, for each solution, a colouring that is 0 on a set D of at most
+    q·|T| vertices and 1 on its neighbourhood N(D), |N(D)| <= pbig.  D
+    holds every vertex where the solution leaves the aligned preliminary
+    partitions, and the components of G[D] are the pockets solved by
+    recursion.  The colouring that is 0 on D and 1 elsewhere is one such
+    colouring, and its small zero components are exactly the components of
+    G[D]; so every such D is listed directly, its components as the pocket
+    list.  A universal-set colouring may add further small zero components
+    away from D.  Those only add other attempts, every candidate of an
+    attempt is checked by is_key_solution, and the table keeps the least F
+    over all attempts, so leaving them out loses no optimum.
+    """
     inst = ainst.esc
     n, k = inst.g.n, inst.k
     terms = inst.terminals
     nbig = (params.q + 2 * (k + 1)) * len(terms)
     pbig = 2 * (k + 1) * len(terms)
     if n < nbig:
-        # an (n, nbig, pbig)-universal set needs nbig vertices; colourings of
-        # fewer have too few zeros to form the pockets a solution needs
+        # the paper states this branch for graphs of at least nbig vertices;
+        # the small case decides smaller ones exactly
         return _small_case(ainst, params)
     params.bump("unbreakable")
     keys = list(all_keys(ainst))
@@ -399,15 +406,14 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
             return table  # no almost-fitting partition exists for this terminal at all
         prelim[term.tid] = y[0]
     verts = set(range(n))
-    # An attempt depends only on the alignment and the coloring's small
-    # components, and the table keeps strictly smaller candidates only, so
-    # each distinct pocket list is tried once, in first-coloring order.
-    pocket_lists = dict.fromkeys(
-        tuple(tuple(sorted(c)) for c in connected_components(
-            inst.g, verts - {v for v in range(n) if coloring[v]})
-            if len(c) <= params.q * len(terms))
-        for coloring in _universal_cached(n, nbig, pbig).functions)
     adj = inst.g.adjacency()
+    # every D of at most q·|T| vertices with |N(D)| <= pbig, D = {} first
+    pocket_lists = []
+    for size in range(params.q * len(terms) + 1):
+        for d in itertools.combinations(range(n), size):
+            if len({w for v in d for w, _ in adj[v]} - set(d)) <= pbig:
+                pocket_lists.append(tuple(tuple(sorted(c))
+                                          for c in connected_components(inst.g, d)))
     for align in itertools.product((0, 1), repeat=len(terms)):
         y_side = {}
         for term, flip in zip(terms, align):

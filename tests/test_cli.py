@@ -122,7 +122,7 @@ def test_p_override_needs_q_override(tmp_path, capsys):
 
 
 # Three vertices lie below nbig = (q + 2(k+1))|T| = 5 at q = 1, so the
-# unbreakable branch must not colour them; the answer is F = {0}.
+# unbreakable branch hands them to the small case; the answer is F = {0}.
 BELOW_NBIG_YES = """SCPM v1
 mode dual
 n 3 m 4 k 1
@@ -297,7 +297,7 @@ def test_bench_rows_and_agreement(tmp_path, capsys):
     assert lines[-1].split(",")[6] == "2"
 
 
-def test_solve_without_numpy_reaches_universal_sets(tmp_path):
+def test_solve_without_numpy_reaches_unbreakable_branch(tmp_path):
     # a 4-regular circulant on 16 vertices is (2,2)-unbreakable, and vertex 16
     # hangs on a doubled edge whose second copy is the terminal
     g = MultiGraph(17, [(i, (i + s) % 16) for s in (1, 2) for i in range(16)]
@@ -310,11 +310,11 @@ def test_solve_without_numpy_reaches_universal_sets(tmp_path):
         import spacecover.cli
         from spacecover import dual_solver
         calls = []
-        build = dual_solver.build_universal_set
-        dual_solver.build_universal_set = lambda *a: calls.append(a) or build(*a)
+        case = dual_solver._unbreakable_case
+        dual_solver._unbreakable_case = lambda *a: calls.append(a) or case(*a)
         code = spacecover.cli.main(["solve", sys.argv[1], "--q-override", "2",
                                     "--p-override", "2"])
-        assert calls, "build_universal_set was not reached"
+        assert calls, "_unbreakable_case was not reached"
         sys.exit(code)
     """)
     src = os.path.dirname(os.path.dirname(spacecover.__file__))

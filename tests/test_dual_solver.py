@@ -4,6 +4,7 @@ import random
 from helpers import (all_preliminary, complete_graph, doubled_path_dual,
                      dual_corpus, esc_from_random_dual)
 from spacecover import dual_solver
+from spacecover.derand import build_universal_set
 from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
                                     EscTerminal, RecursParams, _multiplicity_reduce,
                                     _required_parity, _small_case, all_keys,
@@ -12,7 +13,8 @@ from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
                                     reduce_terminals_dual, solve_esc, vertex_types)
 from spacecover.gf2 import Gf2Matrix, spans_all
 from spacecover.instances import DualInstance, random_instance
-from spacecover.multigraph import MultiGraph, connected_components, signed_components
+from spacecover.multigraph import (MultiGraph, connected_components, is_connected,
+                                  signed_components)
 from spacecover.oracle import solve_dual_bruteforce
 
 
@@ -400,7 +402,8 @@ def test_unbreakable_branch_on_small_clique():
 
 def test_recursion_below_nbig_vertices_matches_oracle():
     # q = 1 and s = 1 send graphs of fewer than nbig = (q + 2(k+1))|T|
-    # vertices into the unbreakable branch, whose universal sets need nbig
+    # vertices into the unbreakable branch, which must hand them to the
+    # small case
     unbreakable = 0
     for seed in range(1300):
         rng = random.Random(seed)
@@ -458,7 +461,11 @@ def test_breakable_branch_on_doubled_path():
 
 
 def _unbreakable_every_coloring(ainst, params):
-    """_unbreakable_case assembling every coloring, repeated pocket lists included."""
+    """The unbreakable branch as the paper states it: one attempt per colouring.
+
+    Each colouring of an (n, nbig, pbig)-universal set gives the small
+    components of its zero set as the pocket list.
+    """
     params.bump("unbreakable")
     inst = ainst.esc
     n, k, terms = inst.g.n, inst.k, inst.terminals
@@ -474,10 +481,11 @@ def _unbreakable_every_coloring(ainst, params):
     p_u = 2 * (k + 1) * len(terms)
     verts = set(range(n))
     adj = inst.g.adjacency()
+    colorings = build_universal_set(n, k_u, p_u).functions
     for align in itertools.product((0, 1), repeat=len(terms)):
         y_side = {term.tid: prelim[term.tid] if flip == 0 else verts - prelim[term.tid]
                   for term, flip in zip(terms, align)}
-        for coloring in dual_solver._universal_cached(n, k_u, p_u).functions:
+        for coloring in colorings:
             comps = connected_components(inst.g, verts - {v for v in range(n) if coloring[v]})
             small = [sorted(c) for c in comps if len(c) <= params.q * len(terms)]
             fixed = verts - set().union(*small)
@@ -493,30 +501,72 @@ def _unbreakable_every_coloring(ainst, params):
     return table
 
 
-def test_unbreakable_case_tries_each_pocket_list_once(monkeypatch):
-    calls = []
-    assemble = dual_solver._assemble_attempt
-    monkeypatch.setattr(dual_solver, "_assemble_attempt",
-                        lambda *a: calls.append(a) or assemble(*a))
-    # K_8 plus a doubled edge, perturbed so that {terminal, edge 0} is a
-    # cocycle: (8, 6, 4) colorings leave some pocket lists twice
+def _esc_keys_agree(inst, q):
+    """Compare _unbreakable_case with the colouring reference on every parity guess.
+
+    Returns the number of keys answered.  Both tables must give every key
+    an F of the same size, or both None.
+    """
+    kept, _ = reduce_terminals_dual(inst)
+    t, _ = vertex_types(inst.p)
+    answered = 0
+    for combo in itertools.product(itertools.product((0, 1), repeat=t), repeat=len(kept)):
+        esc = build_esc(inst, dict(zip(kept, combo)), active_terminals=kept,
+                        blocked=inst.terminals)
+        got, want = (case(AnnotatedEscInstance(esc), RecursParams(q=q, p=2, s=4))
+                     for case in (dual_solver._unbreakable_case, _unbreakable_every_coloring))
+        assert got.keys() == want.keys()
+        for key, ans in got.items():
+            assert (ans is None) == (want[key] is None), key
+            if ans is not None:
+                assert len(ans[0]) == len(want[key][0]), key
+                answered += 1
+    return answered
+
+
+def test_unbreakable_case_matches_universal_set_colorings():
+    # K_8 plus a doubled edge, perturbed so that {terminal, edge 0} is a cocycle
     g = complete_graph(8)
     term = g.add_edge(0, 1)
     star = sum(1 << j for j, (a, b) in g.edges() if (a == 0) != (b == 0))
     inst = DualInstance(g, Gf2Matrix(8, g.num_edges, [star ^ (1 << term) ^ 1] * 8), [term], 1)
-    kept, _ = reduce_terminals_dual(inst)
-    t, _ = vertex_types(inst.p)
-    tried = every = answered = 0
-    for combo in itertools.product(itertools.product((0, 1), repeat=t), repeat=len(kept)):
-        esc = build_esc(inst, dict(zip(kept, combo)), active_terminals=kept,
-                        blocked=inst.terminals)
-        runs = []
-        for case in (dual_solver._unbreakable_case, _unbreakable_every_coloring):
-            calls.clear()
-            params = RecursParams(q=2, p=2, s=4)
-            runs.append((case(AnnotatedEscInstance(esc), params), params.stats, len(calls)))
-        (got, stats, once), (want, want_stats, again) = runs
-        assert got == want and stats == want_stats
-        tried, every = tried + once, every + again
-        answered += sum(ans is not None for ans in got.values())
-    assert 0 < tried < every and answered
+    assert _esc_keys_agree(inst, 2)
+    # random connected instances with at least nbig = (q + 2(k+1))|T| vertices
+    checked = answered = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = rng.randrange(6, 11)
+        num_terms, k, q = rng.randrange(1, 3), rng.randrange(0, 3), rng.randrange(1, 3)
+        inst = random_instance("dual", n, rng.randrange(n, 3 * n + 1), rng.randrange(0, 2),
+                               num_terms, k, rng)
+        kept, immediate_no = reduce_terminals_dual(inst)
+        if (immediate_no or not kept or not is_connected(inst.graph)
+                or n < (q + 2 * (k + 1)) * len(kept)):
+            continue
+        answered += _esc_keys_agree(inst, q) > 0
+        checked += 1
+    assert checked >= 20 and answered >= 5
+
+
+def test_hosts_past_universal_set_demand_cap_match_oracle():
+    # K_n plus a doubled edge whose copy is the terminal, with no perturbation
+    # and with a rank-1 one that makes {terminal, partner} a cocycle; an
+    # (n, 6, 4)-universal set for these hosts exceeds derand.DEMAND_CAP
+    for n in (24, 32, 40):
+        rng = random.Random(n)
+        g = complete_graph(n)
+        u, v = sorted(rng.sample(range(n), 2))
+        term = g.add_edge(u, v)
+        hub = rng.randrange(n)
+        star = sum(1 << j for j, (a, b) in g.edges() if (a == hub) != (b == hub))
+        partner = rng.choice([e for e in g.edge_ids() if e != term])
+        for rows in ([0] * n, [star ^ (1 << term) ^ (1 << partner)] * n):
+            inst = DualInstance(g, Gf2Matrix(n, g.num_edges, rows), [term], 1)
+            params = RecursParams(q=2, p=2, s=16)
+            got = dual_solver.solve(inst, params=params)
+            want = solve_dual_bruteforce(inst)
+            assert (got is None) == (want is None), (n, rows[0])
+            if got is not None:
+                assert len(got[0]) == len(want[0])
+                assert all(cc.verify(inst.a_matrix) for cc in got[1].values())
+            assert params.stats.get("unbreakable", 0) >= 1
