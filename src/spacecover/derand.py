@@ -5,8 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import List, Tuple
 
 __all__ = [
@@ -18,8 +16,7 @@ __all__ = [
     "verify_universal",
 ]
 
-# Demand spaces larger than this are refused: the greedies keep state per demand
-# (the universal-set masks about 2nk bits each).
+# Demand spaces larger than this are refused: both greedies keep state per demand.
 DEMAND_CAP = 2_000_000
 
 
@@ -145,49 +142,33 @@ def build_universal_set(n: int, k: int, p: int) -> UniversalSet:
     contain i want 1 at i by a larger weight, weight 2^pos for i at position
     pos of the subset (the chance, scaled by 2^(k-1), that uniform bits on
     the later members realize the demand).  Functions are added until every
-    demand is realized.  The live demands are one int bitset.
+    demand is realized.
 
     Refuses with ValueError when the demand space exceeds DEMAND_CAP.
     """
     if not 0 <= p <= k <= n:
         raise ValueError("need 0 <= p <= k <= n")
-    patterns = list(itertools.combinations(range(k), p))
-    width = len(patterns)
-    n_subsets = math.comb(n, k)
-    _check_demands(n_subsets * width, "(%d,%d,%d)-universal set" % (n, k, p))
-    # Demand (subset s, pattern j) is bit s * width + j, in the order of
-    # _universal_demands.  Under pattern j the member at position pos of a
-    # subset wants bit 1 iff bit j of ones[pos] is set.
-    ones = [sum(1 << j for j, pat in enumerate(patterns) if pos in pat) for pos in range(k)]
-    block = (1 << width) - 1
-    first = [[bytearray(n_subsets * width // 8 + 1) for _ in range(k)] for _ in range(n)]
-    for s, subset in enumerate(itertools.combinations(range(n), k)):
-        bit = s * width
-        for pos, i in enumerate(subset):
-            first[i][pos][bit >> 3] |= 1 << (bit & 7)
-    # wants[i][b][pos]: the demands holding i at position pos that want bit b at i
-    wants = []
-    for i in range(n):
-        spreads = [int.from_bytes(first[i][pos], "little") for pos in range(k)]
-        wants.append(([sp * (block ^ ones[pos]) for pos, sp in enumerate(spreads)],
-                      [sp * ones[pos] for pos, sp in enumerate(spreads)]))
-    # refuse[i][b]: the demands that bit b at i leaves unrealized
-    refuse = [[reduce(or_, wants[i][1 - b], 0) for b in (0, 1)] for i in range(n)]
-    alive = (1 << (n_subsets * width)) - 1
+    _check_demands(math.comb(n, k) * math.comb(k, p), "(%d,%d,%d)-universal set" % (n, k, p))
+    demands = list(_universal_demands(n, k, p))
     functions: List[Tuple[int, ...]] = []
-    while alive:
-        ok = alive
+    while demands:
+        ok = demands
         func = []
         for i in range(n):
-            score = [sum((ok & bits).bit_count() << pos for pos, bits in enumerate(wants[i][b]))
-                     for b in (0, 1)]
+            score = [0, 0]
+            for subset, pattern in ok:
+                if i in subset:
+                    pos = subset.index(i)
+                    score[pattern[pos]] += 1 << pos
             b = 1 if score[1] > score[0] else 0
             func.append(b)
-            ok &= ~refuse[i][b]
+            ok = [(subset, pattern) for subset, pattern in ok
+                  if i not in subset or pattern[subset.index(i)] == b]
         if not ok:
             raise RuntimeError("greedy universal set construction stalled")
-        alive &= ~ok
-        functions.append(tuple(func))
+        func_t = tuple(func)
+        demands = [d for d in demands if not _realizes(func_t, d)]
+        functions.append(func_t)
     return UniversalSet(n, k, p, functions)
 
 

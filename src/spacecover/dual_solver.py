@@ -333,20 +333,37 @@ def recurs(ainst: AnnotatedEscInstance, params: RecursParams):
     return _breakable_case(ainst, params, sep)
 
 
-def _restricted_instance(inst: EdgeSetCoverInstance, vertices: Iterable[int]
-                         ) -> Tuple[EdgeSetCoverInstance, Dict[int, int], Dict[int, int]]:
-    """Induced sub-instance; returns (instance, vertex map old->new, edge map new->old)."""
-    sub, vmap, emap = inst.g.induced(vertices)
+def _restricted_instance(ainst: AnnotatedEscInstance, vmap: Dict[int, int],
+                         copies: Optional[Dict[int, int]] = None
+                         ) -> Tuple[AnnotatedEscInstance, Dict[int, int]]:
+    """The sub-instance on the vertices that vmap renames; several may share a name.
+
+    An edge with both ends in vmap comes in copies[eid] copies (default 1),
+    added in edge-id order.  Terminal edges, flip maps, blocked edges and
+    classes follow the edges and vertices; W and the pins are renamed
+    through vmap, losing the vertices it leaves out.  Returns the
+    sub-instance and its edge map new -> old.
+    """
+    inst = ainst.esc
+    sub = MultiGraph(len(set(vmap.values())))
+    emap: Dict[int, int] = {}
+    for eid, (u, v) in inst.g.edges():
+        if u in vmap and v in vmap:
+            for _ in range(1 if copies is None else copies.get(eid, 1)):
+                emap[sub.add_edge(vmap[u], vmap[v])] = eid
     old_to_new = {old: new for new, old in emap.items()}
-    classes = {vmap[v]: inst.classes[v] for v in vmap}
-    terms = []
-    for term in inst.terminals:
-        edge = old_to_new.get(term.edge) if term.edge is not None else None
-        f = {new: term.f.get(old, 0) for new, old in emap.items()}
-        terms.append(EscTerminal(term.tid, edge, term.b, f))
-    blocked = frozenset(old_to_new[e] for e in inst.blocked if e in old_to_new)
-    return (EdgeSetCoverInstance(sub, inst.k, inst.t, classes, terms, blocked),
-            vmap, emap)
+    terms = [EscTerminal(term.tid, old_to_new.get(term.edge), term.b,
+                         {new: term.f.get(old, 0) for new, old in emap.items()})
+             for term in inst.terminals]
+    blocked = frozenset(new for new, old in emap.items() if old in inst.blocked)
+    classes = {new: inst.classes[old] for old, new in vmap.items()}
+
+    def rename(vertices):
+        return frozenset(vmap[v] for v in vertices if v in vmap)
+
+    pins = {term.tid: tuple(map(rename, ainst.pin(term.tid))) for term in inst.terminals}
+    sub_inst = EdgeSetCoverInstance(sub, inst.k, inst.t, classes, terms, blocked)
+    return AnnotatedEscInstance(sub_inst, rename(ainst.w), pins), emap
 
 
 def _combine_parities(states, options, k: int):
@@ -469,19 +486,15 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
         comp_set = set(comp)
         hood = {w for v in comp for w, _ in adj[v]} - comp_set
         plus = sorted(comp_set | hood)
-        sub_inst, vmap, emap = _restricted_instance(inst, plus)
-        inv_v = {new: old for old, new in vmap.items()}
-        pins = {}
+        vmap = {v: i for i, v in enumerate(plus)}
+        sub_ainst, emap = _restricted_instance(ainst, vmap)
+        sub_ainst.w = frozenset(vmap[v] for v in ainst.w & comp_set)
         for term in terms:
-            w1, w2 = ainst.pin(term.tid)
-            pin1 = {vmap[v] for v in (w1 | (hood & y_side[term.tid])) if v in vmap}
-            pin2 = {vmap[v] for v in (w2 | (hood - y_side[term.tid])) if v in vmap}
-            if pin1 & pin2:
-                return None
-            pins[term.tid] = (frozenset(pin1), frozenset(pin2))
-        w_sub = frozenset(vmap[v] for v in (ainst.w & comp_set))
-        sub_ainst = AnnotatedEscInstance(sub_inst, w_sub, pins)
-        if sub_inst.g.n >= inst.g.n:
+            pin1, pin2 = sub_ainst.pin(term.tid)
+            y = y_side[term.tid]
+            sub_ainst.pins[term.tid] = (pin1 | {vmap[v] for v in hood & y},
+                                        pin2 | {vmap[v] for v in hood - y})
+        if sub_ainst.esc.g.n >= inst.g.n:
             # the closed neighborhood did not shrink; recursion would not progress
             params.bump("pocket_fallback")
             sub_table = _small_case(sub_ainst, params)
@@ -493,7 +506,7 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
             if ans is None:
                 continue
             f_sub, x_sub = ans
-            x_in = {tid: {inv_v[v] for v in xs} & comp_set for tid, xs in x_sub.items()}
+            x_in = {tid: {plus[v] for v in xs} & comp_set for tid, xs in x_sub.items()}
             options.append((lr_sub, (tuple(inst.class_parities(x_in[t.tid]) for t in terms),
                                      frozenset(emap[e] for e in f_sub), x_in)))
         pockets.append((comp_set, vmap, options))
@@ -535,14 +548,10 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
         q_side, p_side = p_side, q_side
     u_set = {v for eid in sep.cross for v in inst.g.endpoints(eid) if v in q_side}
     w_q = frozenset(u_set | (ainst.w & q_side))
-    sub_inst, vmap, emap = _restricted_instance(inst, q_side)
-    inv_v = {new: old for old, new in vmap.items()}
-    pins_q = {}
-    for term in inst.terminals:
-        w1, w2 = ainst.pin(term.tid)
-        pins_q[term.tid] = (frozenset(vmap[v] for v in w1 if v in vmap),
-                            frozenset(vmap[v] for v in w2 if v in vmap))
-    q_ainst = AnnotatedEscInstance(sub_inst, frozenset(vmap[v] for v in w_q), pins_q)
+    q_verts = sorted(q_side)
+    vmap = {v: i for i, v in enumerate(q_verts)}
+    q_ainst, emap = _restricted_instance(ainst, vmap)
+    q_ainst.w = frozenset(vmap[v] for v in w_q)
     q_table = recurs(q_ainst, params)
     if all(ans is None for ans in q_table.values()):
         return {key: None for key in all_keys(ainst)}
@@ -552,7 +561,7 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
         if ans is None:
             continue
         for e in ans[0]:
-            v_protect.update(inv_v[v] for v in sub_inst.g.endpoints(e))
+            v_protect.update(q_verts[v] for v in q_ainst.esc.g.endpoints(e))
     for eid in inst.blocked:
         for v in inst.g.endpoints(eid):
             if v in q_side:
@@ -588,51 +597,20 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
         # no shrinkage possible; the unconditional enumeration is the safe fallback
         params.bump("no_shrink")
         return _small_case(ainst, params)
-    # build the replacement instance on V minus Z with k+1 bundle edges
+    # G*: each collapsed vertex merges into its representative and its edges come
+    # in k+1 copies, except edges inside one redundant set, which never contribute
     keep = sorted(set(range(inst.g.n)) - z_set)
     new_of = {v: i for i, v in enumerate(keep)}
-    g_star = MultiGraph(len(keep))
-    star_f: Dict[int, Dict[int, int]] = {t.tid: {} for t in inst.terminals}
-    star_blocked: Set[int] = set()
-    star_term_edge: Dict[int, Optional[int]] = {t.tid: None for t in inst.terminals}
-    orig_of_star: Dict[int, Optional[int]] = {}
-    for eid in inst.g.edge_ids():
-        a, b = inst.g.endpoints(eid)
-        ra = rep_of.get(a, a)
-        rb = rep_of.get(b, b)
-        in_z = (a in z_set) or (b in z_set)
-        if in_z and ra == rb and a != b:
-            continue  # both endpoints inside one redundant set: never contributes
-        if in_z and (rep_of.get(a, None) == b or rep_of.get(b, None) == a):
-            continue  # edge between a removed vertex and its representative
-        copies = (inst.k + 1) if in_z else 1
-        for _ in range(copies):
-            ne = g_star.add_edge(new_of[ra], new_of[rb])
-            orig_of_star[ne] = eid
-            for term in inst.terminals:
-                star_f[term.tid][ne] = term.f.get(eid, 0)
-            if eid in inst.blocked:
-                star_blocked.add(ne)
-            for term in inst.terminals:
-                if term.edge == eid:
-                    star_term_edge[term.tid] = ne
-    star_terms = [EscTerminal(t.tid, star_term_edge[t.tid], t.b, star_f[t.tid])
-                  for t in inst.terminals]
-    star_classes = {new_of[v]: inst.classes[v] for v in keep}
-    star_inst = EdgeSetCoverInstance(g_star, inst.k, inst.t, star_classes,
-                                     star_terms, frozenset(star_blocked))
-    star_pins = {}
-    for term in inst.terminals:
-        w1, w2 = ainst.pin(term.tid)
-        star_pins[term.tid] = (frozenset(new_of[v] for v in w1 if v in new_of),
-                               frozenset(new_of[v] for v in w2 if v in new_of))
-    star_w = frozenset(new_of[v] for v in ainst.w)
-    star_ainst = AnnotatedEscInstance(star_inst, star_w, star_pins)
+    copies = {}
+    for eid, (a, b) in inst.g.edges():
+        if a in z_set or b in z_set:
+            copies[eid] = 0 if a != b and rep_of.get(a, a) == rep_of.get(b, b) else inst.k + 1
+    star_ainst, orig_of_star = _restricted_instance(
+        ainst, {v: new_of[rep_of.get(v, v)] for v in range(inst.g.n)}, copies)
     star_table = recurs(star_ainst, params)
     # lift the G* answers back through the Q-side table
     table = {}
     small_table = None  # the unconditional answers, built on the first failed lift
-    q_vmap = vmap
     for key in all_keys(ainst):
         h, lr = key
         star_key = (h, tuple(frozenset(new_of[v] for v in l) for l in lr))
@@ -641,7 +619,7 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
             table[key] = None
             continue
         f_star_set, x_star = ans
-        lifted = _lift_breakable(ainst, q_side, p_side, q_table, q_vmap, inv_v,
+        lifted = _lift_breakable(ainst, q_side, p_side, q_table, vmap, q_verts,
                                  emap, new_of, f_star_set, x_star,
                                  orig_of_star, w_q, u_set)
         if lifted is not None and is_key_solution(ainst, key, lifted[0], lifted[1]):
@@ -733,11 +711,11 @@ def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None)
     # disconnected: combine per-component tables over parity splits
     states = {tuple(tuple([0] * inst.t) for _ in terms): (frozenset(), {t.tid: set() for t in terms})}
     for comp in sorted(comps, key=min):
-        sub_inst, vmap, emap = _restricted_instance(inst, sorted(comp))
-        inv_v = {new: old for old, new in vmap.items()}
-        sub_table = recurs(AnnotatedEscInstance(sub_inst), params)
+        verts = sorted(comp)
+        sub_ainst, emap = _restricted_instance(ainst, {v: i for i, v in enumerate(verts)})
+        sub_table = recurs(sub_ainst, params)
         options = [(h_sub, frozenset(emap[e] for e in ans[0]),
-                    {tid: {inv_v[v] for v in xs} for tid, xs in ans[1].items()})
+                    {tid: {verts[v] for v in xs} for tid, xs in ans[1].items()})
                    for (h_sub, _), ans in sub_table.items()
                    if ans is not None]
         states = _combine_parities(states, options, inst.k)

@@ -290,8 +290,6 @@ def verify_report(inst: SpaceCoverInstance, report: ResultReport) -> Optional[st
                 acc ^= a.row_bits[v]
             char = 0
             for e in edges:
-                if not inst.graph.has_edge(e):
-                    return "terminal %d cites a missing edge" % term
                 char |= 1 << inst.col_of[e]
             if acc != char:
                 return "terminal %d: row sum is not its cocycle vector" % term

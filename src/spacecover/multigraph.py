@@ -98,22 +98,6 @@ class MultiGraph:
                 adj[v].append((u, eid))
         return adj
 
-    def induced(self, vertices: Iterable[int]) -> Tuple["MultiGraph", Dict[int, int], Dict[int, int]]:
-        """Induced subgraph with relabeled vertices.
-
-        Returns (subgraph, old vertex -> new vertex, new edge id -> old edge id).
-        Edge ids in the subgraph are fresh; the mapping recovers originals.
-        """
-        verts = sorted(set(vertices))
-        vmap = {old: new for new, old in enumerate(verts)}
-        sub = MultiGraph(len(verts))
-        emap: Dict[int, int] = {}
-        for eid, (u, v) in self.edges():
-            if u in vmap and v in vmap:
-                new_eid = sub.add_edge(vmap[u], vmap[v])
-                emap[new_eid] = eid
-        return sub, vmap, emap
-
     def __repr__(self) -> str:
         return "MultiGraph(n=%d, m=%d)" % (self.n, self.num_edges)
 

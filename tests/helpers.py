@@ -3,7 +3,8 @@
 import itertools
 import random
 
-from spacecover.dual_solver import build_esc, cont
+from spacecover.dual_solver import AnnotatedEscInstance, build_esc, cont
+from spacecover.gf2 import Gf2Matrix
 from spacecover.instances import DualInstance, random_instance
 from spacecover.multigraph import MultiGraph
 
@@ -168,3 +169,21 @@ def doubled_path_dual(length, dup_at, k, terminals_on_dup=True):
     p = Gf2Matrix(g.n, len(eids), None)
     term = dup if terminals_on_dup else eids[0]
     return DualInstance(g, p, [term], k)
+
+
+def leafy_path_esc(trial):
+    """A small ESC instance with leaf clusters so the collapse can shrink."""
+    n_leaves_a = 3 + trial % 2
+    g = MultiGraph(9 + n_leaves_a + 3)
+    for v in range(8):
+        g.add_edge(v, v + 1)
+    dup_at = trial % 7
+    dup = g.add_edge(dup_at, dup_at + 1)
+    for leaf in range(9, 9 + n_leaves_a):
+        g.add_edge(1, leaf)
+    for leaf in range(9 + n_leaves_a, 9 + n_leaves_a + 3):
+        g.add_edge(7, leaf)
+    p = Gf2Matrix(g.n, g.num_edges)
+    inst = DualInstance(g, p, [dup], 1 + trial % 2)
+    esc = build_esc(inst, {dup: (trial % 2,)})
+    return AnnotatedEscInstance(esc)

@@ -6,15 +6,15 @@ from functools import lru_cache
 
 from helpers import (all_embeddings, all_preliminary, complete_graph,
                      doubled_path_dual, dual_corpus, e_close,
-                     esc_from_random_dual, path_graph, primal_corpus,
-                     random_forest)
+                     esc_from_random_dual, leafy_path_esc, path_graph,
+                     primal_corpus, random_forest)
 from spacecover import dual_solver, eoct, pgm_solver
 from spacecover.cli import EXIT_YES, main as cli_main
 from spacecover.derand import (build_hash_family, build_universal_set,
                                verify_family, verify_universal)
-from spacecover.dual_solver import (AnnotatedEscInstance, RecursParams,
-                                    _small_case, build_esc, is_key_solution,
-                                    preliminary_partition, recurs, vertex_types)
+from spacecover.dual_solver import (RecursParams, _small_case, build_esc,
+                                    is_key_solution, preliminary_partition, recurs,
+                                    vertex_types)
 from spacecover.fileio import report_from_solution, serialize_instance
 from spacecover.gf2 import Gf2Matrix, rank
 from spacecover.hardness import (McInstance, TdmInstance, from_3dm,
@@ -148,24 +148,6 @@ def _tripled_path_dual(length, k):
     return DualInstance(g, p, [a], k)
 
 
-def _leafy_path_esc(trial):
-    """A small ESC instance with leaf clusters so the collapse can shrink."""
-    n_leaves_a = 3 + trial % 2
-    g = MultiGraph(9 + n_leaves_a + 3)
-    for v in range(8):
-        g.add_edge(v, v + 1)
-    dup_at = trial % 7
-    dup = g.add_edge(dup_at, dup_at + 1)
-    for leaf in range(9, 9 + n_leaves_a):
-        g.add_edge(1, leaf)
-    for leaf in range(9 + n_leaves_a, 9 + n_leaves_a + 3):
-        g.add_edge(7, leaf)
-    p = Gf2Matrix(g.n, g.num_edges)
-    inst = DualInstance(g, p, [dup], 1 + trial % 2)
-    esc = build_esc(inst, {dup: (trial % 2,)})
-    return AnnotatedEscInstance(esc)
-
-
 def test_criterion_04_breakable_branch():
     params = RecursParams(q=2, p=2, s=16)
     instances = []
@@ -195,7 +177,7 @@ def test_criterion_04_breakable_branch():
     # replacement-graph table preservation on tiny instances, both routes
     shrunk = 0
     for trial in range(10):
-        ainst = _leafy_path_esc(trial)
+        ainst = leafy_path_esc(trial)
         rec_params = RecursParams(q=2, p=2, s=6)
         rec_table = recurs(ainst, rec_params)
         ref_table = _small_case(ainst, RecursParams(q=2, p=2, s=10 ** 6))

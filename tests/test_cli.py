@@ -187,6 +187,55 @@ def test_check_tampered_witness_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+# One forgery per message of verify_report, each applied to a real yes-report
+# of the triangle: F = [0, 1] in primal mode, F = [0] in dual mode, terminal 2.
+FORGED_EITHER_MODE = [
+    ("no-certificate", lambda r: r.pop("certificate"),
+     "yes-report missing witness or certificate"),
+    ("over-budget", lambda r: r.update(f=r["f"] + [7, 8]), "witness exceeds budget k="),
+    ("terminal-in-f", lambda r: r.update(f=[2]), "witness contains a terminal edge"),
+    ("absent-edge", lambda r: r.update(f=[7]), "witness edge 7 is not in the graph"),
+    ("type", lambda r: r["certificate"].update(type="bogus"),
+     "certificate type 'bogus' does not match mode"),
+    ("no-entry", lambda r: r["certificate"]["parts"].clear(),
+     "terminal 2 has no certificate entry"),
+]
+FORGED_PRIMAL = [
+    ("outside-f", lambda r: r["certificate"]["parts"].update({"2": [0, 7]}),
+     "terminal 2 cites edges outside the witness"),
+    ("wrong-sum", lambda r: r["certificate"]["parts"].update({"2": [0]}),
+     "terminal 2: cited columns do not sum to it"),
+]
+FORGED_DUAL = [
+    ("no-terminal", lambda r: r["certificate"]["parts"]["2"].update(edges=[0]),
+     "terminal 2 missing from its cocycle"),
+    ("outside-f", lambda r: r["certificate"]["parts"]["2"].update(edges=[0, 1, 2]),
+     "terminal 2 cites edges outside the witness"),
+    ("vertex-range", lambda r: r["certificate"]["parts"]["2"].update(x=[5]),
+     "terminal 2: vertex 5 out of range"),
+    ("wrong-x", lambda r: r["certificate"]["parts"]["2"].update(x=[1]),
+     "terminal 2: row sum is not its cocycle vector"),
+]
+FORGERIES = ([(mode,) + case for mode in ("primal", "dual") for case in FORGED_EITHER_MODE]
+             + [("primal",) + case for case in FORGED_PRIMAL]
+             + [("dual",) + case for case in FORGED_DUAL])
+
+
+@pytest.mark.parametrize("mode, name, forge, message", FORGERIES,
+                         ids=["%s-%s" % case[:2] for case in FORGERIES])
+def test_check_rejects_each_forged_yes_report(tmp_path, capsys, mode, name, forge, message):
+    inst = write(tmp_path / "tri.scpm", TRIANGLE_YES if mode == "primal" else TRIANGLE_DUAL)
+    assert main(["solve", inst, "--json"]) == EXIT_YES
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["check", inst, write(tmp_path / "real.json", json.dumps(payload))]) == EXIT_YES
+    capsys.readouterr()
+    forge(payload)
+    assert main(["check", inst, write(tmp_path / "forged.json", json.dumps(payload))]) == EXIT_NO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: " + message), captured.err
+
+
 def test_check_mode_mismatch_exit_two(tmp_path, capsys):
     inst = write(tmp_path / "tri.scpm", TRIANGLE_YES)
     main(["solve", inst, "--json"])

@@ -3,9 +3,8 @@ import itertools
 import pytest
 
 from spacecover import derand
-from spacecover.derand import (HashFamily, UniversalSet, _universal_demands,
-                               build_hash_family, build_universal_set,
-                               verify_family, verify_universal)
+from spacecover.derand import (HashFamily, UniversalSet, build_hash_family,
+                               build_universal_set, verify_family, verify_universal)
 
 
 def test_hash_family_small_exact():
@@ -74,46 +73,3 @@ def test_universal_realizes_every_pattern_explicitly():
         for pattern in [(0, 1), (1, 0)]:
             assert any(all(f[i] == b for i, b in zip(subset, pattern))
                        for f in us.functions)
-
-
-def _greedy_universal_reference(n, k, p):
-    """The greedy of build_universal_set, one demand at a time."""
-    demands = list(_universal_demands(n, k, p))
-    alive = set(range(len(demands)))
-    functions = []
-    while alive:
-        ok = set(alive)
-        func = []
-        for i in range(n):
-            score = [0.0, 0.0]
-            for d in ok:
-                subset, pattern = demands[d]
-                if i in subset:
-                    pos = subset.index(i)
-                    score[pattern[pos]] += 2.0 ** -(k - 1 - pos)
-            b = 1 if score[1] > score[0] else 0
-            func.append(b)
-            ok = {d for d in ok if i not in demands[d][0]
-                  or demands[d][1][demands[d][0].index(i)] == b}
-        alive -= ok
-        functions.append(tuple(func))
-    return functions
-
-
-def test_universal_set_matches_reference_greedy():
-    for n in range(0, 8):
-        for k in range(0, min(n, 4) + 1):
-            for p in range(0, k + 1):
-                assert build_universal_set(n, k, p).functions == \
-                    _greedy_universal_reference(n, k, p), (n, k, p)
-
-
-def test_universal_set_matches_bitset_greedy():
-    # build_universal_set is the greedy on one int bitset over all demands;
-    # it must pick the reference's bits on every small triple, and on wider
-    # triples and both extreme p at larger n
-    grid = [(n, k, p) for n in range(10) for k in range(n + 1) for p in range(k + 1)]
-    grid += [(11, 7, 3), (13, 6, 0), (13, 6, 6)]
-    for n, k, p in grid:
-        assert build_universal_set(n, k, p).functions == \
-            _greedy_universal_reference(n, k, p), (n, k, p)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 from helpers import (all_preliminary, complete_graph, doubled_path_dual,
-                     dual_corpus, esc_from_random_dual)
+                     dual_corpus, esc_from_random_dual, leafy_path_esc)
 from spacecover import dual_solver
 from spacecover.derand import build_universal_set
 from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
@@ -458,6 +458,23 @@ def test_breakable_branch_on_doubled_path():
     if got is not None:
         assert len(got[0]) == len(want[0])
     assert params.stats.get("breakable", 0) >= 1
+
+
+def test_failed_lift_answers_from_the_small_case_table(monkeypatch):
+    # every leafy path reaches the lift; when it fails, each key takes the
+    # small case's answer for the whole instance
+    monkeypatch.setattr(dual_solver, "_lift_breakable", lambda *args: None)
+    for trial in range(10):
+        ainst = leafy_path_esc(trial)
+        params = RecursParams(q=2, p=2, s=6)
+        table = recurs(ainst, params)
+        assert params.stats.get("lift_fail", 0) >= 1, trial
+        ref = _small_case(ainst, RecursParams())
+        assert table.keys() == ref.keys()
+        for key, ans in ref.items():
+            assert (table[key] is None) == (ans is None), (trial, key)
+            if ans is not None:
+                assert len(table[key][0]) == len(ans[0]), (trial, key)
 
 
 def _unbreakable_every_coloring(ainst, params):

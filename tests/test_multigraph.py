@@ -33,17 +33,6 @@ def test_incidence_matrix_column_of_a_loop_is_zero():
     assert m.column(1) == 0
 
 
-def test_induced_maps_back():
-    g = MultiGraph(4)
-    e01 = g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    e13 = g.add_edge(1, 3)
-    sub, vmap, emap = g.induced([0, 1, 3])
-    assert sub.n == 3 and sub.num_edges == 2
-    assert {emap[e] for e in sub.edge_ids()} == {e01, e13}
-    assert vmap[3] == 2
-
-
 def test_connected_components():
     g = MultiGraph(5)
     g.add_edge(0, 1)

@@ -92,6 +92,38 @@ def test_empty_pattern():
     assert emb == Embedding({}, {})
 
 
+def _pinned_path_instance():
+    """A 3-vertex path pattern pinned at vertex 0 into a host with a parallel pair."""
+    g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (1, 2)])
+    h = MultiGraph(3, [(0, 1), (1, 2)])
+    return PatternCoverInstance(g, {0: 1, 1: 2, 2: 1, 3: 1}, h, {0: 1, 1: 2},
+                                frozenset({0}), {0: 0})
+
+
+# One break of each condition Embedding.verify checks, as (vertex map, edge
+# map); None keeps the valid embedding's map.
+BROKEN_EMBEDDINGS = {
+    "vertex-missing": ({0: 0, 1: 1}, None),
+    "vertex-collision": ({0: 0, 1: 1, 2: 1}, None),
+    "pin-moved": ({0: 3, 1: 2, 2: 1}, None),
+    "edge-missing": (None, {0: 0}),
+    "edge-collision": (None, {0: 1, 1: 1}),
+    "host-edge-absent": (None, {0: 0, 1: 9}),
+    "wrong-endpoints": (None, {0: 0, 1: 2}),
+    "wrong-label": (None, {0: 0, 1: 3}),
+}
+
+
+@pytest.mark.parametrize("vertex_map, edge_map", list(BROKEN_EMBEDDINGS.values()),
+                         ids=list(BROKEN_EMBEDDINGS))
+def test_verify_rejects_each_broken_embedding(vertex_map, edge_map):
+    inst = _pinned_path_instance()
+    valid = Embedding({0: 0, 1: 1, 2: 2}, {0: 0, 1: 1})
+    assert solve(inst) == valid and valid.verify(inst)
+    broken = Embedding(vertex_map or valid.vertex_map, edge_map or valid.edge_map)
+    assert not broken.verify(inst)
+
+
 def test_deterministic_solve_matches_bruteforce():
     rng = random.Random(17)
     agree = 0
