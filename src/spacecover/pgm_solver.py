@@ -29,17 +29,17 @@ BACKBONE_EDGE_CAP = 8
 
 @dataclass
 class GuessContext:
-    """One branch of the guess chain: backbone, pins, labels, parities, and (D, f*)."""
+    """One branch of the guess chain: backbone, edge typing, parities, and (D, f*)."""
 
     backbone: MultiGraph
     forest: FrozenSet[int]                  # spanning forest edge ids of the backbone
     extra: Tuple[int, ...]                  # remaining (cycle-closing) backbone edges
-    f: Dict[int, int]                       # backbone vertex -> host vertex, on extra endpoints
-    f_e: Dict[int, int]                     # extra backbone edge -> host edge
+    f: Dict[int, int]                       # f* on the extra-edge endpoints
+    f_e: Dict[int, int]                     # f*_E on the extra edges
     ell: Dict[int, int]                     # forest backbone edge -> type in [1, t]
     h: Dict[int, Tuple[int, ...]]           # terminal edge id -> parity vector
     d: FrozenSet[int]                       # pinned backbone vertices
-    f_star: Dict[int, int]                  # d -> host vertices, extends f
+    f_star: Dict[int, int]                  # d -> host vertices, f's keys first
     f_star_e: Dict[int, int]                # backbone edges inside d -> host edges
     e_subsets: Dict[int, FrozenSet[int]]    # terminal -> witnessing backbone edge subset
 
@@ -140,16 +140,99 @@ def _odd_degree(h: MultiGraph, edge_subset) -> FrozenSet[int]:
     return frozenset(v for v, d in deg.items() if d % 2 == 1)
 
 
-def _injective_assignments(size: int, codomain: Sequence[int], tests: List[List[int]],
-                           allowed) -> Iterator[Tuple[int, ...]]:
-    """Injective images of ``size`` positions, each failing branch cut.
+def _bundles(h: MultiGraph) -> Dict[Tuple[int, int], List[int]]:
+    """Edge ids per endpoint pair (smaller end first); the loops at a vertex form one bundle."""
+    bundles: Dict[Tuple[int, int], List[int]] = {}
+    for eid, (u, v) in h.edges():
+        bundles.setdefault((min(u, v), max(u, v)), []).append(eid)
+    return bundles
 
-    Yields what ``itertools.permutations(codomain, size)`` yields (codomain
-    values distinct), in its order, minus every tuple that fails a test.
-    ``tests[j]`` holds the positions ``i <= j`` decidable once position j is
-    assigned, and the pair passes when ``(image of i, image of j)`` is in
-    ``allowed``.
+
+@lru_cache(maxsize=None)
+def _class_plan(backbone: MultiGraph):
+    """What one backbone class gives every solve, built on first use and shared after.
+
+    (spanning forest, extra edges, their sorted endpoints Ṽ, bundles of two
+    or more parallel edges, witnesses). The witnesses are every edge subset
+    with its odd-degree set, by size, then in ``itertools.combinations``
+    order. Nothing here depends on the instance.
     """
+    forest = frozenset(spanning_forest(backbone))
+    extra = tuple(eid for eid in backbone.edge_ids() if eid not in forest)
+    vtilde = tuple(sorted({v for eid in extra for v in backbone.endpoints(eid)}))
+    bundles = tuple(es for es in _bundles(backbone).values() if len(es) > 1)
+    edges = backbone.edge_ids()
+    witnesses = tuple((frozenset(sub), _odd_degree(backbone, sub))
+                      for size in range(len(edges) + 1)
+                      for sub in itertools.combinations(edges, size))
+    return forest, extra, vtilde, bundles, witnesses
+
+
+def _edge_automorphisms(h: MultiGraph) -> List[Tuple[int, ...]]:
+    """Every distinct edge permutation of an automorphism of h (edge ids 0..m-1), sorted.
+
+    A backtracking search maps vertex i to x only when the edge counts from
+    i to itself and to each earlier vertex equal those from x to their
+    images. Each vertex automorphism then maps every bundle of parallel
+    edges onto its image bundle in every order. Entry e is e's image.
+    """
+    bundles = _bundles(h)
+
+    def count(a: int, b: int) -> int:
+        return len(bundles.get((min(a, b), max(a, b)), ()))
+
+    sigma: List[int] = []
+    vertex_maps = []
+
+    def extend() -> None:
+        i = len(sigma)
+        if i == h.n:
+            vertex_maps.append(list(sigma))
+            return
+        for x in range(h.n):
+            if x not in sigma and count(i, i) == count(x, x) and \
+                    all(count(i, j) == count(x, y) for j, y in enumerate(sigma)):
+                sigma.append(x)
+                extend()
+                sigma.pop()
+
+    extend()
+    perms = set()
+    for s in vertex_maps:
+        moves = [(es, bundles[min(s[u], s[v]), max(s[u], s[v])]) for (u, v), es in bundles.items()]
+        for images in itertools.product(*(itertools.permutations(to) for _es, to in moves)):
+            pi = [0] * h.num_edges
+            for (es, _to), img in zip(moves, images):
+                for e, x in zip(es, img):
+                    pi[e] = x
+            perms.add(tuple(pi))
+    return sorted(perms)
+
+
+@lru_cache(maxsize=None)
+def _canonical_typings(backbone: MultiGraph, t: int) -> Tuple[Tuple[int, ...], ...]:
+    """The least typing of each orbit of the backbone's edge automorphisms, ascending.
+
+    Typing ``tau`` gives edge e the type ``tau[e]`` in 1..t, and the orbit of
+    tau is every ``tau o pi``. An automorphism turns an embedding of
+    (H, tau o pi) into one of (H, tau) with the same image set F, so the
+    chain needs one typing per orbit.
+    """
+    perms = _edge_automorphisms(backbone)[1:]   # the identity sorts first
+    return tuple(tau for tau in itertools.product(range(1, t + 1), repeat=backbone.num_edges)
+                 if all(tau <= tuple(tau[e] for e in pi) for pi in perms))
+
+
+def _injective_assignments(domains: Sequence[Sequence[int]], tests: List[List[Tuple[int, int]]],
+                           allowed) -> Iterator[Tuple[int, ...]]:
+    """Injective images of the positions, one from each domain, each failing branch cut.
+
+    Yields what ``itertools.product(*domains)`` yields, in its order, minus
+    every tuple that repeats a value or fails a test. ``tests[j]`` holds the
+    (i, label) pairs with ``i <= j`` decidable once position j is assigned,
+    and a pair passes when ``(image of i, image of j, label)`` is in ``allowed``.
+    """
+    size = len(domains)
     images = [0] * size
     used: Set[int] = set()
 
@@ -157,12 +240,12 @@ def _injective_assignments(size: int, codomain: Sequence[int], tests: List[List[
         if j == size:
             yield tuple(images)
             return
-        for x in codomain:
+        for x in domains[j]:
             if x in used:
                 continue
             images[j] = x
-            for i in tests[j]:
-                if (images[i], x) not in allowed:
+            for i, label in tests[j]:
+                if (images[i], x, label) not in allowed:
                     break
             else:
                 used.add(x)
@@ -170,51 +253,6 @@ def _injective_assignments(size: int, codomain: Sequence[int], tests: List[List[
                 used.discard(x)
 
     return walk(0)
-
-
-def _host_pairs(inst: PrimalInstance) -> Dict[Tuple[int, int], List[int]]:
-    """Non-terminal host edges in edge id order, under both endpoint orders.
-
-    The index also serves as the ``allowed`` set of ``_injective_assignments``.
-    """
-    term_set = set(inst.terminals)
-    by_pair: Dict[Tuple[int, int], List[int]] = {}
-    for ge in inst.graph.edge_ids():
-        if ge not in term_set:
-            x, y = inst.graph.endpoints(ge)
-            by_pair.setdefault((x, y), []).append(ge)
-            if x != y:
-                by_pair.setdefault((y, x), []).append(ge)
-    return by_pair
-
-
-def _pin_enumeration(by_pair: Dict[Tuple[int, int], List[int]], n_host: int,
-                     backbone: MultiGraph,
-                     extra: List[int]) -> Iterator[Tuple[Dict[int, int], Dict[int, int]]]:
-    """All injective (f, f_E) pin choices for the cycle-closing backbone edges.
-
-    ``by_pair`` is ``_host_pairs`` of the instance, which has ``n_host`` vertices.
-    """
-    if not extra:
-        yield {}, {}
-        return
-    vtilde = sorted({v for eid in extra for v in backbone.endpoints(eid)})
-    at = {v: i for i, v in enumerate(vtilde)}
-    # an extra edge is decided once its later endpoint has an image
-    tests: List[List[int]] = [[] for _ in vtilde]
-    for eid in extra:
-        i, j = sorted(at[v] for v in backbone.endpoints(eid))
-        tests[j].append(i)
-    for images in _injective_assignments(len(vtilde), range(n_host), tests, by_pair):
-        f = dict(zip(vtilde, images))
-        options = []
-        for eid in extra:
-            u, v = backbone.endpoints(eid)
-            options.append(by_pair[f[u], f[v]])
-        for combo in itertools.product(*options):
-            if len(set(combo)) != len(combo):
-                continue
-            yield f, dict(zip(extra, combo))
 
 
 class _TargetRow(dict):
@@ -237,7 +275,7 @@ class _TargetRow(dict):
         return entry
 
 
-def _witness_options(witnesses, edge_bit: Dict[int, int], rows: List[_TargetRow]):
+def _witness_options(witnesses, edge_bit: Sequence[int], rows: List[_TargetRow]):
     """Per terminal, its witness choices under one typing of the backbone edges, or None.
 
     ``witnesses`` holds every backbone edge subset with its odd-degree set,
@@ -270,12 +308,11 @@ def _witness_options(witnesses, edge_bit: Dict[int, int], rows: List[_TargetRow]
     return choices
 
 
-def _bounded_parities(choices, base: FrozenSet[int],
-                      cap: int) -> Iterator[Tuple[Tuple[Tuple, ...], FrozenSet[int]]]:
+def _bounded_parities(choices, cap: int) -> Iterator[Tuple[Tuple[Tuple, ...], FrozenSet[int]]]:
     """(choice per terminal, V*) in ``itertools.product`` order over ``choices``.
 
-    A choice's second field is its target. V* is ``base`` plus the chosen
-    targets; a branch is cut as soon as it exceeds ``cap`` vertices, since
+    A choice's second field is its target, and V* is the union of the chosen
+    targets; a branch is cut as soon as V* exceeds ``cap`` vertices, since
     adding targets never shrinks it.
     """
     picked: List[Tuple] = []
@@ -291,168 +328,123 @@ def _bounded_parities(choices, base: FrozenSet[int],
                 yield from walk(i + 1, grown)
                 picked.pop()
 
-    return walk(0, base)
+    return walk(0, frozenset())
 
 
 def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCoverInstance, GuessContext]]:
     """Every admissible guess of the chain, as a Pattern Cover instance plus its context.
 
-    The input must already be terminal-reduced and column-deduplicated. Each
-    quantity is computed once, at the outermost loop level it depends on,
-    and each prune drops a branch before its extensions are enumerated:
+    The input must already be terminal-reduced and column-deduplicated. The
+    chain runs backbone -> edge typing -> parity choice -> odd-set choice ->
+    f*, and emits its guesses in that nesting order:
 
     - per instance: the edge types, each terminal's target per parity mask
-      (filled on first use) and the host edge indexes;
-    - per backbone: the spanning forest, the forest edge endpoints, and
-      every edge subset with its odd-degree set;
-    - per tuple of extra-edge types: the forest labellings in product order,
-      each with its witness options. A labelling under which some terminal
-      has no witness is dropped here, once for all pins;
-    - per pin (f, f_E): image(f), the free forest edges, and the pinned
-      forest edges. A labelling is dropped for this pin when a forest edge
-      with both ends pinned has no host edge of its type;
-    - per labelling: the parity choices, walked with the branch cut once V*
-      outgrows the backbone;
-    - per parity choice: (D, f*), read off the witnesses' odd sets by
-      ``_expand_guess``. An odd set that disagrees with the pins, and a
-      partial f* with an unmatched edge, are dropped there.
+      (filled on first use), the host's loop and non-loop types, and the
+      host edge by (endpoints, type);
+    - per backbone (catalog order): its class plan, built once per process;
+    - per canonical typing (ascending): one per orbit of the backbone's edge
+      automorphisms, kept when the host has a loop of each loop's type and a
+      non-loop edge of each other edge's type, and when parallel edges have
+      distinct types (otherwise both would need one host edge). Its witness
+      options drop it when some terminal has no witness;
+    - per parity choice (``itertools.product`` order): walked with the
+      branch cut once V* outgrows the backbone;
+    - per odd-set choice and f*: ``_expand_guess``.
     """
     t, types = edge_types(inst.p)
     classes, _ = distinct_columns(inst.p)
     type_of = {eid: types[inst.col_of[eid]] for eid in inst.graph.edge_ids()}
     term_set = set(inst.terminals)
-    n_host = inst.graph.n
-    by_pair = _host_pairs(inst)
     # lookup: (host endpoints in either order, type) -> host edge (unique after dedup)
     edge_by_sig: Dict[Tuple[int, int, int], int] = {}
+    host_types: Dict[bool, Set[int]] = {True: set(), False: set()}
     for ge in inst.graph.edge_ids():
         if ge in term_set:
             continue
         x, y = inst.graph.endpoints(ge)
+        host_types[x == y].add(type_of[ge])
         for sig in ((x, y, type_of[ge]), (y, x, type_of[ge])):
             edge_by_sig.setdefault(sig, ge)
     rows = [_TargetRow(inst.a_column(w), classes) for w in inst.terminals]
 
     for backbone in enumerate_backbones(inst.k, t):
-        if backbone.num_edges > inst.k or backbone.n > n_host:
+        if backbone.n > inst.graph.n:
             continue
-        forest = frozenset(spanning_forest(backbone))
-        extra = [eid for eid in backbone.edge_ids() if eid not in forest]
-        forest_list = sorted(forest)
-        forest_ends = [(eid, backbone.endpoints(eid)) for eid in forest_list]
-        # every edge subset with its odd-degree set, by size, then combinations order
-        all_h_edges = backbone.edge_ids()
-        witnesses = [(frozenset(sub), _odd_degree(backbone, sub))
-                     for size in range(len(all_h_edges) + 1)
-                     for sub in itertools.combinations(all_h_edges, size)]
-        labellings_by_extra: Dict[Tuple[int, ...], List[Tuple]] = {}
-        for f, f_e in _pin_enumeration(by_pair, n_host, backbone, extra):
-            extra_types = tuple(type_of[f_e[eid]] for eid in extra)
-            labellings = labellings_by_extra.get(extra_types)
-            if labellings is None:
-                labellings = labellings_by_extra[extra_types] = []
-                for labels in itertools.product(range(1, t + 1), repeat=len(forest_list)):
-                    ell = dict(zip(forest_list, labels))
-                    edge_type = dict(ell)
-                    edge_type.update(zip(extra, extra_types))
-                    choices = _witness_options(
-                        witnesses, {eid: 1 << (t - typ) for eid, typ in edge_type.items()}, rows)
-                    if choices is not None:
-                        labellings.append((ell, edge_type, choices))
-            image = frozenset(f.values())
-            vtilde = frozenset(f)
-            pinned_ends = [(eid, f[u], f[v]) for eid, (u, v) in forest_ends if u in f and v in f]
-            free_ends = [(eid, u, v) for eid, (u, v) in forest_ends if not (u in f and v in f)]
-            for ell, edge_type, choices in labellings:
-                if pinned_ends and any((x, y, ell[eid]) not in edge_by_sig
-                                       for eid, x, y in pinned_ends):
-                    continue
-                for picked, v_star in _bounded_parities(choices, image, backbone.n):
-                    yield from _expand_guess(inst, backbone, forest, extra, f, f_e, vtilde,
-                                             image, free_ends, ell, edge_type, picked, v_star,
-                                             type_of, edge_by_sig, term_set)
+        plan = _class_plan(backbone)
+        bundles, witnesses = plan[3], plan[4]
+        has = [host_types[backbone.is_loop(eid)] for eid in backbone.edge_ids()]
+        for tau in _canonical_typings(backbone, t):
+            if not all(typ in ok for typ, ok in zip(tau, has)) or \
+                    any(len({tau[eid] for eid in es}) < len(es) for es in bundles):
+                continue
+            choices = _witness_options(witnesses, [1 << (t - typ) for typ in tau], rows)
+            if choices is None:
+                continue
+            for picked, v_star in _bounded_parities(choices, backbone.n):
+                yield from _expand_guess(inst, backbone, plan, tau, picked, v_star,
+                                         type_of, edge_by_sig, term_set)
 
 
-def _expand_guess(inst, backbone, forest, extra, f, f_e, vtilde, image, free_ends, ell,
-                  edge_type, picked, v_star, type_of, edge_by_sig, term_set):
-    """Read every (D, f*) of one parity restriction off the witnesses' odd sets.
+def _expand_guess(inst, backbone, plan, tau, picked, v_star, type_of, edge_by_sig, term_set):
+    """Every (D, f*) of one parity choice: one f* search per odd-set choice.
 
-    ``picked`` holds each terminal's (parity vector, target, odd sets)
-    choice, and ``free_ends`` the forest edges without both ends pinned.
-    V* (the chosen targets plus image(f)) is forced by the choices, and f*
-    is a bijection from D onto V*. So terminal w is witnessed exactly when
-    O_w = f*^-1(target_w) is the odd-degree set of one of its witnesses, and
-    each choice of one such set per terminal that agrees with the pins fixes
-    D: the pinned vertices plus the union of the O_w. f* may then only match
-    a vertex of D with a free target that lies in the same targets as the
-    vertex lies in odd sets. The guesses are emitted in (D minus the pinned
-    vertices, images) order.
+    ``picked`` holds each terminal's (parity vector, target, odd set ->
+    subset) choice, and V* is the union of the targets. D is the extra-edge
+    endpoints Ṽ plus one odd set O_w per terminal, and terminal w is
+    witnessed exactly when the injective f* maps O_w onto its target. So a
+    vertex of D may only go to a host vertex that lies in the same targets
+    as the vertex lies in odd sets: a target vertex of the same signature,
+    or a host vertex in no target for a vertex of Ṽ in no odd set. An
+    odd-set choice is dropped unless each signature has as many vertices in
+    D as in V* (the Venn count); ``_injective_assignments`` then finds every
+    f*, testing each backbone edge inside D against a host edge of its type.
+    f and f_E are read off f*. Guesses come per odd-set choice in
+    ``itertools.product`` order, then per f* in the lexicographic order of
+    its images on sorted D. Distinct edges inside D get distinct host
+    edges, because f* is injective and parallel edges differ in type.
     """
-    free_targets = sorted(v_star - image)
-    need = len(free_targets)
-    # per terminal, its target and the odd sets that agree with the pins
-    targets = []
-    odd_options = []
-    for _b, target, odds in picked:
-        agree = [odd for odd in odds if all((v in odd) == (x in target) for v, x in f.items())]
-        if not agree:
-            return
-        targets.append(target)
-        odd_options.append(agree)
-    # signature of a free target: the terminals whose target holds it
-    target_class: Dict[int, List[int]] = {}
-    for y in free_targets:
-        target_class.setdefault(sum(1 << i for i, tg in enumerate(targets) if y in tg), []).append(y)
-
-    found = []
-    for odds in itertools.product(*odd_options):
-        extra_d = sorted(frozenset().union(*odds) - vtilde)
-        if len(extra_d) != need:
-            continue
-        # signature of a backbone vertex: the chosen odd sets that hold it
-        vertex_class: Dict[int, List[int]] = {}
-        for v in extra_d:
-            vertex_class.setdefault(sum(1 << i for i, odd in enumerate(odds) if v in odd), []).append(v)
-        if any(len(target_class.get(sig, ())) != len(vs) for sig, vs in vertex_class.items()):
-            continue
-        groups = list(vertex_class.items())
-        for perms in itertools.product(*(itertools.permutations(target_class[sig])
-                                         for sig, _vs in groups)):
-            f_star = dict(f)
-            for (_sig, vs), ys in zip(groups, perms):
-                f_star.update(zip(vs, ys))
-            if all((f_star[u], f_star[v], edge_type[eid]) in edge_by_sig
-                   for eid, u, v in free_ends if u in f_star and v in f_star):
-                found.append((tuple(extra_d), tuple(f_star[v] for v in extra_d), odds))
-    found.sort(key=lambda item: item[:2])
-
+    forest, extra, vtilde, _bundles, _witnesses = plan
+    targets = [target for _b, target, _odds in picked]
+    by_sig: Dict[int, List[int]] = {}
+    for y in sorted(v_star):
+        by_sig.setdefault(sum(1 << i for i, tg in enumerate(targets) if y in tg), []).append(y)
+    outside = [x for x in range(inst.graph.n) if x not in v_star]
     edges = backbone.edges()
-    for extra_d, images, odds in found:
-        d = vtilde | frozenset(extra_d)
-        f_star = dict(f)
-        f_star.update(zip(extra_d, images))
-        # backbone edges with both ends pinned must map to unique host edges
-        f_star_e = {}
-        for eid, (u, v) in edges:
-            if u in d and v in d:
-                f_star_e[eid] = f_e[eid] if eid in f_e else \
-                    edge_by_sig[f_star[u], f_star[v], edge_type[eid]]
-        if len(set(f_star_e.values())) != len(f_star_e):
+    for odds in itertools.product(*(choice[2] for choice in picked)):
+        union = frozenset().union(*odds)
+        if len(union) != len(v_star):
             continue
-        h = {w_eid: b for w_eid, (b, _target, _odds) in zip(inst.terminals, picked)}
-        e_subsets = {w_eid: choice[2][odd]
-                     for w_eid, choice, odd in zip(inst.terminals, picked, odds)}
-        ctx = GuessContext(backbone=backbone, forest=forest, extra=tuple(extra),
-                           f=dict(f), f_e=dict(f_e), ell=dict(ell), h=h,
-                           d=d, f_star=f_star, f_star_e=f_star_e,
-                           e_subsets=e_subsets)
-        host = inst.graph.without_edges(set(f_star_e.values()) | term_set)
-        ell_g = {ge: type_of[ge] for ge in host.edge_ids()}
-        pattern = backbone.without_edges(set(f_star_e))
-        ell_h = {eid: edge_type[eid] for eid in pattern.edge_ids()}
-        pci = PatternCoverInstance(g=host, ell_g=ell_g, h=pattern, ell_h=ell_h,
-                                   u=d, f=f_star)
-        yield pci, ctx
+        d = sorted(union.union(vtilde))
+        sigs = [sum(1 << i for i, odd in enumerate(odds) if v in odd) for v in d]
+        if any(sig and sigs.count(sig) != len(by_sig.get(sig, ())) for sig in sigs):
+            continue
+        at = {v: i for i, v in enumerate(d)}
+        inside = [(eid, u, v) for eid, (u, v) in edges if u in at and v in at]
+        tests: List[List[Tuple[int, int]]] = [[] for _ in d]
+        for eid, u, v in inside:
+            i, j = sorted((at[u], at[v]))
+            tests[j].append((i, tau[eid]))
+        domains = [by_sig[sig] if sig else outside for sig in sigs]
+        for images in _injective_assignments(domains, tests, edge_by_sig):
+            image_of = dict(zip(d, images))
+            f = {v: image_of[v] for v in vtilde}
+            f_star = dict(f)
+            f_star.update((v, x) for v, x in image_of.items() if v not in f)
+            f_star_e = {eid: edge_by_sig[f_star[u], f_star[v], tau[eid]] for eid, u, v in inside}
+            ctx = GuessContext(
+                backbone=backbone, forest=forest, extra=extra, f=f,
+                f_e={eid: f_star_e[eid] for eid in extra},
+                ell={eid: tau[eid] for eid in sorted(forest)},
+                h={w: choice[0] for w, choice in zip(inst.terminals, picked)},
+                d=frozenset(d), f_star=f_star, f_star_e=f_star_e,
+                e_subsets={w: choice[2][odd]
+                           for w, choice, odd in zip(inst.terminals, picked, odds)})
+            host = inst.graph.without_edges(set(f_star_e.values()) | term_set)
+            pattern = backbone.without_edges(set(f_star_e))
+            pci = PatternCoverInstance(
+                g=host, ell_g={ge: type_of[ge] for ge in host.edge_ids()}, h=pattern,
+                ell_h={eid: tau[eid] for eid in pattern.edge_ids()}, u=ctx.d, f=f_star)
+            yield pci, ctx
 
 
 def solve(inst: PrimalInstance,
@@ -469,6 +461,9 @@ def solve(inst: PrimalInstance,
         if cert is None:
             raise AssertionError("empty terminal basis must span the dropped terminals")
         return frozenset(), cert
+    # a minimum F is independent, so no budget above the rank of the columns it draws on helps
+    reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
+                                          for e in reduced.nonterminal_edges()])))
     for pci, ctx in build_pattern_instances(reduced):
         if stats is not None:
             stats["guesses"] = stats.get("guesses", 0) + 1

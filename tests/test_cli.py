@@ -144,6 +144,34 @@ def test_solve_below_nbig_vertices_says_yes(tmp_path, capsys, extra):
     assert capsys.readouterr().out.strip() == "yes F=0"
 
 
+# A 4-cycle plus a terminal chord, with a budget above BACKBONE_EDGE_CAP: a
+# minimum F is independent, so the solver needs no budget above rank 3.
+CHORD_BUDGET_9 = """SCPM v1
+mode primal
+n 4 m 5 k 9
+edge 0 1
+edge 1 2
+edge 2 3
+edge 3 0
+edge 0 2
+pert 0
+terminals 4
+"""
+
+# The same graph with edge 0 perturbed onto vertex 0 and made the terminal:
+# its column is vertex 1 alone, outside the even-weight span of the others.
+CHORD_BUDGET_9_NO = CHORD_BUDGET_9.replace("pert 0\nterminals 4", "pert 1\n0 10000\nterminals 0")
+
+
+@pytest.mark.parametrize("text, code, out", [(CHORD_BUDGET_9, EXIT_YES, "yes F=0 1"),
+                                             (CHORD_BUDGET_9_NO, EXIT_NO, "no")])
+def test_budget_above_rank_matches_oracle(tmp_path, capsys, text, code, out):
+    inst = write(tmp_path / "chord.scpm", text)
+    for extra in ([], ["--oracle"]):
+        assert main(["solve", inst, *extra]) == code
+        assert capsys.readouterr().out.strip() == out
+
+
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_p_override_below_two_k_plus_two_notes_no_is_inexact(tmp_path, capsys, command):
     inst = write(tmp_path / "tri.scpm", TRIANGLE_DUAL)

@@ -120,7 +120,7 @@ def test_solve_matches_oracle_small_corpus():
             assert len(f) <= inst.k
             assert not set(f) & set(inst.terminals)
             assert cert.verify(inst.a_matrix)
-    assert stats["guesses"] == 195
+    assert stats["guesses"] == 120
 
 
 def test_solve_finds_minimum_size():
@@ -135,9 +135,6 @@ def test_solve_finds_minimum_size():
 
 def _pin_enumeration_by_scan(inst, backbone, extra):
     """The pin choices by a scan of every non-terminal host edge per (image, extra edge)."""
-    if not extra:
-        yield {}, {}
-        return
     vtilde = sorted({v for eid in extra for v in backbone.endpoints(eid)})
     host_edges = [(ge, inst.graph.endpoints(ge)) for ge in inst.graph.edge_ids()
                   if ge not in inst.terminals]
@@ -150,20 +147,33 @@ def _pin_enumeration_by_scan(inst, backbone, extra):
                 yield f, dict(zip(extra, combo))
 
 
+def _bundle_of(backbone, eid):
+    return [e for e in backbone.edge_ids()
+            if sorted(backbone.endpoints(e)) == sorted(backbone.endpoints(eid))]
+
+
 def test_pin_enumeration_with_loops_and_parallel_edges():
-    # a tripled edge (one copy reversed, one a terminal), one loop at 0, two at 1
+    # a tripled edge (one copy reversed, one a terminal), one loop at 0, two at 1;
+    # every non-terminal edge has its own P column, so no edge is deduplicated
     g = MultiGraph(3, [(0, 1), (1, 0), (0, 1), (0, 0), (1, 1), (1, 1), (1, 2), (2, 0)])
-    inst = PrimalInstance(g, Gf2Matrix(3, 8), [2], 1)
-    # a tripled edge and a loop: the cycle-closing edges are a parallel pair and the loop
-    backbone = MultiGraph(2, [(0, 1), (0, 1), (0, 1), (1, 1)])
-    forest = set(spanning_forest(backbone))
-    extra = [eid for eid in backbone.edge_ids() if eid not in forest]
-    assert len(extra) == 3 and any(backbone.is_loop(eid) for eid in extra)
-    got = list(pgm_solver._pin_enumeration(pgm_solver._host_pairs(inst), inst.graph.n,
-                                           backbone, extra))
-    want = list(_pin_enumeration_by_scan(inst, backbone, extra))
+    p = Gf2Matrix.from_strings(["01110010", "00010010", "11001001"])
+    inst = reduce_terminals(PrimalInstance(g, p, [2], 3))
+    assert inst.graph.num_edges == 8 and inst.terminals == (2,)
+    guesses = list(pgm_solver.build_pattern_instances(inst))
+    want = {(ctx.backbone, tuple(ctx.f.items()), tuple(ctx.f_e.items()))
+            for _pci, ctx in _reference_pattern_instances(inst)}
+    got = {(ctx.backbone, tuple(ctx.f.items()), tuple(ctx.f_e.items())) for _pci, ctx in guesses}
     assert got == want
-    assert len(want) == 6   # pair onto edges 0 and 1 in both orders; loop onto 4 or 5, or 3
+    for _pci, ctx in guesses:
+        # f and f_E are f* and f*_E on the extra edges, and the scan offers that pin
+        assert ctx.f == {v: ctx.f_star[v] for v in ctx.f}
+        assert ctx.f_e == {eid: ctx.f_star_e[eid] for eid in ctx.extra}
+        assert (ctx.f, ctx.f_e) in _pin_enumeration_by_scan(inst, ctx.backbone, list(ctx.extra))
+    # some guess pins an extra loop together with an extra edge of a parallel pair
+    assert any(any(ctx.backbone.is_loop(eid) for eid in ctx.extra)
+               and any(not ctx.backbone.is_loop(eid) and len(_bundle_of(ctx.backbone, eid)) > 1
+                       for eid in ctx.extra)
+               for _pci, ctx in guesses)
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,55 +192,105 @@ def test_solve_matches_oracle_at_bench_sizes(n, seed, r, num_terminals, k, data)
         assert cert.verify(inst.a_matrix)
 
 
+def _edge_group_by_search(h):
+    """Every edge permutation of h: a vertex permutation keeping its edge multiset, then each
+    parallel bundle sent onto its image bundle in every order (entry e is e's image)."""
+    bundles = {}
+    for eid, (u, v) in h.edges():
+        bundles.setdefault(frozenset((u, v)), []).append(eid)
+    group = set()
+    for perm in itertools.permutations(range(h.n)):
+        moves = [(es, bundles.get(frozenset(perm[x] for x in pair), [])) for pair, es in bundles.items()]
+        if any(len(es) != len(to) for es, to in moves):
+            continue
+        for images in itertools.product(*(itertools.permutations(to) for _es, to in moves)):
+            pi = [None] * h.num_edges
+            for (es, _to), img in zip(moves, images):
+                for e, x in zip(es, img):
+                    pi[e] = x
+            group.add(tuple(pi))
+    return group
+
+
+def _orbit_minima(backbone, t):
+    """The least typing of each orbit under the searched group, ascending."""
+    group = _edge_group_by_search(backbone)
+    return sorted({min(tuple(tau[e] for e in pi) for pi in group)
+                   for tau in itertools.product(range(1, t + 1), repeat=backbone.num_edges)})
+
+
+def test_canonical_typings_are_least_of_each_orbit():
+    cases = [(me, t) for me in (1, 2, 3) for t in (1, 2, 3)] + [(4, 1), (4, 2)]
+    for me, t in cases:
+        for backbone, _cycles in pgm_solver._backbone_classes(me):
+            assert pgm_solver._edge_automorphisms(backbone) == \
+                sorted(_edge_group_by_search(backbone)), backbone.edges()
+            assert list(pgm_solver._canonical_typings(backbone, t)) == \
+                _orbit_minima(backbone, t), (backbone.edges(), t)
+
+
 def _reference_pattern_instances(inst):
-    """The guess chain without pruning: every parity combination, pin and (D, f*) in turn."""
+    """The guess chain without its prunes, in the chain's emission order.
+
+    Per backbone, the pins come from a scan of the host edges. Per typing
+    (the least of each orbit under the searched group, with every type on a
+    host edge of the same kind), each parity combination collects every
+    (pin, D, f*) in turn and emits them sorted as the chain does: by the
+    index of each terminal's odd set, then by the images of sorted D.
+    """
     t, types = edge_types(inst.p)
     classes, _ = distinct_columns(inst.p)
     type_of = {eid: types[inst.col_of[eid]] for eid in inst.graph.edge_ids()}
     term_set = set(inst.terminals)
     edge_by_sig = {}
+    host_types = {True: set(), False: set()}
     for ge in inst.graph.edge_ids():
         if ge not in term_set:
             x, y = inst.graph.endpoints(ge)
             edge_by_sig.setdefault((min(x, y), max(x, y), type_of[ge]), ge)
+            host_types[x == y].add(type_of[ge])
     for backbone in enumerate_backbones(inst.k, t):
         if backbone.num_edges > inst.k or backbone.n > inst.graph.n:
             continue
         forest = frozenset(spanning_forest(backbone))
         extra = [eid for eid in backbone.edge_ids() if eid not in forest]
-        forest_list = sorted(forest)
         subsets = [frozenset(sub) for size in range(backbone.num_edges + 1)
                    for sub in itertools.combinations(backbone.edge_ids(), size)]
-        for f, f_e in _pin_enumeration_by_scan(inst, backbone, extra):
-            for labels in itertools.product(range(1, t + 1), repeat=len(forest_list)):
-                ell = dict(zip(forest_list, labels))
-                h_edge_type = dict(ell)
-                for eid in extra:
-                    h_edge_type[eid] = type_of[f_e[eid]]
-                per_term = {}
-                for w in inst.terminals:
-                    opts = {}
-                    for sub in subsets:
-                        b = [0] * t
-                        for eid in sub:
-                            b[h_edge_type[eid] - 1] ^= 1
-                        b = tuple(b)
-                        odd = pgm_solver._odd_degree(backbone, sub)
-                        target = terminal_target_vertices(inst.a_column(w), b, classes)
-                        if len(odd) == len(target) <= backbone.n:
-                            opts.setdefault(b, []).append((sub, odd, target))
-                    per_term[w] = opts
-                if not all(per_term.values()):
-                    continue
-                for h_combo in itertools.product(*(sorted(per_term[w]) for w in inst.terminals)):
-                    h = dict(zip(inst.terminals, h_combo))
-                    yield from _reference_expand(inst, backbone, forest, extra, f, f_e, ell, h,
-                                                 per_term, h_edge_type, type_of, edge_by_sig)
+        pins = list(_pin_enumeration_by_scan(inst, backbone, extra))
+        for tau in _orbit_minima(backbone, t):
+            if any(typ not in host_types[backbone.is_loop(eid)] for eid, typ in enumerate(tau)):
+                continue
+            per_term = {}
+            for w in inst.terminals:
+                opts = {}
+                for sub in subsets:
+                    b = [0] * t
+                    for eid in sub:
+                        b[tau[eid] - 1] ^= 1
+                    b = tuple(b)
+                    odd = pgm_solver._odd_degree(backbone, sub)
+                    target = terminal_target_vertices(inst.a_column(w), b, classes)
+                    if len(odd) == len(target) <= backbone.n:
+                        opts.setdefault(b, []).append((sub, odd, target))
+                per_term[w] = opts
+            if not all(per_term.values()):
+                continue
+            ell = {eid: tau[eid] for eid in sorted(forest)}
+            for h_combo in itertools.product(*(sorted(per_term[w]) for w in inst.terminals)):
+                h = dict(zip(inst.terminals, h_combo))
+                found = []
+                for f, f_e in pins:
+                    if all(type_of[f_e[eid]] == tau[eid] for eid in extra):
+                        found.extend(_reference_expand(inst, backbone, forest, extra, f, f_e, ell,
+                                                       h, per_term, tau, type_of, edge_by_sig))
+                found.sort(key=lambda item: item[0])
+                for _key, guess in found:
+                    yield guess
 
 
 def _reference_expand(inst, backbone, forest, extra, f, f_e, ell, h, per_term,
-                      h_edge_type, type_of, edge_by_sig):
-    """Every (D, f*) of one parity choice, each checked by a full scan of the backbone edges."""
+                      tau, type_of, edge_by_sig):
+    """Every (sort key, guess) of one pin and parity choice, each (D, f*) checked by a full scan."""
     v_star = frozenset(f.values()).union(*(per_term[w][h[w]][0][2] for w in inst.terminals))
     if len(v_star) > backbone.n:
         return
@@ -245,15 +305,17 @@ def _reference_expand(inst, backbone, forest, extra, f, f_e, ell, h, per_term,
             for eid, (u, v) in backbone.edges():
                 if u in d and v in d:
                     x, y = f_star[u], f_star[v]
-                    f_star_e[eid] = f_e.get(eid, edge_by_sig.get((min(x, y), max(x, y),
-                                                                  h_edge_type[eid])))
+                    f_star_e[eid] = f_e.get(eid, edge_by_sig.get((min(x, y), max(x, y), tau[eid])))
             if None in f_star_e.values() or len(set(f_star_e.values())) != len(f_star_e):
                 continue
             e_subsets = {}
+            odd_index = []
             for w in inst.terminals:
+                odds = list(dict.fromkeys(odd for _sub, odd, _target in per_term[w][h[w]]))
                 for sub, odd, target in per_term[w][h[w]]:
                     if odd <= d and frozenset(f_star[v] for v in odd) == target:
                         e_subsets[w] = sub
+                        odd_index.append(odds.index(odd))
                         break
             if len(e_subsets) != len(inst.terminals):
                 continue
@@ -264,8 +326,9 @@ def _reference_expand(inst, backbone, forest, extra, f, f_e, ell, h, per_term,
             pattern = backbone.without_edges(set(f_star_e))
             pci = PatternCoverInstance(
                 g=host, ell_g={ge: type_of[ge] for ge in host.edge_ids()}, h=pattern,
-                ell_h={eid: h_edge_type[eid] for eid in pattern.edge_ids()}, u=d, f=f_star)
-            yield pci, ctx
+                ell_h={eid: tau[eid] for eid in pattern.edge_ids()}, u=d, f=f_star)
+            key = (tuple(odd_index), tuple(f_star[v] for v in sorted(d)))
+            yield key, (pci, ctx)
 
 
 def _guess_record(pci, ctx):
@@ -396,11 +459,96 @@ def test_witness_options_match_plain_scan():
 def test_injective_assignments_match_filtered_permutations(data):
     codomain = data.draw(st.lists(st.integers(0, 9), max_size=6, unique=True))
     size = data.draw(st.integers(0, 4))
-    tests = [data.draw(st.lists(st.integers(0, j), max_size=3)) for j in range(size)]
-    allowed = data.draw(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40))
+    # each position draws from a sub-list of the codomain, in codomain order
+    domains = [[x for x in codomain if data.draw(st.booleans())] for _ in range(size)]
+    tests = [data.draw(st.lists(st.tuples(st.integers(0, j), st.integers(1, 2)), max_size=3))
+             for j in range(size)]
+    allowed = data.draw(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(1, 2)),
+                                max_size=60))
     want = []
     for images in itertools.permutations(codomain, size):
-        if all((images[i], images[j]) in allowed for j in range(size) for i in tests[j]):
+        if all(x in dom for x, dom in zip(images, domains)) and \
+                all((images[i], images[j], label) in allowed
+                    for j in range(size) for i, label in tests[j]):
             want.append(images)
-    got = list(pgm_solver._injective_assignments(size, codomain, tests, allowed))
+    got = list(pgm_solver._injective_assignments(domains, tests, allowed))
     assert got == want
+
+
+def _loop_and_pair_host(rng):
+    """A random host with at least one loop and one parallel pair, r 0-2, |T| 1-3, k 1-3."""
+    n = rng.randint(2, 6)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(2, 8))]
+    edges += [edges[0], (edges[-1][1], edges[-1][1])]
+    row_bits = [0] * n
+    for _ in range(rng.randint(0, 2)):
+        col_pat, row_pat = rng.getrandbits(n), rng.getrandbits(len(edges))
+        for i in range(n):
+            if (col_pat >> i) & 1:
+                row_bits[i] ^= row_pat
+    terminals = rng.sample(range(len(edges)), rng.randint(1, 3))
+    return PrimalInstance(MultiGraph(n, edges), Gf2Matrix(n, len(edges), row_bits), terminals,
+                          rng.randint(1, 3))
+
+
+def test_minimum_matches_oracle_on_loops_and_parallel_edges():
+    yes = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        if seed % 2 == 0:
+            inst = _loop_and_pair_host(rng)
+        else:
+            inst = random_instance("primal", rng.randint(2, 7), rng.randint(3, 10),
+                                   rng.randint(0, 2), rng.randint(1, 3), rng.randint(1, 3), rng)
+        got = pgm_solver.solve(inst)
+        want = solve_primal_bruteforce(inst)
+        assert (got is None) == (want is None), seed
+        if got is not None:
+            yes += 1
+            assert len(got[0]) == len(want[0]), seed
+            assert got[1].verify(inst.a_matrix), seed
+    assert 200 < yes < 800
+
+
+def _relabelled(inst, rng):
+    """inst with vertex ids and edge ids permuted, terminals and P columns carried along."""
+    g = inst.graph
+    vperm = list(range(g.n))
+    rng.shuffle(vperm)
+    order = g.edge_ids()
+    rng.shuffle(order)   # new edge j is old edge order[j]
+    new_g = MultiGraph(g.n, [tuple(vperm[x] for x in g.endpoints(e)) for e in order])
+    row_bits = [0] * g.n
+    for i in range(g.n):
+        for j, e in enumerate(order):
+            row_bits[vperm[i]] |= ((inst.p.row_bits[i] >> inst.col_of[e]) & 1) << j
+    terminals = [j for j, e in enumerate(order) if e in inst.terminals]
+    return PrimalInstance(new_g, Gf2Matrix(g.n, len(order), row_bits), terminals, inst.k)
+
+
+def _with_parallel_copy(inst, eid):
+    """inst plus a copy of edge eid with the same endpoints and the same P column."""
+    g = inst.graph.copy()
+    g.add_edge(*g.endpoints(eid))
+    col = inst.col_of[eid]
+    row_bits = [bits | (((bits >> col) & 1) << inst.p.cols) for bits in inst.p.row_bits]
+    return PrimalInstance(g, Gf2Matrix(g.n, inst.p.cols + 1, row_bits), inst.terminals, inst.k)
+
+
+def _size(result):
+    return None if result is None else len(result[0])
+
+
+def test_relabelling_and_parallel_copies_keep_the_answer_past_the_oracle():
+    # n 24-40 and m = 2n at k = 3 lie past the oracle's SUBSET_BUDGET; five rows are yes
+    for i in range(10):
+        rng = random.Random(2000 + i)
+        n = 24 + 16 * i // 9
+        inst = random_instance("primal", n, 2 * n, 1 + i // 5, 1 + i % 2, 3, rng)
+        want = _size(pgm_solver.solve(inst))
+        assert _size(pgm_solver.solve(_relabelled(inst, rng))) == want, i
+        eid = rng.choice(inst.nonterminal_edges())
+        assert _size(pgm_solver.solve(_with_parallel_copy(inst, eid))) == want, i
+        if want is None:
+            inst.k = 2
+            assert pgm_solver.solve(inst) is None, i
