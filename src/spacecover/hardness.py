@@ -165,6 +165,8 @@ def from_3dm(inst: TdmInstance) -> PrimalInstance:
 def random_mc_instance(k: int, part_size: int, edge_prob: float,
                        rng: random.Random) -> McInstance:
     """Random multicolored-clique instance; intra-class edges are never generated."""
+    if not 0 <= edge_prob <= 1:
+        raise ValueError("edge probability %s is not in [0, 1]" % edge_prob)
     parts = [list(range(i * part_size, (i + 1) * part_size)) for i in range(k)]
     n = k * part_size
     edges = []

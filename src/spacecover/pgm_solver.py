@@ -71,37 +71,28 @@ def edge_types(p: Gf2Matrix) -> Tuple[int, Dict[int, int]]:
     return len(classes), {j: c + 1 for j, c in cls_of.items()}
 
 
-def _canonical_form(n: int, edges: List[Tuple[int, int]]) -> Tuple:
-    best = None
-    for perm in itertools.permutations(range(n)):
-        relab = sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges)
-        key = tuple(relab)
-        if best is None or key < best:
-            best = key
-    return (n, best)
-
-
 @lru_cache(maxsize=None)
 def _backbone_classes(me: int) -> Tuple[Tuple[MultiGraph, int], ...]:
     """(representative, simple-cycle count) of every class of graphs with exactly me edges.
 
-    Built the first time a solve reaches me edges, then shared by every later
-    call in the process: nothing may mutate a cached graph.
+    A candidate (vertex pairs from ``combinations_with_replacement``, every
+    vertex used) is kept unless a kept graph of its sorted (degree, loop
+    count) profile maps to it, so each class keeps its least labelling. Built
+    on first use and shared after: nothing may mutate a cached graph.
     """
     classes = []
-    seen = set()
+    kept: Dict[Tuple[Tuple[int, int], ...], List[MultiGraph]] = {}
     for nv in range(1, 2 * me + 1):
         slots = [(i, j) for i in range(nv) for j in range(i, nv)]
         for combo in itertools.combinations_with_replacement(slots, me):
-            used = {v for e in combo for v in e}
-            if len(used) != nv:
+            if len({v for e in combo for v in e}) != nv:
                 continue
-            key = _canonical_form(nv, list(combo))
-            if key in seen:
-                continue
-            seen.add(key)
             g = MultiGraph(nv, combo)
-            classes.append((g, count_simple_cycles(g)))
+            profile = tuple(sorted((sum(row), row[v]) for v, row in enumerate(_pair_counts(g))))
+            same = kept.setdefault(profile, [])
+            if all(next(_vertex_maps(h, g), None) is None for h in same):
+                same.append(g)
+                classes.append((g, count_simple_cycles(g)))
     return tuple(classes)
 
 
@@ -168,37 +159,46 @@ def _class_plan(backbone: MultiGraph):
     return forest, extra, vtilde, bundles, witnesses
 
 
+def _pair_counts(g: MultiGraph) -> List[List[int]]:
+    """The edge count of every vertex pair of g, symmetric; the diagonal counts loops."""
+    counts = [[0] * g.n for _ in range(g.n)]
+    for _eid, (u, v) in g.edges():
+        counts[u][v] += 1
+        counts[v][u] = counts[u][v]
+    return counts
+
+
+def _vertex_maps(g: MultiGraph, h: MultiGraph) -> Iterator[Tuple[int, ...]]:
+    """Every vertex bijection g -> h keeping the edge count of each vertex pair, loops included.
+
+    Entry i is the image of vertex i. A backtracking search maps vertex i to
+    x only when the edge counts from i to itself and to each earlier vertex
+    equal those from x to their images.
+    """
+    if g.n != h.n:
+        return
+    cg, ch = _pair_counts(g), _pair_counts(h)
+
+    def extend(sigma: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+        if len(sigma) == g.n:
+            yield sigma
+            return
+        for x in range(h.n):
+            if x not in sigma and all(c == ch[x][y] for c, y in zip(cg[len(sigma)], sigma + (x,))):
+                yield from extend(sigma + (x,))
+
+    yield from extend(())
+
+
 def _edge_automorphisms(h: MultiGraph) -> List[Tuple[int, ...]]:
     """Every distinct edge permutation of an automorphism of h (edge ids 0..m-1), sorted.
 
-    A backtracking search maps vertex i to x only when the edge counts from
-    i to itself and to each earlier vertex equal those from x to their
-    images. Each vertex automorphism then maps every bundle of parallel
-    edges onto its image bundle in every order. Entry e is e's image.
+    Each vertex automorphism from ``_vertex_maps`` maps every bundle of
+    parallel edges onto its image bundle in every order. Entry e is e's image.
     """
     bundles = _bundles(h)
-
-    def count(a: int, b: int) -> int:
-        return len(bundles.get((min(a, b), max(a, b)), ()))
-
-    sigma: List[int] = []
-    vertex_maps = []
-
-    def extend() -> None:
-        i = len(sigma)
-        if i == h.n:
-            vertex_maps.append(list(sigma))
-            return
-        for x in range(h.n):
-            if x not in sigma and count(i, i) == count(x, x) and \
-                    all(count(i, j) == count(x, y) for j, y in enumerate(sigma)):
-                sigma.append(x)
-                extend()
-                sigma.pop()
-
-    extend()
     perms = set()
-    for s in vertex_maps:
+    for s in _vertex_maps(h, h):
         moves = [(es, bundles[min(s[u], s[v]), max(s[u], s[v])]) for (u, v), es in bundles.items()]
         for images in itertools.product(*(itertools.permutations(to) for _es, to in moves)):
             pi = [0] * h.num_edges

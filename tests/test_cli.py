@@ -343,6 +343,9 @@ def test_gen_mc_solvable_roundtrip(tmp_path, capsys):
     (["3dm", "OUT", "--q", "0"], "size q = 0"),
     (["3dm", "OUT", "--q", "1", "--triples", "2"], "2 distinct triples"),
     (["random", "missing/OUT"], "No such file or directory"),
+    (["mc", "OUT", "--edge-prob", "2"], "edge probability 2.0 is not in [0, 1]"),
+    (["mc", "OUT", "--edge-prob", "-1"], "edge probability -1.0 is not in [0, 1]"),
+    (["mc", "OUT", "--edge-prob", "nan"], "edge probability nan is not in [0, 1]"),
 ])
 def test_gen_bad_arguments_exit_two(tmp_path, capsys, args, problem):
     out = str(tmp_path / args[1])

@@ -54,11 +54,20 @@ def test_backbone_catalog_matches_canonical_search(monkeypatch):
         assert _backbone_shapes(k, t) == shapes, (k, t)
 
     def no_search(*args):
-        raise AssertionError("canonical-form search on a repeated call")
+        raise AssertionError("vertex-map search on a repeated call")
 
-    monkeypatch.setattr(pgm_solver, "_canonical_form", no_search)
+    monkeypatch.setattr(pgm_solver, "_vertex_maps", no_search)
     for (k, t), shapes in want.items():
         assert _backbone_shapes(k, t) == shapes, (k, t)
+
+
+def test_four_edge_catalog_holds_least_labellings():
+    shapes = [(g.n, tuple(e for _, e in g.edges())) for g, _cycles in pgm_solver._backbone_classes(4)]
+    least = [(n, min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+                     for p in itertools.permutations(range(n)))) for n, edges in shapes]
+    assert least == shapes
+    assert len(set(least)) == len(shapes) == 79   # OEIS A050535
+    assert shapes == sorted(shapes)
 
 
 def test_backbones_respect_cycle_cap():
@@ -121,6 +130,18 @@ def test_solve_matches_oracle_small_corpus():
             assert not set(f) & set(inst.terminals)
             assert cert.verify(inst.a_matrix)
     assert stats["guesses"] == 120
+
+
+def test_solve_matches_oracle_at_budget_four():
+    rng = random.Random(404)
+    verdicts = []
+    for _ in range(30):
+        inst = random_instance("primal", rng.randint(6, 10), rng.randint(10, 18),
+                               rng.randint(0, 2), rng.randint(1, 3), 4, rng)
+        got = pgm_solver.solve(inst)
+        assert (got is None) == (solve_primal_bruteforce(inst) is None)
+        verdicts.append(got is not None)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_solve_finds_minimum_size():
