@@ -166,6 +166,9 @@ def _cmd_gen(args) -> int:
             tdm = hardness.random_3dm_instance(args.q, args.triples, rng)
             inst = hardness.from_3dm(tdm)
         else:
+            if args.terminals > args.m:
+                raise ValueError("%d terminals exceed the m = %d edges"
+                                 % (args.terminals, args.m))
             inst = random_instance(args.mode, args.n, args.m, args.r,
                                    args.terminals, args.k, rng)
         with open(args.out, "w", encoding="utf-8") as fh:

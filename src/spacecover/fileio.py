@@ -136,7 +136,7 @@ class ResultReport:
     mode: str
     answer: str                      # "yes" or "no"
     f_edges: Optional[List[int]] = None
-    k: int = 0
+    k: Optional[int] = None          # None when the report names no budget
     solver_ms: float = 0.0
     certificate: Optional[Dict] = None
     stats: Dict[str, int] = field(default_factory=dict)
@@ -192,8 +192,8 @@ def parse_report(text: str) -> ResultReport:
     answer = payload.get("answer")
     if mode not in ("primal", "dual") or answer not in ("yes", "no"):
         raise FormatError("report needs a valid mode and answer")
-    k = payload.get("k", 0)
-    if not _is_int(k):
+    k = payload.get("k")
+    if k is not None and not _is_int(k):
         raise FormatError("report field k must be an integer")
     solver_ms = payload.get("solver_ms", 0.0)
     if not (_is_int(solver_ms) or isinstance(solver_ms, float)):
@@ -241,11 +241,16 @@ def verify_report(inst: SpaceCoverInstance, report: ResultReport) -> Optional[st
     """Independently re-verify a yes-report against its instance.
 
     Returns None on success or a message naming the first failure; the check
-    uses only GF(2) column/row arithmetic, never the solvers.
+    uses only GF(2) column/row arithmetic, never the solvers. A report of
+    another mode or budget than the instance raises FormatError, whatever
+    its answer.
     """
     if report.mode != inst.mode:
         raise FormatError("mode mismatch: report %s vs instance %s"
                           % (report.mode, inst.mode))
+    if report.k != inst.k:
+        raise FormatError("budget mismatch: report k=%s vs instance k=%d"
+                          % ("missing" if report.k is None else report.k, inst.k))
     if report.answer == "no":
         return None
     if report.f_edges is None or report.certificate is None:

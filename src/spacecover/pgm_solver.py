@@ -9,7 +9,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from . import pattern_cover
 from .binmatroid import SpanCertificate, span_contains
-from .gf2 import Gf2Matrix, basis, distinct_columns, support
+from .gf2 import Gf2Matrix, basis, distinct_columns
 from .instances import PrimalInstance
 from .multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from .pattern_cover import PatternCoverInstance
@@ -112,14 +112,23 @@ def enumerate_backbones(k: int, t: int) -> Iterator[MultiGraph]:
                 yield g
 
 
-def terminal_target_vertices(w: int, h_w: Tuple[int, ...],
-                             classes: List[int]) -> FrozenSet[int]:
-    """Support of (sum of selected class columns) + W: the vertices a terminal must hit."""
+def terminal_target_vertices(w: int, h_w: Tuple[int, ...], classes: List[int]) -> int:
+    """(Sum of selected class columns) + W, packed: bit v marks a vertex the terminal must hit."""
     acc = w
     for b, c in zip(h_w, classes):
         if b:
             acc ^= c
-    return support(acc)
+    return acc
+
+
+def _vertices(bits: int) -> List[int]:
+    """The vertices of a packed vertex set, ascending."""
+    return [v for v in range(bits.bit_length()) if (bits >> v) & 1]
+
+
+def _slot(typ: int, loop: bool) -> int:
+    """The slot bit of an edge of type ``typ``: bit 2·typ + 1 for a loop, 2·typ otherwise."""
+    return 1 << (2 * typ + loop)
 
 
 def _odd_degree(h: MultiGraph, edge_subset) -> FrozenSet[int]:
@@ -143,20 +152,24 @@ def _bundles(h: MultiGraph) -> Dict[Tuple[int, int], List[int]]:
 def _class_plan(backbone: MultiGraph):
     """What one backbone class gives every solve, built on first use and shared after.
 
-    (spanning forest, extra edges, their sorted endpoints Ṽ, bundles of two
+    (spanning forest, extra edges, their endpoints Ṽ packed, bundles of two
     or more parallel edges, witnesses). The witnesses are every edge subset
-    with its odd-degree set, by size, then in ``itertools.combinations``
-    order. Nothing here depends on the instance.
+    with its packed odd-degree set O and the edges with both ends in O, by
+    size, then in ``itertools.combinations`` order. Nothing here depends on
+    the instance.
     """
     forest = frozenset(spanning_forest(backbone))
     extra = tuple(eid for eid in backbone.edge_ids() if eid not in forest)
-    vtilde = tuple(sorted({v for eid in extra for v in backbone.endpoints(eid)}))
+    vtilde = sum(1 << v for v in {v for eid in extra for v in backbone.endpoints(eid)})
     bundles = tuple(es for es in _bundles(backbone).values() if len(es) > 1)
-    edges = backbone.edge_ids()
-    witnesses = tuple((frozenset(sub), _odd_degree(backbone, sub))
-                      for size in range(len(edges) + 1)
-                      for sub in itertools.combinations(edges, size))
-    return forest, extra, vtilde, bundles, witnesses
+    edges = backbone.edges()
+    witnesses = []
+    for size in range(len(edges) + 1):
+        for sub in itertools.combinations(backbone.edge_ids(), size):
+            odd = _odd_degree(backbone, sub)
+            inside = tuple(eid for eid, (u, v) in edges if u in odd and v in odd)
+            witnesses.append((frozenset(sub), sum(1 << v for v in odd), inside))
+    return forest, extra, vtilde, bundles, tuple(witnesses)
 
 
 def _pair_counts(g: MultiGraph) -> List[List[int]]:
@@ -256,79 +269,99 @@ def _injective_assignments(domains: Sequence[Sequence[int]], tests: List[List[Tu
 
 
 class _TargetRow(dict):
-    """One terminal's (parity vector, target) per parity mask, each computed on first use.
+    """One terminal's (parity vector, target, inner slots) per parity mask, each filled on first use.
 
     Bit ``t - j`` of a mask is the parity of type j, so ascending masks run in
-    sorted vector order. Entries are filled on demand, not for all 2^t
-    masks: t is not capped, and a backbone of at most k edges reaches few.
+    sorted vector order. The target is packed, and its inner slots OR the
+    ``_slot`` of every host edge with both ends in it; ``host_slots`` holds
+    (packed endpoints, slot) of each non-terminal host edge. Entries are
+    filled on demand, not for all 2^t masks: t is not capped, and a backbone
+    of at most k edges reaches few.
     """
 
-    def __init__(self, w: int, classes: List[int]):
+    def __init__(self, w: int, classes: List[int], host_slots: Set[Tuple[int, int]]):
         super().__init__()
         self.w = w
         self.classes = classes
+        self.host_slots = host_slots
 
-    def __missing__(self, mask: int) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
+    def __missing__(self, mask: int) -> Tuple[Tuple[int, ...], int, int]:
         t = len(self.classes)
         b = tuple((mask >> (t - 1 - i)) & 1 for i in range(t))
-        entry = self[mask] = (b, terminal_target_vertices(self.w, b, self.classes))
+        target = terminal_target_vertices(self.w, b, self.classes)
+        inner = 0
+        for ends, slot in self.host_slots:
+            if not ends & ~target:
+                inner |= slot
+        entry = self[mask] = (b, target, inner)
         return entry
 
 
-def _witness_options(witnesses, edge_bit: Sequence[int], rows: List[_TargetRow]):
+def _witness_options(witnesses, edge_bit: Sequence[int], edge_slot: Sequence[int],
+                     rows: List[_TargetRow]):
     """Per terminal, its witness choices under one typing of the backbone edges, or None.
 
-    ``witnesses`` holds every backbone edge subset with its odd-degree set,
-    ``edge_bit`` the parity-mask bit of each backbone edge's type, and
-    ``rows`` each terminal's targets. One pass groups the subsets by (parity
-    mask, odd-set size), each odd set keeping its first subset. A terminal
-    then reads, per mask, the group at the size of its target: every witness
-    of one (terminal, vector) has that target. A choice is (parity vector,
-    target, odd set -> subset), in sorted vector order. None when some
-    terminal has no choice: the typing admits no guess.
+    ``witnesses`` holds every backbone edge subset with its odd-degree set O
+    and the edges inside O, ``edge_bit`` the parity-mask bit of each
+    backbone edge's type, ``edge_slot`` its ``_slot``, and ``rows`` each
+    terminal's targets. One pass groups the subsets by (parity mask, |O|),
+    each odd set keeping its first subset and the slots its inside edges
+    need. A terminal then reads, per mask, the group at the size of its
+    target T: every witness of one (terminal, vector) has that target. It
+    keeps an odd set only when T holds a host edge of each needed slot: f*
+    maps O onto T, so each edge inside O needs such a host edge. A choice
+    is (parity vector, target, odd set -> subset), in sorted vector order.
+    None when some terminal has no choice: the typing admits no guess.
     """
-    groups: Dict[Tuple[int, int], Dict[FrozenSet[int], FrozenSet[int]]] = {}
-    for sub, odd in witnesses:
+    groups: Dict[Tuple[int, int], Dict[int, Tuple[FrozenSet[int], int]]] = {}
+    for sub, odd, inside in witnesses:
         mask = 0
         for eid in sub:
             mask ^= edge_bit[eid]
-        groups.setdefault((mask, len(odd)), {}).setdefault(odd, sub)
+        odds = groups.setdefault((mask, odd.bit_count()), {})
+        if odd not in odds:
+            need = 0
+            for eid in inside:
+                need |= edge_slot[eid]
+            odds[odd] = sub, need
     masks = sorted({mask for mask, _size in groups})
     choices = []
     for row in rows:
         options = []
         for mask in masks:
-            b, target = row[mask]
-            odds = groups.get((mask, len(target)))
+            b, target, inner = row[mask]
+            odds = groups.get((mask, target.bit_count()))
             if odds is not None:
-                options.append((b, target, odds))
+                kept = {odd: sub for odd, (sub, need) in odds.items() if not need & ~inner}
+                if kept:
+                    options.append((b, target, kept))
         if not options:
             return None
         choices.append(options)
     return choices
 
 
-def _bounded_parities(choices, cap: int) -> Iterator[Tuple[Tuple[Tuple, ...], FrozenSet[int]]]:
-    """(choice per terminal, V*) in ``itertools.product`` order over ``choices``.
+def _bounded_parities(choices, cap: int) -> Iterator[Tuple[Tuple[Tuple, ...], int]]:
+    """(choice per terminal, packed V*) in ``itertools.product`` order over ``choices``.
 
-    A choice's second field is its target, and V* is the union of the chosen
-    targets; a branch is cut as soon as V* exceeds ``cap`` vertices, since
-    adding targets never shrinks it.
+    A choice's second field is its packed target, and V* is the union of the
+    chosen targets; a branch is cut as soon as V* exceeds ``cap`` vertices,
+    since adding targets never shrinks it.
     """
     picked: List[Tuple] = []
 
-    def walk(i: int, union: FrozenSet[int]):
+    def walk(i: int, union: int):
         if i == len(choices):
             yield tuple(picked), union
             return
         for choice in choices[i]:
             grown = union | choice[1]
-            if len(grown) <= cap:
+            if grown.bit_count() <= cap:
                 picked.append(choice)
                 yield from walk(i + 1, grown)
                 picked.pop()
 
-    return walk(0, frozenset())
+    return walk(0, 0)
 
 
 def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCoverInstance, GuessContext]]:
@@ -338,15 +371,17 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
     chain runs backbone -> edge typing -> parity choice -> odd-set choice ->
     f*, and emits its guesses in that nesting order:
 
-    - per instance: the edge types, each terminal's target per parity mask
-      (filled on first use), the host's loop and non-loop types, and the
-      host edge by (endpoints, type);
+    - per instance: the edge types, each terminal's target and the slots of
+      the host edges inside it per parity mask (filled on first use), the
+      slots of all host edges, and the host edge by (endpoints, type);
     - per backbone (catalog order): its class plan, built once per process;
     - per canonical typing (ascending): one per orbit of the backbone's edge
-      automorphisms, kept when the host has a loop of each loop's type and a
-      non-loop edge of each other edge's type, and when parallel edges have
-      distinct types (otherwise both would need one host edge). Its witness
-      options drop it when some terminal has no witness;
+      automorphisms, kept when the host has an edge of each backbone edge's
+      slot (a loop of each loop's type, a non-loop edge of each other edge's
+      type), and when parallel edges have distinct types (otherwise both
+      would need one host edge). Its witness options drop an odd set whose
+      inside edges have no host edge of their slot inside the target, and
+      the typing when some terminal has no witness left;
     - per parity choice (``itertools.product`` order): walked with the
       branch cut once V* outgrows the backbone;
     - per odd-set choice and f*: ``_expand_guess``.
@@ -357,27 +392,32 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
     term_set = set(inst.terminals)
     # lookup: (host endpoints in either order, type) -> host edge (unique after dedup)
     edge_by_sig: Dict[Tuple[int, int, int], int] = {}
-    host_types: Dict[bool, Set[int]] = {True: set(), False: set()}
+    host_slots: Set[Tuple[int, int]] = set()
+    all_slots = 0
     for ge in inst.graph.edge_ids():
         if ge in term_set:
             continue
         x, y = inst.graph.endpoints(ge)
-        host_types[x == y].add(type_of[ge])
+        slot = _slot(type_of[ge], x == y)
+        host_slots.add(((1 << x) | (1 << y), slot))
+        all_slots |= slot
         for sig in ((x, y, type_of[ge]), (y, x, type_of[ge])):
             edge_by_sig.setdefault(sig, ge)
-    rows = [_TargetRow(inst.a_column(w), classes) for w in inst.terminals]
+    rows = [_TargetRow(inst.a_column(w), classes, host_slots) for w in inst.terminals]
 
     for backbone in enumerate_backbones(inst.k, t):
         if backbone.n > inst.graph.n:
             continue
         plan = _class_plan(backbone)
         bundles, witnesses = plan[3], plan[4]
-        has = [host_types[backbone.is_loop(eid)] for eid in backbone.edge_ids()]
+        loops = [backbone.is_loop(eid) for eid in backbone.edge_ids()]
         for tau in _canonical_typings(backbone, t):
-            if not all(typ in ok for typ, ok in zip(tau, has)) or \
+            edge_slot = [_slot(typ, loop) for typ, loop in zip(tau, loops)]
+            if not all(slot & all_slots for slot in edge_slot) or \
                     any(len({tau[eid] for eid in es}) < len(es) for es in bundles):
                 continue
-            choices = _witness_options(witnesses, [1 << (t - typ) for typ in tau], rows)
+            choices = _witness_options(witnesses, [1 << (t - typ) for typ in tau], edge_slot,
+                                       rows)
             if choices is None:
                 continue
             for picked, v_star in _bounded_parities(choices, backbone.n):
@@ -389,12 +429,13 @@ def _expand_guess(inst, backbone, plan, tau, picked, v_star, type_of, edge_by_si
     """Every (D, f*) of one parity choice: one f* search per odd-set choice.
 
     ``picked`` holds each terminal's (parity vector, target, odd set ->
-    subset) choice, and V* is the union of the targets. D is the extra-edge
-    endpoints Ṽ plus one odd set O_w per terminal, and terminal w is
-    witnessed exactly when the injective f* maps O_w onto its target. So a
-    vertex of D may only go to a host vertex that lies in the same targets
-    as the vertex lies in odd sets: a target vertex of the same signature,
-    or a host vertex in no target for a vertex of Ṽ in no odd set. An
+    subset) choice, and V* is the union of the targets, all vertex sets
+    packed. D is the extra-edge endpoints Ṽ plus one odd set O_w per
+    terminal, and terminal w is witnessed exactly when the injective f* maps
+    O_w onto its target. So a vertex of D may only go to a host vertex that
+    lies in the same targets as the vertex lies in odd sets: a target vertex
+    of the same signature, or a host vertex in no target for a vertex of Ṽ
+    in no odd set. An
     odd-set choice is dropped unless each signature has as many vertices in
     D as in V* (the Venn count); ``_injective_assignments`` then finds every
     f*, testing each backbone edge inside D against a host edge of its type.
@@ -406,16 +447,20 @@ def _expand_guess(inst, backbone, plan, tau, picked, v_star, type_of, edge_by_si
     forest, extra, vtilde, _bundles, _witnesses = plan
     targets = [target for _b, target, _odds in picked]
     by_sig: Dict[int, List[int]] = {}
-    for y in sorted(v_star):
-        by_sig.setdefault(sum(1 << i for i, tg in enumerate(targets) if y in tg), []).append(y)
-    outside = [x for x in range(inst.graph.n) if x not in v_star]
+    for y in _vertices(v_star):
+        by_sig.setdefault(sum(1 << i for i, tg in enumerate(targets) if (tg >> y) & 1),
+                          []).append(y)
+    outside = [x for x in range(inst.graph.n) if not (v_star >> x) & 1]
+    size = v_star.bit_count()
     edges = backbone.edges()
     for odds in itertools.product(*(choice[2] for choice in picked)):
-        union = frozenset().union(*odds)
-        if len(union) != len(v_star):
+        union = 0
+        for odd in odds:
+            union |= odd
+        if union.bit_count() != size:
             continue
-        d = sorted(union.union(vtilde))
-        sigs = [sum(1 << i for i, odd in enumerate(odds) if v in odd) for v in d]
+        d = _vertices(union | vtilde)
+        sigs = [sum(1 << i for i, odd in enumerate(odds) if (odd >> v) & 1) for v in d]
         if any(sig and sigs.count(sig) != len(by_sig.get(sig, ())) for sig in sigs):
             continue
         at = {v: i for i, v in enumerate(d)}
@@ -427,7 +472,7 @@ def _expand_guess(inst, backbone, plan, tau, picked, v_star, type_of, edge_by_si
         domains = [by_sig[sig] if sig else outside for sig in sigs]
         for images in _injective_assignments(domains, tests, edge_by_sig):
             image_of = dict(zip(d, images))
-            f = {v: image_of[v] for v in vtilde}
+            f = {v: image_of[v] for v in d if (vtilde >> v) & 1}
             f_star = dict(f)
             f_star.update((v, x) for v, x in image_of.items() if v not in f)
             f_star_e = {eid: edge_by_sig[f_star[u], f_star[v], tau[eid]] for eid, u, v in inside}

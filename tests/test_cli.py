@@ -274,6 +274,23 @@ def test_check_mode_mismatch_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("k", [-1, 3, None], ids=["negative", "other", "missing"])
+@pytest.mark.parametrize("budget, answer", [("k 2", "yes"), ("k 1", "no")])
+def test_check_budget_mismatch_exit_two(tmp_path, capsys, k, budget, answer):
+    inst = write(tmp_path / "tri.scpm", TRIANGLE_YES.replace("k 2", budget))
+    main(["solve", inst, "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["answer"] == answer
+    if k is None:
+        del payload["k"]
+    else:
+        payload["k"] = k
+    report = write(tmp_path / "budget.json", json.dumps(payload))
+    assert main(["check", inst, report]) == EXIT_ERROR
+    assert capsys.readouterr().err == "invalid: budget mismatch: report k=%s vs instance k=%s\n" \
+        % ("missing" if k is None else k, budget[2:])
+
+
 @pytest.mark.parametrize("field, value", [
     ("k", "x"),
     ("f", 3),
@@ -346,6 +363,7 @@ def test_gen_mc_solvable_roundtrip(tmp_path, capsys):
     (["mc", "OUT", "--edge-prob", "2"], "edge probability 2.0 is not in [0, 1]"),
     (["mc", "OUT", "--edge-prob", "-1"], "edge probability -1.0 is not in [0, 1]"),
     (["mc", "OUT", "--edge-prob", "nan"], "edge probability nan is not in [0, 1]"),
+    (["random", "OUT", "--m", "10", "--terminals", "50"], "50 terminals exceed the m = 10 edges"),
 ])
 def test_gen_bad_arguments_exit_two(tmp_path, capsys, args, problem):
     out = str(tmp_path / args[1])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import primal_corpus
 from spacecover import pgm_solver
-from spacecover.gf2 import Gf2Matrix, distinct_columns
+from spacecover.gf2 import Gf2Matrix, distinct_columns, support
 from spacecover.instances import PrimalInstance, random_instance
 from spacecover.multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from spacecover.oracle import solve_primal_bruteforce
@@ -290,7 +290,7 @@ def _reference_pattern_instances(inst):
                         b[tau[eid] - 1] ^= 1
                     b = tuple(b)
                     odd = pgm_solver._odd_degree(backbone, sub)
-                    target = terminal_target_vertices(inst.a_column(w), b, classes)
+                    target = support(terminal_target_vertices(inst.a_column(w), b, classes))
                     if len(odd) == len(target) <= backbone.n:
                         opts.setdefault(b, []).append((sub, odd, target))
                 per_term[w] = opts
@@ -429,24 +429,50 @@ def test_pattern_instances_match_unpruned_reference_at_bench_sizes():
     assert pinned and pinned_forest
 
 
-def _witness_options_by_scan(witnesses, edge_type, t, terminal_cols, classes, nv):
-    """Per terminal, its choices by a scan of every subset, or None: the options before grouping."""
+def _witness_options_by_scan(backbone, edge_type, t, terminal_cols, classes, host):
+    """Per terminal, its choices by a scan of every subset, or None: the options before grouping.
+
+    ``host`` lists (x, y, type) of each host edge. An odd set counts only
+    when each backbone edge with both ends in it has a host edge of its type
+    with both ends in the target, a loop for a loop and a non-loop otherwise.
+    """
+    edges = backbone.edge_ids()
     choices = []
     for w in terminal_cols:
         opts = {}
-        for sub, odd in witnesses:
-            b = [0] * t
-            for eid in sub:
-                b[edge_type[eid] - 1] ^= 1
-            b = tuple(b)
-            target = terminal_target_vertices(w, b, classes)
-            if len(odd) != len(target) or len(target) > nv:
-                continue
-            opts.setdefault(b, (target, {}))[1].setdefault(odd, sub)
+        for size in range(len(edges) + 1):
+            for sub in itertools.combinations(edges, size):
+                b = [0] * t
+                for eid in sub:
+                    b[edge_type[eid] - 1] ^= 1
+                b = tuple(b)
+                odd = pgm_solver._odd_degree(backbone, sub)
+                target = support(terminal_target_vertices(w, b, classes))
+                if len(odd) != len(target) or len(target) > backbone.n:
+                    continue
+                if not all(any(typ == edge_type[eid] and x in target and y in target and
+                               (x == y) == (u == v) for x, y, typ in host)
+                           for eid, (u, v) in backbone.edges() if u in odd and v in odd):
+                    continue
+                opts.setdefault(b, (target, {}))[1].setdefault(odd, frozenset(sub))
         if not opts:
             return None
         choices.append([(b, opts[b][0], list(opts[b][1].items())) for b in sorted(opts)])
     return choices
+
+
+def _witness_options_by_chain(backbone, edge_type, t, terminal_cols, classes, host):
+    """``_witness_options`` on the same input, vertex sets unpacked as in the scan."""
+    host_slots = {((1 << x) | (1 << y), pgm_solver._slot(typ, x == y)) for x, y, typ in host}
+    rows = [pgm_solver._TargetRow(w, classes, host_slots) for w in terminal_cols]
+    tau = [edge_type[eid] for eid in backbone.edge_ids()]
+    got = pgm_solver._witness_options(
+        pgm_solver._class_plan(backbone)[4], [1 << (t - typ) for typ in tau],
+        [pgm_solver._slot(typ, backbone.is_loop(eid)) for eid, typ in enumerate(tau)], rows)
+    if got is None:
+        return None
+    return [[(b, support(target), [(support(odd), sub) for odd, sub in odds.items()])
+             for b, target, odds in options] for options in got]
 
 
 def test_witness_options_match_plain_scan():
@@ -454,25 +480,32 @@ def test_witness_options_match_plain_scan():
     n_host = 5
     for me in range(1, 4):
         for backbone, _cycles in pgm_solver._backbone_classes(me):
-            edges = backbone.edge_ids()
-            witnesses = [(frozenset(sub), pgm_solver._odd_degree(backbone, sub))
-                         for size in range(len(edges) + 1)
-                         for sub in itertools.combinations(edges, size)]
             for t in range(1, 4):
                 classes = [rng.getrandbits(n_host) for _ in range(t)]
                 cols = [rng.getrandbits(n_host)
                         for _ in range(rng.randint(1, 3))]
-                rows = [pgm_solver._TargetRow(w, classes) for w in cols]
-                for key in itertools.product(range(1, t + 1), repeat=len(edges)):
-                    edge_type = dict(zip(edges, key))
-                    got = pgm_solver._witness_options(
-                        witnesses, {eid: 1 << (t - typ) for eid, typ in edge_type.items()}, rows)
-                    want = _witness_options_by_scan(witnesses, edge_type, t, cols, classes,
-                                                    backbone.n)
-                    if got is not None:
-                        got = [[(b, target, list(odds.items())) for b, target, odds in options]
-                               for options in got]
-                    assert got == want, (backbone.edges(), key)
+                host = [(x, x if rng.random() < 0.3 else rng.randrange(n_host),
+                         rng.randint(1, t))
+                        for x in (rng.randrange(n_host) for _ in range(rng.randint(0, 8)))]
+                for key in itertools.product(range(1, t + 1), repeat=backbone.num_edges):
+                    edge_type = dict(zip(backbone.edge_ids(), key))
+                    args = (backbone, edge_type, t, cols, classes, host)
+                    assert _witness_options_by_chain(*args) == _witness_options_by_scan(*args), \
+                        (backbone.edges(), key, host)
+
+
+def test_witness_options_need_a_loop_inside_the_target_for_a_loop():
+    # a loop and an edge at one vertex: both edges form the only witness, odd set {0, 1}
+    backbone = next(g for g, _cycles in pgm_solver._backbone_classes(2)
+                    if g.n == 2 and sorted(map(g.is_loop, g.edge_ids())) == [False, True])
+    edge_type = {0: 1, 1: 1}
+    # the terminal's target is {0, 1} under parity (0,) and {0, 1, 2} under (1,)
+    args = (backbone, edge_type, 1, [0b011], [0b100])
+    for loop, kept in ((None, False), ((2, 2, 1), False), ((1, 1, 1), True)):
+        host = [(0, 1, 1)] + ([loop] if loop else [])
+        want = [[((0,), frozenset({0, 1}), [(frozenset({0, 1}), frozenset({0, 1}))])]]
+        assert _witness_options_by_scan(*args, host) == (want if kept else None), loop
+        assert _witness_options_by_chain(*args, host) == (want if kept else None), loop
 
 
 @settings(max_examples=200, deadline=None)
