@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .gf2 import Gf2Matrix, in_span, support
 
@@ -14,6 +14,7 @@ __all__ = [
     "span_contains",
     "is_cocycle",
     "dual_span_contains",
+    "packing_refutation",
 ]
 
 
@@ -97,3 +98,57 @@ def dual_span_contains(a: Gf2Matrix, f: Iterable[int], t: Iterable[int]) -> Opti
             return None
         certs[w] = found
     return certs
+
+
+def packing_refutation(space: List[int], terminals: int, budget: int) -> Optional[List[int]]:
+    """Witnesses that no F of at most ``budget`` non-terminal elements covers the terminals, or None.
+
+    ``space`` spans the vectors that block a cover, all packed: the row space
+    of A in the primal mode (t is in cl(F) iff F meets every cocircuit
+    through t) and the kernel of A in the dual mode (t is in cl*(F) iff F
+    meets every circuit through t). A witness is a vector of that span with a
+    bit in the ``terminals`` mask, and every cover meets its non-terminal
+    bits. The witnesses found have pairwise disjoint non-terminal bits, so
+    more than ``budget`` of them refute; so does one with no non-terminal bit,
+    whose terminal lies outside cl(E - T). Each round keeps the vectors that
+    vanish on the non-terminal bits of the witnesses found so far, fully
+    reduces them on the non-terminal bits, and takes the one with a terminal
+    bit and the fewest non-terminal bits.
+    """
+    found: List[int] = []
+    rows = list(space)
+    avoid = 0
+    while True:
+        # rows already vanish on earlier witnesses, so only the last one's bits are eliminated
+        pivots: List[Tuple[int, int]] = []
+        free: List[int] = []
+        for word in rows:
+            for bit, p in pivots:
+                if word & bit:
+                    word ^= p
+            if word & avoid:
+                pivots.append((word & avoid & -(word & avoid), word))
+            elif word:
+                free.append(word)
+        reduced: List[Tuple[int, int]] = []
+        for word in free:
+            for bit, p in reduced:
+                if word & bit:
+                    word ^= p
+            rest = word & ~terminals
+            if not rest:
+                if word:
+                    return found + [word]
+                continue
+            low = rest & -rest
+            reduced = [(bit, p ^ word if p & low else p) for bit, p in reduced]
+            reduced.append((low, word))
+        rows = [p for _bit, p in reduced]
+        best = min((p for p in rows if p & terminals),
+                   key=lambda p: (p & ~terminals).bit_count(), default=None)
+        if best is None:
+            return None
+        found.append(best)
+        if len(found) > budget:
+            return found
+        avoid = best & ~terminals

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import eoct
-from .binmatroid import CocycleCertificate, dual_span_contains
+from .binmatroid import CocycleCertificate, dual_span_contains, packing_refutation
 from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
@@ -748,7 +748,13 @@ def reduce_terminals_dual(inst: DualInstance) -> Tuple[Tuple[int, ...], bool]:
 def solve(inst: DualInstance, params: Optional[RecursParams] = None,
           stats: Optional[Dict[str, int]] = None
           ) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
-    """Full dual pipeline; returns a verified (F, per-terminal certificates) or None."""
+    """Full dual pipeline; returns a verified (F, per-terminal certificates) or None.
+
+    Without params, a packing of cycle witnesses (``packing_refutation`` on
+    the kernel of A) may prove "no" before any parity guess;
+    ``stats["packing"]`` then counts its witnesses. A solve with params
+    skips the bound, so its "no" rows still run the recursion.
+    """
     kept, immediate_no = reduce_terminals_dual(inst)
     if immediate_no:
         return None
@@ -759,6 +765,12 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
         if certs is None:
             raise AssertionError("empty dual basis must span the dropped terminals")
         return frozenset(), certs
+    if params is None:
+        witnesses = packing_refutation(nullspace(a), sum(1 << c for c in term_cols), inst.k)
+        if witnesses is not None:
+            if stats is not None:
+                stats["packing"] = len(witnesses)
+            return None
     t, _ = vertex_types(inst.p)
     for combo in itertools.product(sorted(itertools.product((0, 1), repeat=t)),
                                    repeat=len(kept)):

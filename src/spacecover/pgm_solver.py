@@ -8,7 +8,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import pattern_cover
-from .binmatroid import SpanCertificate, span_contains
+from .binmatroid import SpanCertificate, packing_refutation, span_contains
 from .gf2 import Gf2Matrix, basis, distinct_columns
 from .instances import PrimalInstance
 from .multigraph import MultiGraph, count_simple_cycles, spanning_forest
@@ -495,7 +495,12 @@ def _expand_guess(inst, backbone, plan, tau, picked, v_star, type_of, edge_by_si
 def solve(inst: PrimalInstance,
           stats: Optional[Dict[str, int]] = None
           ) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
-    """Full primal pipeline; returns a verified (F, certificate) or None."""
+    """Full primal pipeline; returns a verified (F, certificate) or None.
+
+    After the terminal reduction, a packing of cocycle witnesses
+    (``packing_refutation`` on the rows of the reduced A) may prove "no"
+    before any guess; ``stats["packing"]`` then counts its witnesses.
+    """
     reduced = reduce_terminals(inst)
     if reduced.immediate_no:
         return None
@@ -509,6 +514,26 @@ def solve(inst: PrimalInstance,
     # a minimum F is independent, so no budget above the rank of the columns it draws on helps
     reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
                                           for e in reduced.nonterminal_edges()])))
+    witnesses = packing_refutation(reduced.a_matrix.row_bits,
+                                   sum(1 << reduced.col_of[e] for e in reduced.terminals),
+                                   reduced.k)
+    if witnesses is not None:
+        if stats is not None:
+            stats["packing"] = len(witnesses)
+        return None
+    return _cover_by_guesses(inst, reduced, stats)
+
+
+def _cover_by_guesses(inst: PrimalInstance, reduced: PrimalInstance,
+                      stats: Optional[Dict[str, int]] = None
+                      ) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
+    """The guess chain's first verified (F, certificate) on ``reduced``, or None.
+
+    ``reduced`` is ``inst`` after ``reduce_terminals``, with at least one
+    terminal and its budget lowered to the rank of its non-terminal columns.
+    """
+    a = inst.a_matrix
+    term_cols = [inst.col_of[e] for e in inst.terminals]
     for pci, ctx in build_pattern_instances(reduced):
         if stats is not None:
             stats["guesses"] = stats.get("guesses", 0) + 1

@@ -1,11 +1,15 @@
+import itertools
 import random
 
 import pytest
 
 from helpers import complete_graph
-from spacecover.binmatroid import dual_span_contains, is_cocycle, span_contains
-from spacecover.gf2 import Gf2Matrix
+from spacecover.binmatroid import (dual_span_contains, is_cocycle, packing_refutation,
+                                   span_contains)
+from spacecover.gf2 import Gf2Matrix, nullspace, spans_all
+from spacecover.instances import random_instance
 from spacecover.multigraph import incidence_matrix
+from spacecover.oracle import solve_dual_bruteforce, solve_primal_bruteforce
 
 
 def k4_matroid():
@@ -71,6 +75,57 @@ def test_dual_span_randomized_consistency():
         else:
             # no subset of f completes w to a cocycle
             for size in range(len(f) + 1):
-                import itertools
                 for sub in itertools.combinations(f, size):
                     assert is_cocycle(m, set(sub) | {w}) is None
+
+
+def _packing_input(inst):
+    """(space, terminal mask): the rows of A in the primal mode, the kernel of A in the dual."""
+    a = inst.a_matrix
+    space = a.row_bits if inst.mode == "primal" else nullspace(a)
+    return space, sum(1 << inst.col_of[e] for e in inst.terminals)
+
+
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_packing_refutation_never_refutes_a_yes_row(mode):
+    rng = random.Random(26 if mode == "primal" else 62)
+    refuted = no_rows = 0
+    for _ in range(1000):
+        inst = random_instance(mode, rng.randint(3, 9), rng.randint(3, 12), rng.randint(0, 2),
+                               rng.randint(1, 3), rng.randint(0, 3), rng)
+        witnesses = packing_refutation(*_packing_input(inst), inst.k)
+        oracle = solve_primal_bruteforce if mode == "primal" else solve_dual_bruteforce
+        if oracle(inst) is None:
+            no_rows += 1
+            refuted += witnesses is not None
+        else:
+            assert witnesses is None
+    # the bound decides most "no" rows at these sizes
+    assert refuted > 0.9 * no_rows
+
+
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_packing_witnesses_are_disjoint_and_lie_in_the_space(mode):
+    rng = random.Random(2464)
+    refuted = 0
+    for _ in range(40):
+        n = rng.randint(24, 64)
+        inst = random_instance(mode, n, 2 * n, rng.randint(0, 2), rng.randint(1, 3),
+                               rng.randint(2, 4), rng)
+        a = inst.a_matrix
+        space, terms = _packing_input(inst)
+        witnesses = packing_refutation(space, terms, inst.k)
+        if witnesses is None:
+            continue
+        refuted += 1
+        for x in witnesses:
+            assert x & terms
+            if mode == "primal":
+                assert spans_all(a.row_bits, [x])
+            else:
+                assert not any((row & x).bit_count() % 2 for row in a.row_bits)
+        rests = [x & ~terms for x in witnesses]
+        assert all(not r & s for r, s in itertools.combinations(rests, 2))
+        # more witnesses than the budget, or one whose terminal no non-terminal set spans
+        assert len(witnesses) > inst.k or not rests[-1]
+    assert refuted >= 10

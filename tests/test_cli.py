@@ -59,6 +59,29 @@ def test_solve_no_exit_one(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "no"
 
 
+# three parallel edges, terminal 0: the dual needs both others, the circuits {0, 1} and {0, 2}
+BUNDLE_DUAL_NO = """SCPM v1
+mode dual
+n 2 m 3 k 1
+edge 0 1
+edge 0 1
+edge 0 1
+pert 0
+terminals 0
+"""
+
+
+@pytest.mark.parametrize("text", [TRIANGLE_YES.replace("k 2", "k 1"), BUNDLE_DUAL_NO],
+                         ids=["primal", "dual"])
+def test_solve_json_reports_a_packing_refutation(tmp_path, capsys, text):
+    inst = write(tmp_path / "no.scpm", text)
+    assert main(["solve", inst, "--json"]) == EXIT_NO
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["answer"] == "no"
+    assert payload["stats"]["packing"] > payload["k"] == 1
+    assert "guesses" not in payload["stats"]
+
+
 def test_solve_malformed_exit_two(tmp_path, capsys):
     inst = write(tmp_path / "bad.scpm", TRIANGLE_YES.replace("pert 0", "pert x"))
     assert main(["solve", inst]) == EXIT_ERROR

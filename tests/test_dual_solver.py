@@ -114,9 +114,14 @@ def test_coloop_terminal_answered_directly():
 
 
 def test_solve_matches_oracle_small_corpus():
-    stats = {}
+    guesses = refuted = 0
     for inst in dual_corpus(60, seed=201):
+        stats = {}
         got = dual_solver.solve(inst, stats=stats)
+        if "packing" in stats:
+            assert got is None and "guesses" not in stats
+            refuted += 1
+        guesses += stats.get("guesses", 0)
         want = solve_dual_bruteforce(inst)
         assert (got is None) == (want is None)
         if got is not None:
@@ -126,7 +131,20 @@ def test_solve_matches_oracle_small_corpus():
             m = inst.a_matrix
             for cc in certs.values():
                 assert cc.verify(m)
-    assert stats["guesses"] > 0
+    assert guesses > 0
+    assert refuted == 15
+
+
+def test_threshold_solve_runs_its_parity_guesses_past_the_packing_bound():
+    # three parallel edges, terminal 0: the circuits {0, 1} and {0, 2} need two edges of F
+    inst = DualInstance(MultiGraph(2, [(0, 1), (0, 1), (0, 1)]), Gf2Matrix(2, 3), [0], 1)
+    stats = {}
+    assert dual_solver.solve(inst, stats=stats) is None
+    assert stats == {"packing": 2}
+    stats = {}
+    params = RecursParams(q=2, p=2 * (inst.k + 1), s=16)
+    assert dual_solver.solve(inst, params=params, stats=stats) is None
+    assert stats["guesses"] > 0 and "packing" not in stats
 
 
 def test_solve_esc_disconnected_components():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import primal_corpus
 from spacecover import pgm_solver
-from spacecover.gf2 import Gf2Matrix, distinct_columns, support
+from spacecover.gf2 import Gf2Matrix, basis, distinct_columns, support
 from spacecover.instances import PrimalInstance, random_instance
 from spacecover.multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from spacecover.oracle import solve_primal_bruteforce
@@ -118,17 +118,41 @@ def test_solve_empty_terminal_basis():
     assert cert.verify(inst.a_matrix)
 
 
+def _assert_matches_oracle(inst, got):
+    want = solve_primal_bruteforce(inst)
+    assert (got is None) == (want is None)
+    if got is not None:
+        f, cert = got
+        assert len(f) <= inst.k
+        assert not set(f) & set(inst.terminals)
+        assert cert.verify(inst.a_matrix)
+
+
 def test_solve_matches_oracle_small_corpus():
+    guesses = refuted = 0
+    for inst in primal_corpus(80, seed=101):
+        stats = {}
+        got = pgm_solver.solve(inst, stats=stats)
+        _assert_matches_oracle(inst, got)
+        if "packing" in stats:
+            assert got is None and "guesses" not in stats
+            refuted += 1
+        guesses += stats.get("guesses", 0)
+    # the packing bound refutes these rows before any guess
+    assert refuted == 18
+    assert guesses == 39
+
+
+def test_guess_chain_matches_oracle_small_corpus():
+    # every row past the terminal reduction, refuted by the packing bound or not
     stats = {}
     for inst in primal_corpus(80, seed=101):
-        got = pgm_solver.solve(inst, stats=stats)
-        want = solve_primal_bruteforce(inst)
-        assert (got is None) == (want is None)
-        if got is not None:
-            f, cert = got
-            assert len(f) <= inst.k
-            assert not set(f) & set(inst.terminals)
-            assert cert.verify(inst.a_matrix)
+        reduced = reduce_terminals(inst)
+        if reduced.immediate_no or not reduced.terminals:
+            continue
+        reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
+                                              for e in reduced.nonterminal_edges()])))
+        _assert_matches_oracle(inst, pgm_solver._cover_by_guesses(inst, reduced, stats))
     assert stats["guesses"] == 120
 
 
