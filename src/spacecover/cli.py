@@ -189,7 +189,7 @@ def _cmd_bench(args) -> int:
             files.append(path)
     writer = csv.writer(sys.stdout)
     writer.writerow(["file", "mode", "n", "m", "k", "r", "t", "answer",
-                     "agree", "solver_ms", "oracle_ms", "guesses"])
+                     "agree", "solver_ms", "oracle_ms", "guesses", "packing", "esc_tables"])
     status = EXIT_YES
     for path in files:
         try:
@@ -220,7 +220,8 @@ def _cmd_bench(args) -> int:
                          "yes" if result is not None else "no",
                          "yes" if agree else "no",
                          "%.3f" % solver_ms, "%.3f" % oracle_ms,
-                         stats.get("guesses", 0)])
+                         stats.get("guesses", 0), stats.get("packing", 0),
+                         stats.get("esc_tables", 0)])
         if not agree:
             status = EXIT_ERROR
     return status

@@ -73,13 +73,19 @@ class AnnotatedEscInstance:
 
 @dataclass
 class RecursParams:
-    """Recursion thresholds, the branch counters and the separations of one solve.
+    """Recursion thresholds, the branch counters, separations and ESC tables of one solve.
 
     Without thresholds every instance takes the small case.  The recursion
     (good separations, EOCT, the unbreakable branch's pockets, the lift)
     runs only when q, p and s are given explicitly.  It is a theory-only
     path: the paper's thresholds give s >= 2^16 vertices whenever k >= 1,
     which leaves every solvable instance in the small case.
+
+    ``tables`` keeps one root-independent ESC result per distinct instance
+    content (``_esc_key``): parity guesses whose class rows sum to the same
+    perturbation rows give every terminal the same flip map, and so share
+    one table.  Both stores are keyed by content, so one object may serve
+    several solves.
     """
 
     q: Optional[int] = None
@@ -89,6 +95,8 @@ class RecursParams:
     # (n, edges) -> good_edge_separation of that graph under q and p; every
     # parity guess of a solve meets the same graphs again
     separations: Dict[Tuple, object] = field(default_factory=dict, init=False)
+    # _esc_key(inst) -> recurs table (connected) or combined parity states
+    tables: Dict[Tuple, object] = field(default_factory=dict, init=False)
 
     def bump(self, name: str) -> None:
         self.stats[name] = self.stats.get(name, 0) + 1
@@ -237,6 +245,9 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
     those rows (``_balance_words``).  An F that fails this test for some
     terminal is skipped untraversed.  It is exactly an F whose traversal
     would meet an odd cycle and solve no key, so the table is unchanged.
+    The test reads only F's nonzero rows (an edge on no cycle has row 0),
+    so it runs once per tuple of them: on a graph with many bridges most F
+    repeat an earlier result.
 
     For each F that passes, every terminal gets a reach table from its side
     assignments: (class parities of X, W & X) -> the first X that meets the
@@ -253,13 +264,18 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
     row, odd = _balance_words(inst.g, [{eid: _required_parity(eid, term) for eid in eids}
                                        for term in inst.terminals])
     nonblocked = [eid for eid in eids if eid not in inst.blocked]
+    balanced: Dict[Tuple[int, ...], bool] = {}  # nonzero rows of an F -> the test's result
     for size in range(min(inst.k, len(nonblocked)) + 1):
         if not unsolved:
             break
         for f_sub in itertools.combinations(nonblocked, size):
             if not unsolved:
                 break
-            if not spans_all([row[eid] for eid in f_sub], odd):
+            rows = tuple(row[eid] for eid in f_sub if row[eid])
+            ok = balanced.get(rows)
+            if ok is None:
+                ok = balanced[rows] = spans_all(rows, odd)
+            if not ok:
                 continue  # some terminal keeps an odd cycle: F solves no key
             f_set = frozenset(f_sub)
             alive = [(eid, inst.g.endpoints(eid)) for eid in eids if eid not in f_set]
@@ -695,19 +711,25 @@ def build_esc(inst: DualInstance, parity_guess: Dict[int, Tuple[int, ...]],
     return EdgeSetCoverInstance(inst.graph.copy(), inst.k, t, classes, terms, blocked_set)
 
 
-def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None):
-    """Optimal (F, per-terminal X) for the root parity targets, or None.
+def _esc_key(inst: EdgeSetCoverInstance) -> Tuple:
+    """Everything an ESC answer table depends on: all but the root targets b."""
+    return (inst.g.n, tuple(inst.g.edges()), inst.k, inst.t,
+            tuple(sorted(inst.classes.items())), inst.blocked,
+            tuple((term.tid, term.edge, sum(bit << e for e, bit in term.f.items()))
+                  for term in inst.terminals))
 
-    Without params every component is decided by the small case.
+
+def _esc_answers(ainst: AnnotatedEscInstance, params: RecursParams):
+    """The answers of every root parity target: (connected, answers).
+
+    A connected graph gives the recursion's table; a disconnected one gives
+    per-terminal class parities -> (F, {tid: X}), joined over its components.
     """
-    if params is None:
-        params = RecursParams()
-    ainst = AnnotatedEscInstance(inst)
+    inst = ainst.esc
     terms = inst.terminals
-    root = (tuple(term.b for term in terms), tuple(frozenset() for _ in terms))
     comps = connected_components(inst.g)
     if len(comps) <= 1:
-        return recurs(ainst, params).get(root)
+        return True, recurs(ainst, params)
     # disconnected: combine per-component tables over parity splits
     states = {tuple(tuple([0] * inst.t) for _ in terms): (frozenset(), {t.tid: set() for t in terms})}
     for comp in sorted(comps, key=min):
@@ -720,8 +742,30 @@ def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None)
                    if ans is not None]
         states = _combine_parities(states, options, inst.k)
         if not states:
-            return None
-    hit = states.get(root[0])
+            break
+    return False, states
+
+
+def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None):
+    """Optimal (F, per-terminal X) for the root parity targets, or None.
+
+    Without params every component is decided by the small case.  The
+    answers for every root are built once per instance content and kept in
+    ``params.tables``; each call reads its own root from them.
+    """
+    if params is None:
+        params = RecursParams()
+    ainst = AnnotatedEscInstance(inst)
+    terms = inst.terminals
+    root = (tuple(term.b for term in terms), tuple(frozenset() for _ in terms))
+    key = _esc_key(inst)
+    stored = params.tables.get(key)
+    if stored is None:
+        stored = params.tables[key] = _esc_answers(ainst, params)
+    connected, answers = stored
+    if connected:
+        return answers.get(root)
+    hit = answers.get(root[0])
     if hit is None:
         return None
     f_set, x_map = hit
@@ -731,13 +775,16 @@ def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None)
     return frozenset(f_set), x_frozen
 
 
-def reduce_terminals_dual(inst: DualInstance) -> Tuple[Tuple[int, ...], bool]:
+def reduce_terminals_dual(inst: DualInstance, null_rows: Optional[List[int]] = None
+                          ) -> Tuple[Tuple[int, ...], bool]:
     """Greedy basis of the terminal columns in the dual matroid.
 
     Returns (kept terminal edges, immediate-no flag).  All terminals stay in
     the instance as blocked edges; only the basis carries cut obligations.
+    ``null_rows`` is the kernel of A when the caller already has it.
     """
-    null_rows = nullspace(inst.a_matrix)
+    if null_rows is None:
+        null_rows = nullspace(inst.a_matrix)
     dual_rep = Gf2Matrix(len(null_rows), inst.a_matrix.cols, null_rows)
     term_cols = [dual_rep.column(inst.col_of[e]) for e in inst.terminals]
     keep = basis(term_cols)
@@ -754,8 +801,13 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
     the kernel of A) may prove "no" before any parity guess;
     ``stats["packing"]`` then counts its witnesses. A solve with params
     skips the bound, so its "no" rows still run the recursion.
+
+    All parity guesses share ``params.tables`` (a fresh ``RecursParams``
+    without params), so each distinct tuple of flip maps builds one ESC
+    table; ``stats["esc_tables"]`` counts the tables this solve built.
     """
-    kept, immediate_no = reduce_terminals_dual(inst)
+    null_rows = nullspace(inst.a_matrix)
+    kept, immediate_no = reduce_terminals_dual(inst, null_rows)
     if immediate_no:
         return None
     a = inst.a_matrix
@@ -766,11 +818,13 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
             raise AssertionError("empty dual basis must span the dropped terminals")
         return frozenset(), certs
     if params is None:
-        witnesses = packing_refutation(nullspace(a), sum(1 << c for c in term_cols), inst.k)
+        witnesses = packing_refutation(null_rows, sum(1 << c for c in term_cols), inst.k)
         if witnesses is not None:
             if stats is not None:
                 stats["packing"] = len(witnesses)
             return None
+        params = RecursParams()
+    tables_before = len(params.tables)
     t, _ = vertex_types(inst.p)
     for combo in itertools.product(sorted(itertools.product((0, 1), repeat=t)),
                                    repeat=len(kept)):
@@ -779,6 +833,8 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
             stats["guesses"] = stats.get("guesses", 0) + 1
         esc = build_esc(inst, guess, active_terminals=kept, blocked=inst.terminals)
         sol = solve_esc(esc, params)
+        if stats is not None:
+            stats["esc_tables"] = len(params.tables) - tables_before
         if sol is None:
             continue
         f_set, _x = sol

@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -416,6 +418,26 @@ def test_bench_rows_and_agreement(tmp_path, capsys):
     for row in lines[1:]:
         assert ",yes," in row or row.split(",")[8] == "yes"
     assert lines[-1].split(",")[6] == "2"
+
+
+@pytest.mark.parametrize("extra", [[], ["--q-override", "2"]], ids=["default", "q-override"])
+def test_bench_columns_tell_packing_from_guesses(tmp_path, capsys, extra):
+    corpus = tmp_path / "dual"
+    corpus.mkdir()
+    write(corpus / "bundle.scpm", BUNDLE_DUAL_NO)
+    assert main(["gen", "random", str(corpus / "random.scpm"), "--seed", "1", "--mode", "dual",
+                 "--n", "8", "--m", "14", "--k", "3"]) == EXIT_YES
+    capsys.readouterr()
+    assert main(["bench", str(corpus)] + extra) == EXIT_YES
+    bundle, rand = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert rand["answer"] == "no" and rand["packing"] == "0"
+    # 16 parity guesses share 4 flip-map tuples, so they build 4 tables
+    assert (rand["guesses"], rand["esc_tables"]) == ("16", "4")
+    if extra:
+        # a solve with thresholds skips the bound and runs its guesses
+        assert bundle["packing"] == "0" and int(bundle["guesses"]) >= int(bundle["esc_tables"]) > 0
+    else:
+        assert (bundle["packing"], bundle["guesses"], bundle["esc_tables"]) == ("2", "0", "0")
 
 
 def test_solve_without_numpy_reaches_unbreakable_branch(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 from helpers import (all_preliminary, complete_graph, doubled_path_dual,
@@ -345,7 +346,8 @@ def test_balance_words_decide_signed_components():
 def test_small_case_traverses_only_balanced_f(monkeypatch):
     # a path with edge (7, 8) tripled, one copy the terminal, at k = 2: the
     # two other copies close odd cycles with the terminal's own edge, so
-    # almost every F is rejected before any traversal
+    # almost every F is rejected before any traversal; the path edges lie on
+    # no cycle, so the balance test runs once per subset of the two copies
     g = MultiGraph(19, [(v, v + 1) for v in range(18)])
     term = g.add_edge(7, 8)
     g.add_edge(7, 8)
@@ -367,8 +369,9 @@ def test_small_case_traverses_only_balanced_f(monkeypatch):
     monkeypatch.setattr(dual_solver, "signed_components", counting_signed)
     table = _small_case(ainst, RecursParams())
     monkeypatch.undo()
-    assert len(tried) >= 100
-    assert len(traversals) <= 0.05 * len(tried)
+    f_count = sum(math.comb(g.num_edges - 1, size) for size in range(3))
+    assert len(tried) == 4
+    assert len(traversals) <= 0.05 * f_count
     want = small_case_per_key_scan(ainst)
     assert list(table) == list(want)
     assert all(table[key] == want[key] for key in want)
@@ -445,6 +448,17 @@ class _ForgetfulTable(dict):
         pass
 
 
+def _rank_one(inst, row):
+    """inst with vertex 0 on a zero P-row and every other vertex on row.
+
+    Its two vertex classes give each terminal two flip maps, 0 and row, so
+    the parity guesses of a solve build two ESC tables on the same graph.
+    """
+    g = inst.graph
+    return DualInstance(g, Gf2Matrix(g.n, g.num_edges, [0] + [row] * (g.n - 1)),
+                        inst.terminals, inst.k)
+
+
 def test_separation_table_searches_each_graph_once(monkeypatch):
     searched = []
     search = dual_solver.good_edge_separation
@@ -452,9 +466,9 @@ def test_separation_table_searches_each_graph_once(monkeypatch):
                         lambda g, q, p: searched.append((g.n, tuple(g.edges()))) or search(g, q, p))
     g = complete_graph(6)
     dup = g.add_edge(0, 1)
-    # each parity guess of these solves meets the same graph again
-    cases = [(DualInstance(g, Gf2Matrix(6, g.num_edges), [dup], 1), 4)]
-    cases += [(doubled_path_dual(length=17, dup_at=j, k=1), 16) for j in (0, 6, 12)]
+    # each flip map of these solves meets the same graphs again
+    cases = [(_rank_one(DualInstance(g, Gf2Matrix(6, g.num_edges), [dup], 1), 2), 4)]
+    cases += [(_rank_one(doubled_path_dual(length=17, dup_at=j, k=1), 2), 16) for j in (0, 6, 12)]
     for inst, s in cases:
         runs = []
         for table in ({}, _ForgetfulTable()):
@@ -465,6 +479,69 @@ def test_separation_table_searches_each_graph_once(monkeypatch):
         (got, stats, once), (want, want_stats, again) = runs
         assert got == want and stats == want_stats
         assert len(once) == len(set(once)) == len(set(again)) < len(again)
+
+
+class _NoTables(RecursParams):
+    """Recursion parameters whose ESC tables keep nothing: each parity guess solves afresh."""
+
+    def __post_init__(self):
+        self.tables = _ForgetfulTable()
+
+
+def test_shared_esc_tables_match_solves_that_keep_none(monkeypatch):
+    # both paths, with and without thresholds: sharing one table per flip-map
+    # tuple changes no answer, certificate or guess count
+    draws = reused = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, m, r = rng.randrange(3, 9), rng.randrange(2, 14), seed % 3
+        inst = random_instance("dual", n, m, r, rng.randrange(1, 3), rng.randrange(0, 3), rng)
+        want = solve_dual_bruteforce(inst)
+        for thresholds in (None, (2, 2 * (inst.k + 1), 4)):
+            runs = []
+            for cls in (RecursParams, _NoTables):
+                monkeypatch.setattr(dual_solver, "RecursParams", cls)
+                stats = {}
+                params = None if thresholds is None else cls(*thresholds)
+                runs.append((dual_solver.solve(inst, params, stats), stats))
+            (got, stats), (ref, ref_stats) = runs
+            assert got == ref, seed
+            assert (got is None) == (want is None), seed
+            assert [stats.get(key) for key in ("guesses", "packing")] == \
+                [ref_stats.get(key) for key in ("guesses", "packing")]
+            assert stats.get("esc_tables", 0) <= stats.get("guesses", 0)
+            reused += stats.get("guesses", 0) - stats.get("esc_tables", 0)
+            draws += 1
+    assert draws >= 600 and reused > 0
+
+
+def test_one_params_object_serves_several_instances():
+    # the tables are keyed by content: instances on one graph that differ only
+    # in P, its rows' vertices, k or terminals each get their own answer from
+    # a shared store
+    differ = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        base = random_instance("dual", 6, 10, 1, 1, 1, rng)
+        g, eids = base.graph, base.graph.edge_ids()
+        rows = [rng.getrandbits(g.num_edges) if rng.random() < 0.5 else 0 for _ in range(g.n)]
+        moved = rng.sample(base.p.row_bits, g.n)
+        variants = [base,
+                    DualInstance(g, Gf2Matrix(g.n, g.num_edges, rows), base.terminals, base.k),
+                    DualInstance(g, Gf2Matrix(g.n, g.num_edges, moved), base.terminals, base.k),
+                    DualInstance(g, base.p, base.terminals, base.k + 1),
+                    DualInstance(g, base.p, [rng.choice(eids)], base.k),
+                    DualInstance(g, base.p, base.terminals + (rng.choice(eids),), base.k)]
+        shared = RecursParams()
+        answers = []
+        for inst in variants:
+            stats, fresh_stats = {}, {}
+            got = dual_solver.solve(inst, shared, stats)
+            assert got == dual_solver.solve(inst, RecursParams(), fresh_stats), seed
+            assert stats.get("guesses") == fresh_stats.get("guesses")
+            answers.append(got if got is None else got[0])
+        differ += len(set(map(str, answers))) > 1
+    assert differ >= 40
 
 
 def test_breakable_branch_on_doubled_path():
