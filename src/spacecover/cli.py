@@ -111,6 +111,10 @@ def _cmd_solve(args) -> int:
     except (OSError, FormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    if args.q_override is not None and (args.oracle or inst.mode == "primal"):
+        print("error: --q-override sets thresholds of the dual recursion, which %s never runs"
+              % ("the --oracle solve" if args.oracle else "a primal solve"), file=sys.stderr)
+        return EXIT_ERROR
     stats = {}
     start = time.perf_counter()
     try:

@@ -44,8 +44,8 @@ def parse_instance(text: str) -> SpaceCoverInstance:
 
     Layout: magic line, ``mode primal|dual``, ``n <n> m <m> k <k>``, m lines
     ``edge u v``, ``pert <count>`` followed by ``<row> <bitstring>`` lines
-    (bitstrings have length m, columns in edge order), then ``terminals i...``
-    listing terminal edge indices.
+    (bitstrings have length m, columns in edge order, at most one line per
+    row), then ``terminals i...`` listing distinct terminal edge indices.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != MAGIC:
@@ -85,6 +85,7 @@ def parse_instance(text: str) -> SpaceCoverInstance:
         raise FormatError("bad pert line")
     count = _int(pert[1], "pert count", nonnegative=True)
     row_bits = [0] * n
+    listed = set()
     for _ in range(count):
         parts = take().split()
         if len(parts) != 2:
@@ -93,14 +94,21 @@ def parse_instance(text: str) -> SpaceCoverInstance:
         bits = parts[1]
         if not (0 <= row < n) or len(bits) != m or set(bits) - {"0", "1"}:
             raise FormatError("bad perturbation row")
-        row_bits[row] ^= int(bits[::-1], 2) if m else 0
+        if row in listed:
+            raise FormatError("repeated perturbation row: %d" % row)
+        listed.add(row)
+        row_bits[row] = int(bits[::-1], 2) if m else 0
     term_line = take().split()
     if term_line[0] != "terminals":
         raise FormatError("bad terminals line")
     terminals = [_int(x, "terminal id") for x in term_line[1:]]
+    listed = set()
     for t in terminals:
         if not (0 <= t < m):
             raise FormatError("terminal index out of range")
+        if t in listed:
+            raise FormatError("repeated terminal id: %d" % t)
+        listed.add(t)
     if idx != len(lines):
         raise FormatError("trailing content")
     p = Gf2Matrix(n, m, row_bits)

@@ -35,7 +35,7 @@ def to_string(bits: int, n: int) -> str:
 class Gf2Matrix:
     """A rows x cols matrix over GF(2), stored as one packed int per row."""
 
-    __slots__ = ("rows", "cols", "row_bits")
+    __slots__ = ("rows", "cols", "row_bits", "_columns")
 
     def __init__(self, rows: int, cols: int, row_bits: Optional[List[int]] = None):
         self.rows = rows
@@ -47,6 +47,7 @@ class Gf2Matrix:
             if len(row_bits) != rows:
                 raise ValueError("row count mismatch")
             self.row_bits = [b & mask for b in row_bits]
+        self._columns: Optional[Tuple[int, ...]] = None
 
     @classmethod
     def from_strings(cls, lines: List[str]) -> "Gf2Matrix":
@@ -62,16 +63,31 @@ class Gf2Matrix:
             bits.append(int(line[::-1], 2) if cols else 0)
         return cls(len(lines), cols, bits)
 
+    def columns(self) -> Tuple[int, ...]:
+        """Every column packed (bit i = row i), from one pass over the set bits.
+
+        Kept after the first call, so the rows must not change after it.
+        """
+        if self._columns is None:
+            cols = [0] * self.cols
+            for i, word in enumerate(self.row_bits):
+                bit = 1 << i
+                while word:
+                    low = word & -word
+                    cols[low.bit_length() - 1] |= bit
+                    word ^= low
+            self._columns = tuple(cols)
+        return self._columns
+
     def column(self, j: int) -> int:
         if not 0 <= j < self.cols:
             raise IndexError(j)
-        bits = 0
-        for i in range(self.rows):
-            bits |= ((self.row_bits[i] >> j) & 1) << i
-        return bits
+        return self.columns()[j]
 
     def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
+        t = Gf2Matrix(self.cols, self.rows, list(self.columns()))
+        t._columns = tuple(self.row_bits)
+        return t
 
     def __xor__(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -200,7 +216,7 @@ def _distinct(vecs: List[int]) -> Tuple[List[int], Dict[int, int]]:
 
 def distinct_columns(m: Gf2Matrix) -> Tuple[List[int], Dict[int, int]]:
     """Distinct columns in first-occurrence order plus a column -> class map."""
-    return _distinct([m.column(j) for j in range(m.cols)])
+    return _distinct(m.columns())
 
 
 def distinct_rows(m: Gf2Matrix) -> Tuple[List[int], Dict[int, int]]:

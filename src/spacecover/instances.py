@@ -50,7 +50,7 @@ class SpaceCoverInstance:
         return rank(self.p)
 
     def a_column(self, eid: int) -> int:
-        return self.a_matrix.column(self.col_of[eid])
+        return self.a_matrix.columns()[self.col_of[eid]]
 
     def nonterminal_edges(self) -> List[int]:
         tset = set(self.terminals)
@@ -61,14 +61,9 @@ class SpaceCoverInstance:
         """New instance keeping only the given edges (and their P columns)."""
         keep = set(keep_edges)
         graph = self.graph.without_edges(set(self.graph.edge_ids()) - keep)
-        cols = [self.col_of[eid] for eid in graph.edge_ids()]
-        row_bits = []
-        for row in self.p.row_bits:
-            bits = 0
-            for j, c in enumerate(cols):
-                bits |= ((row >> c) & 1) << j
-            row_bits.append(bits)
-        p = Gf2Matrix(self.p.rows, len(cols), row_bits)
+        p_cols = self.p.columns()
+        kept_cols = [p_cols[self.col_of[eid]] for eid in graph.edge_ids()]
+        p = Gf2Matrix(len(kept_cols), self.p.rows, kept_cols).transpose()
         terms = self.terminals if terminals is None else tuple(sorted(set(terminals)))
         terms = tuple(e for e in terms if e in keep)
         return type(self)(graph, p, terms, self.k)

@@ -9,14 +9,48 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .derand import build_hash_family
 from .multigraph import MultiGraph, spanning_forest
 
-__all__ = ["PatternCoverInstance", "Embedding", "solve", "colorful_solve"]
+__all__ = ["HostIndex", "PatternCoverInstance", "Embedding", "solve", "colorful_solve"]
 
 PATTERN_VERTEX_CAP = 16
+
+# label -> host vertex -> [(neighbour, host edge)], sorted
+Near = Dict[int, Dict[int, List[Tuple[int, int]]]]
+
+
+class HostIndex:
+    """A labeled host graph g and its neighbour index, which several instances may share.
+
+    ``near`` lists every non-loop host edge under its label at both ends,
+    sorted, so each neighbour's lowest edge id comes first; a forest edge
+    never maps onto a loop. It is built on first use.
+    """
+
+    def __init__(self, g: MultiGraph, ell_g: Dict[int, int]):
+        self.g = g
+        self.ell_g = ell_g
+
+    @cached_property
+    def near(self) -> Near:
+        near: Near = {}
+        for eid, (x, y) in self.g.edges():
+            if x != y:
+                by_vertex = near.setdefault(self.ell_g[eid], {})
+                by_vertex.setdefault(x, []).append((y, eid))
+                by_vertex.setdefault(y, []).append((x, eid))
+        for by_vertex in near.values():
+            for pairs in by_vertex.values():
+                pairs.sort()
+        return near
 
 
 @dataclass
 class PatternCoverInstance:
-    """Labeled host graph g, labeled forest h, pinned H-vertices u mapped by f."""
+    """Labeled host graph g, labeled forest h, pinned H-vertices u mapped by f.
+
+    The host edges in ``excluded`` are not there: instances that differ
+    only in them share one ``host`` index of (g, ell_g), which is built
+    from them when not given.
+    """
 
     g: MultiGraph
     ell_g: Dict[int, int]       # host edge id -> label
@@ -24,8 +58,14 @@ class PatternCoverInstance:
     ell_h: Dict[int, int]       # pattern edge id -> label
     u: FrozenSet[int] = frozenset()
     f: Dict[int, int] = field(default_factory=dict)
+    excluded: FrozenSet[int] = frozenset()
+    host: Optional[HostIndex] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.host is None:
+            self.host = HostIndex(self.g, self.ell_g)
+        elif self.host.g is not self.g or self.host.ell_g is not self.ell_g:
+            raise ValueError("host index of another host graph")
         if set(self.f) != set(self.u):
             raise ValueError("pin map must be defined exactly on the pinned set")
         if len(set(self.f.values())) != len(self.f):
@@ -39,22 +79,30 @@ class PatternCoverInstance:
 
         roots: each tree as (root, its candidate host vertices).
         kids: pattern vertex -> [(child, edge id, host vertex -> [(child's
-        candidate image, host edge)])], one host edge per endpoint pair and label.
-        sizes[v, j]: vertices in v's subtree restricted to its children j, j+1, ...
-        A pinned vertex is offered only its pin.
+        candidate image, host edge)])], sorted, with the lowest edge id not
+        excluded per endpoint pair and label. sizes[v, j]: vertices in v's
+        subtree restricted to its children j, j+1, ... A pinned vertex is
+        offered only its pin.
         """
-        rep: Dict[Tuple[int, int, int], int] = {}
-        for eid, (x, y) in self.g.edges():
-            if x != y:  # a forest edge never maps onto a loop
-                rep.setdefault((min(x, y), max(x, y), self.ell_g[eid]), eid)
-        nbr: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for (x, y, lab), eid in rep.items():
-            nbr.setdefault((x, lab), []).append((y, eid))
-            nbr.setdefault((y, lab), []).append((x, eid))
+        near, excluded = self.host.near, self.excluded
 
         def hosts(v: int, lab: int) -> Dict[int, List[Tuple[int, int]]]:
-            return {x: sorted((y, eid) for y, eid in near if v not in self.f or y == self.f[v])
-                    for (x, l), near in nbr.items() if l == lab}
+            by_vertex = near.get(lab, {})
+            if v in self.f:
+                pin, out = self.f[v], {}
+                for x, eid in by_vertex.get(pin, ()):
+                    if x not in out and eid not in excluded:
+                        out[x] = [(pin, eid)]
+                return out
+            out = {}
+            for x, pairs in by_vertex.items():
+                kept, last = [], None
+                for y, eid in pairs:
+                    if y != last and eid not in excluded:
+                        kept.append((y, eid))
+                        last = y
+                out[x] = kept
+            return out
 
         adj = self.h.adjacency()
         roots: List[Tuple[int, Sequence[int]]] = []
@@ -106,7 +154,7 @@ class Embedding:
             return False
         for he, ge in em.items():
             a, b = inst.h.endpoints(he)
-            if not inst.g.has_edge(ge):
+            if not inst.g.has_edge(ge) or ge in inst.excluded:
                 return False
             x, y = inst.g.endpoints(ge)
             if {vm[a], vm[b]} != {x, y}:
@@ -139,8 +187,11 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
     roots, kids, sizes = inst._plan
 
     # An entry is the tuple of choices that succeeded, () when nothing is left
-    # to choose, and None when no choice succeeds.
-    @cache
+    # to choose, and None when no choice succeeds. Both tables are plain dicts:
+    # a cache decorator per coloring costs more than the lookups it saves.
+    tables: Dict[Tuple[int, int, int, int], Optional[Tuple[int, ...]]] = {}
+    forests: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
+
     def table(v: int, j: int, x: int, cmask: int) -> Optional[Tuple[int, ...]]:
         """(colors of child j's subtree, image of child j, host edge) for an embedding
         of v with its children j, j+1, ... that puts v at x and uses exactly cmask.
@@ -154,6 +205,9 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
         cands = hosts.get(x)
         if not cands:
             return None
+        key = (v, j, x, cmask)
+        if key in tables:
+            return tables[key]
         rest = cmask & ~cx
         need = sizes[child, 0]
         # split colors: child's subtree takes sub (containing c(y)), the rest stays
@@ -163,16 +217,20 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
                 for y, eid in cands:
                     if (sub >> c[y]) & 1 and table(child, 0, y, sub) is not None \
                             and table(v, j + 1, x, cmask & ~sub) is not None:
-                        return sub, y, eid
+                        tables[key] = entry = (sub, y, eid)
+                        return entry
             sub = (sub - 1) & rest
+        tables[key] = None
         return None
 
-    @cache
     def forest(i: int, cmask: int) -> Optional[Tuple[int, ...]]:
         """(colors of tree i, image of its root) for an embedding of trees 0..i
         that uses exactly cmask."""
         if i < 0:
             return () if cmask == 0 else None
+        key = (i, cmask)
+        if key in forests:
+            return forests[key]
         root, root_hosts = roots[i]
         need = sizes[root, 0]
         sub = cmask
@@ -181,8 +239,10 @@ def colorful_solve(inst: PatternCoverInstance, c: Sequence[int]) -> Optional[Emb
                 for x in root_hosts:
                     if (sub >> c[x]) & 1 and table(root, 0, x, sub) is not None \
                             and forest(i - 1, cmask & ~sub) is not None:
-                        return sub, x
+                        forests[key] = entry = (sub, x)
+                        return entry
             sub = (sub - 1) & cmask
+        forests[key] = None
         return None
 
     def read_tree(v: int, x: int, cmask: int) -> None:

@@ -49,14 +49,15 @@ def reduce_terminals(inst: PrimalInstance) -> PrimalInstance:
 
     The result carries ``immediate_no`` (terminal basis larger than k).
     """
-    term_cols = [inst.a_column(e) for e in inst.terminals]
+    a_cols, col_of = inst.a_matrix.columns(), inst.col_of
+    term_cols = [a_cols[col_of[e]] for e in inst.terminals]
     keep_idx = set(basis(term_cols))
     kept_terms = [e for i, e in enumerate(inst.terminals) if i in keep_idx]
     # duplicate non-terminal columns: keep the lowest edge id of each value
     seen: Set[int] = set()
     kept_edges: Set[int] = set(kept_terms)
     for eid in inst.nonterminal_edges():
-        key = inst.a_column(eid)
+        key = a_cols[col_of[eid]]
         if key not in seen:
             seen.add(key)
             kept_edges.add(eid)
@@ -152,24 +153,24 @@ def _bundles(h: MultiGraph) -> Dict[Tuple[int, int], List[int]]:
 def _class_plan(backbone: MultiGraph):
     """What one backbone class gives every solve, built on first use and shared after.
 
-    (spanning forest, extra edges, their endpoints Ṽ packed, bundles of two
-    or more parallel edges, witnesses). The witnesses are every edge subset
-    with its packed odd-degree set O and the edges with both ends in O, by
-    size, then in ``itertools.combinations`` order. Nothing here depends on
-    the instance.
+    (spanning forest, extra edges, their endpoints Ṽ packed, witnesses). The
+    witnesses are every edge subset, as a set and packed, with its packed
+    odd-degree set O, |O|, and the edges with both ends in O, by size, then
+    in ``itertools.combinations`` order. Nothing here depends on the
+    instance.
     """
     forest = frozenset(spanning_forest(backbone))
     extra = tuple(eid for eid in backbone.edge_ids() if eid not in forest)
     vtilde = sum(1 << v for v in {v for eid in extra for v in backbone.endpoints(eid)})
-    bundles = tuple(es for es in _bundles(backbone).values() if len(es) > 1)
     edges = backbone.edges()
     witnesses = []
     for size in range(len(edges) + 1):
         for sub in itertools.combinations(backbone.edge_ids(), size):
             odd = _odd_degree(backbone, sub)
             inside = tuple(eid for eid, (u, v) in edges if u in odd and v in odd)
-            witnesses.append((frozenset(sub), sum(1 << v for v in odd), inside))
-    return forest, extra, vtilde, bundles, tuple(witnesses)
+            witnesses.append((frozenset(sub), sum(1 << eid for eid in sub),
+                              sum(1 << v for v in odd), len(odd), inside))
+    return forest, extra, vtilde, tuple(witnesses)
 
 
 def _pair_counts(g: MultiGraph) -> List[List[int]]:
@@ -222,18 +223,45 @@ def _edge_automorphisms(h: MultiGraph) -> List[Tuple[int, ...]]:
     return sorted(perms)
 
 
-@lru_cache(maxsize=None)
 def _canonical_typings(backbone: MultiGraph, t: int) -> Tuple[Tuple[int, ...], ...]:
-    """The least typing of each orbit of the backbone's edge automorphisms, ascending.
+    """The least typing of each orbit of the backbone's edge automorphisms, ascending,
+    among the typings whose parallel edges differ in type.
 
     Typing ``tau`` gives edge e the type ``tau[e]`` in 1..t, and the orbit of
     tau is every ``tau o pi``. An automorphism turns an embedding of
     (H, tau o pi) into one of (H, tau) with the same image set F, so the
-    chain needs one typing per orbit.
+    chain needs one typing per orbit. Two parallel edges of one type would
+    need one host edge (the host has one per endpoint pair and type after
+    deduplication); an automorphism maps bundles onto bundles, so the test
+    keeps or drops whole orbits.
     """
     perms = _edge_automorphisms(backbone)[1:]   # the identity sorts first
+    bundles = [es for es in _bundles(backbone).values() if len(es) > 1]
     return tuple(tau for tau in itertools.product(range(1, t + 1), repeat=backbone.num_edges)
-                 if all(tau <= tuple(tau[e] for e in pi) for pi in perms))
+                 if all(len({tau[e] for e in es}) == len(es) for es in bundles)
+                 and all(tau <= tuple(tau[e] for e in pi) for pi in perms))
+
+
+@lru_cache(maxsize=None)
+def _typings(backbone: MultiGraph, t: int) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """The canonical typings of the backbone over t types, and the slot mask of each.
+
+    A typing's slot mask ORs the ``_slot`` of its edges, so a host whose
+    non-terminal edges fill the mask ``all_slots`` has an edge of each slot
+    the typing needs iff ``need & ~all_slots == 0``. Built on first use and
+    shared after; equal masks share one int, so the masks cost one
+    reference per typing.
+    """
+    taus = _canonical_typings(backbone, t)
+    loops = [backbone.is_loop(eid) for eid in backbone.edge_ids()]
+    shared: Dict[int, int] = {}
+    needs = []
+    for tau in taus:
+        need = 0
+        for typ, loop in zip(tau, loops):
+            need |= _slot(typ, loop)
+        needs.append(shared.setdefault(need, need))
+    return taus, tuple(needs)
 
 
 def _injective_assignments(domains: Sequence[Sequence[int]], tests: List[List[Tuple[int, int]]],
@@ -297,44 +325,43 @@ class _TargetRow(dict):
         return entry
 
 
-def _witness_options(witnesses, edge_bit: Sequence[int], edge_slot: Sequence[int],
+def _witness_options(witnesses, tau: Sequence[int], loops: Sequence[int], t: int,
                      rows: List[_TargetRow]):
     """Per terminal, its witness choices under one typing of the backbone edges, or None.
 
-    ``witnesses`` holds every backbone edge subset with its odd-degree set O
-    and the edges inside O, ``edge_bit`` the parity-mask bit of each
-    backbone edge's type, ``edge_slot`` its ``_slot``, and ``rows`` each
-    terminal's targets. One pass groups the subsets by (parity mask, |O|),
-    each odd set keeping its first subset and the slots its inside edges
-    need. A terminal then reads, per mask, the group at the size of its
-    target T: every witness of one (terminal, vector) has that target. It
-    keeps an odd set only when T holds a host edge of each needed slot: f*
-    maps O onto T, so each edge inside O needs such a host edge. A choice
-    is (parity vector, target, odd set -> subset), in sorted vector order.
-    None when some terminal has no choice: the typing admits no guess.
+    ``witnesses`` comes from ``_class_plan``, ``tau`` gives each backbone
+    edge its type in 1..t (type j is bit t - j of a parity mask), ``loops``
+    marks the loops, and ``rows`` holds each terminal's targets. A terminal
+    scans the witnesses in order and keeps one when |O| is the size of its
+    target T at the witness's mask (every witness of one (terminal, vector)
+    has that target) and T holds a host edge of each slot the edges inside
+    O need: f* maps O onto T, so each such edge needs a host edge there.
+    Each odd set keeps its first subset; its needed slots depend on O
+    alone. A choice is (parity vector, target, odd set -> subset), in
+    sorted vector order. None at the first terminal with no choice: the
+    typing admits no guess.
     """
-    groups: Dict[Tuple[int, int], Dict[int, Tuple[FrozenSet[int], int]]] = {}
-    for sub, odd, inside in witnesses:
-        mask = 0
-        for eid in sub:
-            mask ^= edge_bit[eid]
-        odds = groups.setdefault((mask, odd.bit_count()), {})
-        if odd not in odds:
-            need = 0
-            for eid in inside:
-                need |= edge_slot[eid]
-            odds[odd] = sub, need
-    masks = sorted({mask for mask, _size in groups})
+    masks = [0]                 # masks[bits]: the parity mask of the packed edge subset
+    for typ in tau:
+        bit = 1 << (t - typ)
+        masks += [mask ^ bit for mask in masks]
     choices = []
     for row in rows:
-        options = []
-        for mask in masks:
-            b, target, inner = row[mask]
-            odds = groups.get((mask, target.bit_count()))
-            if odds is not None:
-                kept = {odd: sub for odd, (sub, need) in odds.items() if not need & ~inner}
-                if kept:
-                    options.append((b, target, kept))
+        by_mask: Dict[int, Dict[int, FrozenSet[int]]] = {}
+        for sub, bits, odd, size, inside in witnesses:
+            mask = masks[bits]
+            _b, target, inner = row[mask]
+            if size != target.bit_count():
+                continue
+            odds = by_mask.setdefault(mask, {})
+            if odd in odds:
+                continue
+            need = 0
+            for eid in inside:
+                need |= 1 << (2 * tau[eid] + loops[eid])   # its _slot
+            if not need & ~inner:
+                odds[odd] = sub
+        options = [row[mask][:2] + (odds,) for mask, odds in sorted(by_mask.items()) if odds]
         if not options:
             return None
         choices.append(options)
@@ -373,22 +400,23 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
 
     - per instance: the edge types, each terminal's target and the slots of
       the host edges inside it per parity mask (filled on first use), the
-      slots of all host edges, and the host edge by (endpoints, type);
+      slots of all host edges, the host edge by (endpoints, type), and one
+      labelled host (the terminal edges removed) that every guess shares;
     - per backbone (catalog order): its class plan, built once per process;
     - per canonical typing (ascending): one per orbit of the backbone's edge
-      automorphisms, kept when the host has an edge of each backbone edge's
-      slot (a loop of each loop's type, a non-loop edge of each other edge's
-      type), and when parallel edges have distinct types (otherwise both
-      would need one host edge). Its witness options drop an odd set whose
-      inside edges have no host edge of their slot inside the target, and
-      the typing when some terminal has no witness left;
+      automorphisms whose parallel edges differ in type, kept when the host
+      has an edge of each backbone edge's slot (a loop of each loop's type,
+      a non-loop edge of each other edge's type): one AND of the typing's
+      cached slot mask against the host's. Its witness options drop an odd
+      set whose inside edges have no host edge of their slot inside the
+      target, and the typing at the first terminal with no witness left;
     - per parity choice (``itertools.product`` order): walked with the
       branch cut once V* outgrows the backbone;
     - per odd-set choice and f*: ``_expand_guess``.
     """
-    t, types = edge_types(inst.p)
-    classes, _ = distinct_columns(inst.p)
-    type_of = {eid: types[inst.col_of[eid]] for eid in inst.graph.edge_ids()}
+    classes, cls_of = distinct_columns(inst.p)
+    t = len(classes)
+    type_of = {eid: cls_of[inst.col_of[eid]] + 1 for eid in inst.graph.edge_ids()}
     term_set = set(inst.terminals)
     # lookup: (host endpoints in either order, type) -> host edge (unique after dedup)
     edge_by_sig: Dict[Tuple[int, int, int], int] = {}
@@ -404,28 +432,27 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
         for sig in ((x, y, type_of[ge]), (y, x, type_of[ge])):
             edge_by_sig.setdefault(sig, ge)
     rows = [_TargetRow(inst.a_column(w), classes, host_slots) for w in inst.terminals]
+    host = pattern_cover.HostIndex(inst.graph.without_edges(term_set),
+                                   {ge: typ for ge, typ in type_of.items() if ge not in term_set})
 
     for backbone in enumerate_backbones(inst.k, t):
         if backbone.n > inst.graph.n:
             continue
         plan = _class_plan(backbone)
-        bundles, witnesses = plan[3], plan[4]
+        witnesses = plan[3]
         loops = [backbone.is_loop(eid) for eid in backbone.edge_ids()]
-        for tau in _canonical_typings(backbone, t):
-            edge_slot = [_slot(typ, loop) for typ, loop in zip(tau, loops)]
-            if not all(slot & all_slots for slot in edge_slot) or \
-                    any(len({tau[eid] for eid in es}) < len(es) for es in bundles):
+        for tau, need in zip(*_typings(backbone, t)):
+            if need & ~all_slots:
                 continue
-            choices = _witness_options(witnesses, [1 << (t - typ) for typ in tau], edge_slot,
-                                       rows)
+            choices = _witness_options(witnesses, tau, loops, t, rows)
             if choices is None:
                 continue
             for picked, v_star in _bounded_parities(choices, backbone.n):
                 yield from _expand_guess(inst, backbone, plan, tau, picked, v_star,
-                                         type_of, edge_by_sig, term_set)
+                                         edge_by_sig, host)
 
 
-def _expand_guess(inst, backbone, plan, tau, picked, v_star, type_of, edge_by_sig, term_set):
+def _expand_guess(inst, backbone, plan, tau, picked, v_star, edge_by_sig, host):
     """Every (D, f*) of one parity choice: one f* search per odd-set choice.
 
     ``picked`` holds each terminal's (parity vector, target, odd set ->
@@ -442,9 +469,11 @@ def _expand_guess(inst, backbone, plan, tau, picked, v_star, type_of, edge_by_si
     f and f_E are read off f*. Guesses come per odd-set choice in
     ``itertools.product`` order, then per f* in the lexicographic order of
     its images on sorted D. Distinct edges inside D get distinct host
-    edges, because f* is injective and parallel edges differ in type.
+    edges, because f* is injective and parallel edges differ in type. Each
+    guess's Pattern Cover instance reads the shared ``host`` and excludes
+    the f*_E images from it.
     """
-    forest, extra, vtilde, _bundles, _witnesses = plan
+    forest, extra, vtilde, _witnesses = plan
     targets = [target for _b, target, _odds in picked]
     by_sig: Dict[int, List[int]] = {}
     for y in _vertices(v_star):
@@ -484,11 +513,11 @@ def _expand_guess(inst, backbone, plan, tau, picked, v_star, type_of, edge_by_si
                 d=frozenset(d), f_star=f_star, f_star_e=f_star_e,
                 e_subsets={w: choice[2][odd]
                            for w, choice, odd in zip(inst.terminals, picked, odds)})
-            host = inst.graph.without_edges(set(f_star_e.values()) | term_set)
             pattern = backbone.without_edges(set(f_star_e))
             pci = PatternCoverInstance(
-                g=host, ell_g={ge: type_of[ge] for ge in host.edge_ids()}, h=pattern,
-                ell_h={eid: tau[eid] for eid in pattern.edge_ids()}, u=ctx.d, f=f_star)
+                g=host.g, ell_g=host.ell_g, h=pattern,
+                ell_h={eid: tau[eid] for eid in pattern.edge_ids()}, u=ctx.d, f=f_star,
+                excluded=frozenset(f_star_e.values()), host=host)
             yield pci, ctx
 
 
@@ -531,12 +560,15 @@ def _cover_by_guesses(inst: PrimalInstance, reduced: PrimalInstance,
 
     ``reduced`` is ``inst`` after ``reduce_terminals``, with at least one
     terminal and its budget lowered to the rank of its non-terminal columns.
+    ``stats["guesses"]`` counts the guesses built, 0 when the chain builds none.
     """
     a = inst.a_matrix
     term_cols = [inst.col_of[e] for e in inst.terminals]
+    if stats is not None:
+        stats.setdefault("guesses", 0)
     for pci, ctx in build_pattern_instances(reduced):
         if stats is not None:
-            stats["guesses"] = stats.get("guesses", 0) + 1
+            stats["guesses"] += 1
         emb = pattern_cover.solve(pci)
         if emb is None:
             continue

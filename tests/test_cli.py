@@ -91,6 +91,38 @@ def test_solve_malformed_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("pert 0", "pert 2\n2 001\n2 001", "repeated perturbation row: 2"),
+    ("terminals 2", "terminals 0 0", "repeated terminal id: 0"),
+], ids=["pert-row", "terminal"])
+def test_solve_repeated_row_or_terminal_exit_two(tmp_path, capsys, old, new, message):
+    inst = write(tmp_path / "repeated.scpm", TRIANGLE_YES.replace(old, new))
+    for command in ("solve", "check"):
+        assert main([command, inst]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, captured.err
+
+
+@pytest.mark.parametrize("extra, mode, seed", [
+    (["--q-override", "2"], "primal", "1"),
+    (["--q-override", "2", "--oracle"], "dual", "7"),
+    (["--q-override", "2", "--p-override", "4", "--oracle"], "dual", "7"),
+], ids=["primal", "oracle", "oracle-p-override"])
+def test_solve_refuses_q_override_that_nothing_reads(tmp_path, capsys, extra, mode, seed):
+    # each generated file answers yes without the flag, which used to be ignored silently
+    path = str(tmp_path / "gen.scpm")
+    assert main(["gen", "random", path, "--mode", mode, "--seed", seed]) == EXIT_YES
+    capsys.readouterr()
+    assert main(["solve", path, *[x for x in extra if x.startswith("--o")]]) == EXIT_YES
+    capsys.readouterr()
+    assert main(["solve", path, *extra]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--q-override" in captured.err, captured.err
+    # bench applies the thresholds to dual rows and runs primal rows without them
+    assert main(["bench", path, "--q-override", "2"]) == EXIT_YES
+    capsys.readouterr()
+
+
 def test_solve_json_report_checks(tmp_path, capsys):
     inst = write(tmp_path / "tri.scpm", TRIANGLE_YES)
     assert main(["solve", inst, "--json"]) == EXIT_YES

@@ -78,6 +78,18 @@ def test_bad_integer_fields_are_named(old, new, field):
         parse_instance(SAMPLE.replace(old, new))
 
 
+@pytest.mark.parametrize("old, new, field", [
+    # XOR-ing the two lines would give P = 0, deduplicating would hide the typo
+    ("pert 1\n0 101", "pert 2\n0 101\n0 101", "perturbation row: 0"),
+    ("pert 1\n0 101", "pert 3\n0 101\n2 011\n2 110", "perturbation row: 2"),
+    ("terminals 2", "terminals 2 2", "terminal id: 2"),
+    ("terminals 2", "terminals 0 1 0", "terminal id: 0"),
+])
+def test_repeated_rows_and_terminals_are_named(old, new, field):
+    with pytest.raises(FormatError, match=r"^repeated %s$" % field):
+        parse_instance(SAMPLE.replace(old, new))
+
+
 _TOKENS = ["SCPM", "v1", "v2", "mode", "primal", "dual", "n", "m", "k", "edge", "pert",
            "terminals", "x", "1.5", "-", "0b1", "1e3", "\u0663", "101", "10", "1011", ""]
 

@@ -7,7 +7,7 @@ from spacecover import pattern_cover
 from spacecover.derand import build_hash_family
 from spacecover.multigraph import MultiGraph
 from spacecover.oracle import pattern_cover_bruteforce
-from spacecover.pattern_cover import (Embedding, PatternCoverInstance,
+from spacecover.pattern_cover import (Embedding, HostIndex, PatternCoverInstance,
                                       colorful_solve, solve)
 
 
@@ -224,3 +224,38 @@ def test_solve_hashes_only_the_free_pattern_vertices(monkeypatch):
         assert all(args == (rest, free) for args in requested[before:])
     pattern_cover._hash_family_cached.cache_clear()
     assert len(requested) >= 10 and any(k >= 2 for _n, k in requested)
+
+
+def test_excluded_edges_act_as_removed_and_share_one_host_index():
+    rng = random.Random(61)
+    found = rejected = 0
+    for _ in range(300):
+        inst = repinned(random_pattern_instance(rng, gn_max=6, hn_max=5, t_max=2), rng)
+        excluded = frozenset(e for e in inst.g.edge_ids() if rng.random() < 0.3)
+        host = HostIndex(inst.g, inst.ell_g)
+        shared = PatternCoverInstance(inst.g, inst.ell_g, inst.h, inst.ell_h, inst.u, inst.f,
+                                      excluded=excluded, host=host)
+        removed = inst.g.without_edges(excluded)
+        copied = PatternCoverInstance(removed, {e: inst.ell_g[e] for e in removed.edge_ids()},
+                                      inst.h, inst.ell_h, inst.u, inst.f)
+        got, want = solve(shared), solve(copied)
+        assert got == want
+        if got is None:
+            continue
+        found += 1
+        assert not set(got.edge_map.values()) & excluded and got.verify(shared)
+        # the same embedding fails once one of its edges is excluded
+        if got.edge_map:
+            used = rng.choice(sorted(got.edge_map.values()))
+            again = PatternCoverInstance(inst.g, inst.ell_g, inst.h, inst.ell_h, inst.u, inst.f,
+                                         excluded=excluded | {used}, host=host)
+            assert got.verify(copied) and not got.verify(again)
+            rejected += 1
+    assert found >= 40 and rejected >= 20
+
+
+def test_host_index_must_be_of_the_instance_graph():
+    inst = _pinned_path_instance()
+    other = HostIndex(inst.g.copy(), inst.ell_g)
+    with pytest.raises(ValueError):
+        PatternCoverInstance(inst.g, inst.ell_g, inst.h, inst.ell_h, inst.u, inst.f, host=other)
