@@ -193,7 +193,8 @@ def _cmd_bench(args) -> int:
             files.append(path)
     writer = csv.writer(sys.stdout)
     writer.writerow(["file", "mode", "n", "m", "k", "r", "t", "answer",
-                     "agree", "solver_ms", "oracle_ms", "guesses", "packing", "esc_tables"])
+                     "agree", "solver_ms", "oracle_ms", "guesses", "packing", "search",
+                     "esc_tables"])
     status = EXIT_YES
     for path in files:
         try:
@@ -225,7 +226,7 @@ def _cmd_bench(args) -> int:
                          "yes" if agree else "no",
                          "%.3f" % solver_ms, "%.3f" % oracle_ms,
                          stats.get("guesses", 0), stats.get("packing", 0),
-                         stats.get("esc_tables", 0)])
+                         stats.get("search", 0), stats.get("esc_tables", 0)])
         if not agree:
             status = EXIT_ERROR
     return status

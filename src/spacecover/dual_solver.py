@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import eoct
-from .binmatroid import CocycleCertificate, dual_span_contains, packing_refutation
+from .binmatroid import CocycleCertificate, cover_search, dual_span_contains
 from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
@@ -797,33 +797,53 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
           ) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
     """Full dual pipeline; returns a verified (F, per-terminal certificates) or None.
 
-    Without params, a packing of cycle witnesses (``packing_refutation`` on
-    the kernel of A) may prove "no" before any parity guess;
-    ``stats["packing"]`` then counts its witnesses. A solve with params
-    skips the bound, so its "no" rows still run the recursion.
-
-    All parity guesses share ``params.tables`` (a fresh ``RecursParams``
-    without params), so each distinct tuple of flip maps builds one ESC
-    table; ``stats["esc_tables"]`` counts the tables this solve built.
+    Without params, ``cover_search`` on the kernel of A may prove "no" before
+    any parity guess: at its root by the packing of cycle witnesses
+    (``stats["packing"]`` counts them), or else by its search tree
+    (``stats["search"]`` counts the tree's nodes, set on every row it
+    reaches). Other rows go on to the parity guesses, which must answer
+    "yes" where the tree found a cover. A solve with params skips the search,
+    so its "no" rows still run the recursion.
     """
     null_rows = nullspace(inst.a_matrix)
     kept, immediate_no = reduce_terminals_dual(inst, null_rows)
     if immediate_no:
         return None
-    a = inst.a_matrix
     term_cols = [inst.col_of[e] for e in inst.terminals]
     if not kept:
-        certs = dual_span_contains(a, [], term_cols)
+        certs = dual_span_contains(inst.a_matrix, [], term_cols)
         if certs is None:
             raise AssertionError("empty dual basis must span the dropped terminals")
         return frozenset(), certs
-    if params is None:
-        witnesses = packing_refutation(null_rows, sum(1 << c for c in term_cols), inst.k)
-        if witnesses is not None:
-            if stats is not None:
-                stats["packing"] = len(witnesses)
-            return None
-        params = RecursParams()
+    if params is not None:
+        return _cover_by_guesses(inst, kept, params, stats)
+    search = cover_search(null_rows, sum(1 << c for c in term_cols), inst.k)
+    if search.packing is not None:
+        if stats is not None:
+            stats["packing"] = len(search.packing)
+        return None
+    if stats is not None:
+        stats["search"] = search.nodes
+    if search.refuted:
+        return None
+    result = _cover_by_guesses(inst, kept, RecursParams(), stats)
+    if result is None and search.cover:
+        raise AssertionError("the parity guesses missed a cover the search tree found")
+    return result
+
+
+def _cover_by_guesses(inst: DualInstance, kept: Tuple[int, ...], params: RecursParams,
+                      stats: Optional[Dict[str, int]] = None
+                      ) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
+    """The parity guesses' first verified (F, certificates) for the terminal basis ``kept``, or None.
+
+    ``kept`` is the nonempty basis from ``reduce_terminals_dual``. All
+    guesses share ``params.tables``, so each distinct tuple of flip maps
+    builds one ESC table; ``stats["guesses"]`` counts the guesses and
+    ``stats["esc_tables"]`` the tables built here.
+    """
+    a = inst.a_matrix
+    term_cols = [inst.col_of[e] for e in inst.terminals]
     tables_before = len(params.tables)
     t, _ = vertex_types(inst.p)
     for combo in itertools.product(sorted(itertools.product((0, 1), repeat=t)),

@@ -63,20 +63,20 @@ class Gf2Matrix:
             bits.append(int(line[::-1], 2) if cols else 0)
         return cls(len(lines), cols, bits)
 
+    @classmethod
+    def from_columns(cls, rows: int, columns: List[int]) -> "Gf2Matrix":
+        """The matrix with the given packed columns (bit i = row i), its columns kept."""
+        m = cls(rows, len(columns), _transposed(columns, rows))
+        m._columns = tuple(columns)
+        return m
+
     def columns(self) -> Tuple[int, ...]:
         """Every column packed (bit i = row i), from one pass over the set bits.
 
         Kept after the first call, so the rows must not change after it.
         """
         if self._columns is None:
-            cols = [0] * self.cols
-            for i, word in enumerate(self.row_bits):
-                bit = 1 << i
-                while word:
-                    low = word & -word
-                    cols[low.bit_length() - 1] |= bit
-                    word ^= low
-            self._columns = tuple(cols)
+            self._columns = tuple(_transposed(self.row_bits, self.cols))
         return self._columns
 
     def column(self, j: int) -> int:
@@ -107,6 +107,18 @@ class Gf2Matrix:
 
     def __repr__(self) -> str:
         return "Gf2Matrix(%dx%d)" % (self.rows, self.cols)
+
+
+def _transposed(words: List[int], size: int) -> List[int]:
+    """The ``size`` packed words whose bit i is bit j of words[i], from one pass over the set bits."""
+    out = [0] * size
+    for i, word in enumerate(words):
+        bit = 1 << i
+        while word:
+            low = word & -word
+            out[low.bit_length() - 1] |= bit
+            word ^= low
+    return out
 
 
 def _reduced(pivots: List[int], word: int) -> int:

@@ -58,15 +58,18 @@ class SpaceCoverInstance:
 
     def restrict(self, keep_edges: Iterable[int],
                  terminals: Optional[Iterable[int]] = None) -> "SpaceCoverInstance":
-        """New instance keeping only the given edges (and their P columns)."""
+        """New instance keeping only the given edges (and their P and A columns)."""
         keep = set(keep_edges)
         graph = self.graph.without_edges(set(self.graph.edge_ids()) - keep)
-        p_cols = self.p.columns()
-        kept_cols = [p_cols[self.col_of[eid]] for eid in graph.edge_ids()]
-        p = Gf2Matrix(len(kept_cols), self.p.rows, kept_cols).transpose()
+        kept = [self.col_of[eid] for eid in graph.edge_ids()]
+        p_cols, a_cols = self.p.columns(), self.a_matrix.columns()
+        p = Gf2Matrix.from_columns(self.p.rows, [p_cols[j] for j in kept])
         terms = self.terminals if terminals is None else tuple(sorted(set(terminals)))
         terms = tuple(e for e in terms if e in keep)
-        return type(self)(graph, p, terms, self.k)
+        out = type(self)(graph, p, terms, self.k)
+        # A's kept columns are the restricted A's columns
+        out._a = Gf2Matrix.from_columns(self.graph.n, [a_cols[j] for j in kept])
+        return out
 
     def __repr__(self) -> str:
         return "%s(n=%d, m=%d, |T|=%d, k=%d)" % (

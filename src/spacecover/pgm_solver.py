@@ -8,7 +8,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import pattern_cover
-from .binmatroid import SpanCertificate, packing_refutation, span_contains
+from .binmatroid import SpanCertificate, cover_search, span_contains
 from .gf2 import Gf2Matrix, basis, distinct_columns
 from .instances import PrimalInstance
 from .multigraph import MultiGraph, count_simple_cycles, spanning_forest
@@ -526,9 +526,12 @@ def solve(inst: PrimalInstance,
           ) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
     """Full primal pipeline; returns a verified (F, certificate) or None.
 
-    After the terminal reduction, a packing of cocycle witnesses
-    (``packing_refutation`` on the rows of the reduced A) may prove "no"
-    before any guess; ``stats["packing"]`` then counts its witnesses.
+    After the terminal reduction, ``cover_search`` on the rows of the reduced
+    A may prove "no" before any guess: at its root by the packing of cocycle
+    witnesses (``stats["packing"]`` counts them), or else by its search tree
+    (``stats["search"]`` counts the tree's nodes, set on every row it
+    reaches). Other rows go on to the guess chain, which must answer "yes"
+    where the tree found a cover.
     """
     reduced = reduce_terminals(inst)
     if reduced.immediate_no:
@@ -543,14 +546,20 @@ def solve(inst: PrimalInstance,
     # a minimum F is independent, so no budget above the rank of the columns it draws on helps
     reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
                                           for e in reduced.nonterminal_edges()])))
-    witnesses = packing_refutation(reduced.a_matrix.row_bits,
-                                   sum(1 << reduced.col_of[e] for e in reduced.terminals),
-                                   reduced.k)
-    if witnesses is not None:
+    search = cover_search(reduced.a_matrix.row_bits,
+                          sum(1 << reduced.col_of[e] for e in reduced.terminals), reduced.k)
+    if search.packing is not None:
         if stats is not None:
-            stats["packing"] = len(witnesses)
+            stats["packing"] = len(search.packing)
         return None
-    return _cover_by_guesses(inst, reduced, stats)
+    if stats is not None:
+        stats["search"] = search.nodes
+    if search.refuted:
+        return None
+    result = _cover_by_guesses(inst, reduced, stats)
+    if result is None and search.cover:
+        raise AssertionError("the guess chain missed a cover the search tree found")
+    return result
 
 
 def _cover_by_guesses(inst: PrimalInstance, reduced: PrimalInstance,

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from helpers import complete_graph
-from spacecover.binmatroid import (dual_span_contains, is_cocycle, packing_refutation,
-                                   span_contains)
+from spacecover.binmatroid import (cover_search, dual_span_contains, is_cocycle,
+                                   packing_refutation, span_contains)
 from spacecover.gf2 import Gf2Matrix, nullspace, spans_all
 from spacecover.instances import random_instance
 from spacecover.multigraph import incidence_matrix
@@ -129,3 +129,46 @@ def test_packing_witnesses_are_disjoint_and_lie_in_the_space(mode):
         # more witnesses than the budget, or one whose terminal no non-terminal set spans
         assert len(witnesses) > inst.k or not rests[-1]
     assert refuted >= 10
+
+
+def test_packing_refutation_drops_refused_bits():
+    # three parallel edges, terminal 0: the kernel holds the circuits {0, 1} and {0, 2}
+    space = [0b011, 0b101]
+    assert packing_refutation(space, 0b001, 2) is None
+    assert packing_refutation(space, 0b001, 1) == [0b011, 0b101]
+    # with edge 1 or edge 2 refused, one circuit has no candidate left
+    for refused in (0b010, 0b100):
+        assert packing_refutation(space, 0b001, 2, refused=refused) == [0b001]
+
+
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_cover_search_root_is_the_packing_bound(mode):
+    rng = random.Random(33 if mode == "primal" else 34)
+    for _ in range(300):
+        inst = random_instance(mode, rng.randint(3, 12), rng.randint(3, 20), rng.randint(0, 2),
+                               rng.randint(1, 3), rng.randint(0, 4), rng)
+        space, terms = _packing_input(inst)
+        search = cover_search(space, terms, inst.k)
+        assert search.packing == packing_refutation(space, terms, inst.k)
+        if search.packing is not None:
+            assert search.refuted and search.nodes == 1
+
+
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_cover_search_matches_oracle(mode):
+    rng = random.Random(27 if mode == "primal" else 72)
+    by_tree = nodes = 0
+    for _ in range(1500):
+        inst = random_instance(mode, rng.randint(3, 9), rng.randint(3, 12), rng.randint(0, 2),
+                               rng.randint(1, 3), rng.randint(0, 4), rng)
+        search = cover_search(*_packing_input(inst), inst.k)
+        oracle = solve_primal_bruteforce if mode == "primal" else solve_dual_bruteforce
+        # no row this small reaches the node cap, so the tree decides every one
+        assert search.refuted != search.cover
+        assert search.refuted == (oracle(inst) is None)
+        by_tree += search.refuted and search.packing is None
+        nodes += search.nodes
+    assert by_tree >= 10
+    # a tree whose nodes ignored their refused elements would still decide every
+    # row, but its children would overlap and it would visit more nodes
+    assert nodes == {"primal": 2451, "dual": 2404}[mode]

@@ -463,13 +463,17 @@ def test_bench_columns_tell_packing_from_guesses(tmp_path, capsys, extra):
     assert main(["bench", str(corpus)] + extra) == EXIT_YES
     bundle, rand = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert rand["answer"] == "no" and rand["packing"] == "0"
-    # 16 parity guesses share 4 flip-map tuples, so they build 4 tables
-    assert (rand["guesses"], rand["esc_tables"]) == ("16", "4")
     if extra:
-        # a solve with thresholds skips the bound and runs its guesses
-        assert bundle["packing"] == "0" and int(bundle["guesses"]) >= int(bundle["esc_tables"]) > 0
+        # a solve with thresholds skips the bound and the tree and runs its guesses
+        assert bundle["packing"] == bundle["search"] == rand["search"] == "0"
+        assert int(bundle["guesses"]) >= int(bundle["esc_tables"]) > 0
+        # 16 parity guesses share 4 flip-map tuples, so they build 4 tables
+        assert (rand["guesses"], rand["esc_tables"]) == ("16", "4")
     else:
-        assert (bundle["packing"], bundle["guesses"], bundle["esc_tables"]) == ("2", "0", "0")
+        assert (bundle["packing"], bundle["search"], bundle["guesses"], bundle["esc_tables"]) \
+            == ("2", "0", "0", "0")
+        # the root bound leaves the random row to the search tree, which refutes it
+        assert int(rand["search"]) > 0 and (rand["guesses"], rand["esc_tables"]) == ("0", "0")
 
 
 def test_solve_without_numpy_reaches_unbreakable_branch(tmp_path):

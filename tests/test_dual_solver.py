@@ -2,9 +2,11 @@ import itertools
 import math
 import random
 
+import pytest
+
 from helpers import (all_preliminary, complete_graph, doubled_path_dual,
                      dual_corpus, esc_from_random_dual, leafy_path_esc)
-from spacecover import dual_solver
+from spacecover import binmatroid, dual_solver
 from spacecover.derand import build_universal_set
 from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
                                     EscTerminal, RecursParams, _multiplicity_reduce,
@@ -114,26 +116,68 @@ def test_coloop_terminal_answered_directly():
     assert res[0] == frozenset()
 
 
+def _assert_matches_oracle(inst, got):
+    want = solve_dual_bruteforce(inst)
+    assert (got is None) == (want is None)
+    if got is not None:
+        f, certs = got
+        assert len(f) <= inst.k
+        assert not set(f) & set(inst.terminals)
+        m = inst.a_matrix
+        for cc in certs.values():
+            assert cc.verify(m)
+
+
 def test_solve_matches_oracle_small_corpus():
-    guesses = refuted = 0
+    guesses = refuted = by_tree = nodes = 0
     for inst in dual_corpus(60, seed=201):
         stats = {}
         got = dual_solver.solve(inst, stats=stats)
         if "packing" in stats:
-            assert got is None and "guesses" not in stats
+            assert got is None and "guesses" not in stats and "search" not in stats
             refuted += 1
+        elif "search" in stats and "guesses" not in stats:
+            assert got is None
+            by_tree += 1
         guesses += stats.get("guesses", 0)
-        want = solve_dual_bruteforce(inst)
-        assert (got is None) == (want is None)
-        if got is not None:
-            f, certs = got
-            assert len(f) <= inst.k
-            assert not set(f) & set(inst.terminals)
-            m = inst.a_matrix
-            for cc in certs.values():
-                assert cc.verify(m)
+        nodes += stats.get("search", 0)
+        _assert_matches_oracle(inst, got)
     assert guesses > 0
+    # the packing bound refutes 15 rows; the search tree finds a cover on the rows it reaches
     assert refuted == 15
+    assert by_tree == 0
+    assert nodes == 23
+
+
+def test_guess_loop_matches_oracle_small_corpus():
+    # every row past the terminal reduction, refuted by the bound or the tree or not
+    stats = {}
+    for inst in dual_corpus(60, seed=201):
+        kept, immediate_no = reduce_terminals_dual(inst)
+        if immediate_no or not kept:
+            continue
+        _assert_matches_oracle(inst, dual_solver._cover_by_guesses(inst, kept, RecursParams(),
+                                                                   stats))
+    assert stats["guesses"] == 78
+
+
+def test_rows_past_the_node_cap_reach_the_parity_guesses(monkeypatch):
+    monkeypatch.setattr(binmatroid, "SEARCH_NODE_CAP", 1)
+    for inst in dual_corpus(60, seed=201):
+        stats = {}
+        _assert_matches_oracle(inst, dual_solver.solve(inst, stats=stats))
+        if "search" in stats:
+            assert stats["search"] == 1 and stats["guesses"] > 0
+
+
+def test_parity_guesses_must_find_the_cover_the_search_tree_found(monkeypatch):
+    # three parallel edges, terminal 0: the other two meet both circuits through it
+    inst = DualInstance(MultiGraph(2, [(0, 1), (0, 1), (0, 1)]), Gf2Matrix(2, 3), [0], 2)
+    stats = {}
+    assert dual_solver.solve(inst, stats=stats) is not None and stats["search"] > 1
+    monkeypatch.setattr(dual_solver, "_cover_by_guesses", lambda *args: None)
+    with pytest.raises(AssertionError, match="search tree found"):
+        dual_solver.solve(inst)
 
 
 def test_threshold_solve_runs_its_parity_guesses_past_the_packing_bound():

@@ -50,6 +50,19 @@ def test_restrict_keeps_column_alignment():
     assert set(sub.terminals) == set(inst.terminals) & set(keep)
 
 
+def test_restrict_takes_the_kept_columns_of_a_and_p():
+    rng = random.Random(12)
+    for _ in range(40):
+        inst = random_instance(rng.choice(["primal", "dual"]), rng.randint(1, 8),
+                               rng.randint(0, 14), rng.randint(0, 3), 2, 2, rng)
+        eids = inst.graph.edge_ids()
+        sub = inst.restrict(rng.sample(eids, rng.randint(0, len(eids))))
+        assert sub.a_matrix == incidence_matrix(sub.graph) ^ sub.p
+        # the kept columns agree with the ones the rows give
+        for m in (sub.p, sub.a_matrix):
+            assert m.columns() == Gf2Matrix(m.rows, m.cols, m.row_bits).columns()
+
+
 def test_random_instance_respects_rank_bound():
     rng = random.Random(3)
     for r in range(4):

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import primal_corpus
-from spacecover import pgm_solver
+from spacecover import binmatroid, pgm_solver
 from spacecover.gf2 import Gf2Matrix, basis, distinct_columns, support
 from spacecover.instances import PrimalInstance, random_instance
 from spacecover.multigraph import MultiGraph, count_simple_cycles, spanning_forest
@@ -129,18 +130,43 @@ def _assert_matches_oracle(inst, got):
 
 
 def test_solve_matches_oracle_small_corpus():
-    guesses = refuted = 0
+    guesses = refuted = by_tree = nodes = 0
     for inst in primal_corpus(80, seed=101):
         stats = {}
         got = pgm_solver.solve(inst, stats=stats)
         _assert_matches_oracle(inst, got)
         if "packing" in stats:
-            assert got is None and "guesses" not in stats
+            assert got is None and "guesses" not in stats and "search" not in stats
             refuted += 1
+        elif "search" in stats and "guesses" not in stats:
+            assert got is None
+            by_tree += 1
         guesses += stats.get("guesses", 0)
-    # the packing bound refutes these rows before any guess
+        nodes += stats.get("search", 0)
+    # the packing bound refutes these rows before any guess, the search tree one more
     assert refuted == 18
+    assert by_tree == 1
+    assert nodes == 72
     assert guesses == 39
+
+
+def test_rows_past_the_node_cap_reach_the_guess_chain(monkeypatch):
+    monkeypatch.setattr(binmatroid, "SEARCH_NODE_CAP", 1)
+    for inst in primal_corpus(80, seed=101):
+        stats = {}
+        _assert_matches_oracle(inst, pgm_solver.solve(inst, stats=stats))
+        if "search" in stats:
+            assert stats["search"] == 1 and "guesses" in stats
+
+
+def test_guess_chain_must_find_the_cover_the_search_tree_found(monkeypatch):
+    # a triangle: the other two edges cover terminal 0
+    inst = PrimalInstance(MultiGraph(3, [(0, 1), (1, 2), (0, 2)]), Gf2Matrix(3, 3), [0], 2)
+    stats = {}
+    assert pgm_solver.solve(inst, stats=stats) is not None and stats["search"] > 1
+    monkeypatch.setattr(pgm_solver, "_cover_by_guesses", lambda *args: None)
+    with pytest.raises(AssertionError, match="search tree found"):
+        pgm_solver.solve(inst)
 
 
 def test_guess_chain_matches_oracle_small_corpus():
