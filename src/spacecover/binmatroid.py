@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .gf2 import Gf2Matrix, in_span, support
 
@@ -17,12 +17,14 @@ __all__ = [
     "packing_refutation",
     "CoverSearch",
     "cover_search",
+    "default_solve",
     "SEARCH_NODE_CAP",
 ]
 
-# Nodes ``cover_search`` visits before it stops undecided. The most measured on
-# a decided row is 73 (random rows with n up to 128 and k up to 4, r = 0 grids
-# up to 12 x 12), so the cap only bounds the time an undecided row can cost.
+# The most nodes ``cover_search`` visits; a hard bound, refuted nodes included.
+# The most measured on a decided row is 73 (random rows with n up to 128 and k
+# up to 4, r = 0 grids up to 12 x 12), so the cap only bounds the time an
+# undecided row can cost.
 SEARCH_NODE_CAP = 2000
 
 
@@ -199,12 +201,15 @@ def cover_search(space: List[int], terminals: int, budget: int) -> CoverSearch:
     bound's first witness: child i adds ci to F and refuses c1 ... c(i-1).
     Every cover that contains F and avoids R meets those bits, so the
     children split the node's covers and the tree is exact. Depth first, c1's
-    subtree first; the search stops undecided after ``SEARCH_NODE_CAP`` nodes.
+    subtree first; the search visits at most ``SEARCH_NODE_CAP`` nodes and
+    stops undecided when nodes are left past it.
     """
     # (the parent's vectors, the bit the node adds to F or 0 at the root, budget left, refused)
     stack = [(space, 0, budget, 0)]
     nodes = 0
     while stack:
+        if nodes >= SEARCH_NODE_CAP:
+            return CoverSearch(nodes, None, False, False)
         rows, bit, left, refused = stack.pop()
         if bit:
             rows = _pivot(rows, bit)
@@ -216,8 +221,6 @@ def cover_search(space: List[int], terminals: int, budget: int) -> CoverSearch:
             continue
         if not found:
             return CoverSearch(nodes, None, False, True)
-        if nodes >= SEARCH_NODE_CAP:
-            return CoverSearch(nodes, None, False, False)
         children = []
         cands = found[0] & ~terminals
         while cands:
@@ -227,6 +230,37 @@ def cover_search(space: List[int], terminals: int, budget: int) -> CoverSearch:
             cands ^= low
         stack.extend(reversed(children))
     return CoverSearch(nodes, None, True, False)
+
+
+def default_solve(basis_size: int, space: Optional[List[int]], terminals: int, budget: int,
+                  certify: Callable[[List[int]], object], fallback: Callable[[], Optional[tuple]],
+                  stats: Dict[str, int]) -> Optional[tuple]:
+    """Both modes' default path after their terminal reduction: (F, certificate) or None.
+
+    An empty terminal basis (``basis_size`` 0) is spanned by F = ∅, whose
+    certificate is ``certify([])``. Otherwise ``cover_search`` runs unless
+    ``space`` is None: it sets ``stats["packing"]`` when its root refutes and
+    ``stats["search"]`` when not, and a refuted row answers "no". The other
+    rows go to ``fallback()``, which must answer "yes" where the tree found a cover.
+    """
+    if not basis_size:
+        cert = certify([])
+        if cert is None:
+            raise AssertionError("an empty terminal basis must span the dropped terminals")
+        return frozenset(), cert
+    search = None
+    if space is not None:
+        search = cover_search(space, terminals, budget)
+        if search.packing is not None:
+            stats["packing"] = len(search.packing)
+            return None
+        stats["search"] = search.nodes
+        if search.refuted:
+            return None
+    result = fallback()
+    if result is None and search is not None and search.cover:
+        raise AssertionError("the fallback missed a cover the search tree found")
+    return result
 
 
 def _pivot(rows: List[int], bit: int) -> List[int]:

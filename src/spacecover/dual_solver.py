@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import eoct
-from .binmatroid import CocycleCertificate, cover_search, dual_span_contains
+from .binmatroid import CocycleCertificate, default_solve, dual_span_contains
 from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
@@ -797,43 +797,26 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
           ) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
     """Full dual pipeline; returns a verified (F, per-terminal certificates) or None.
 
-    Without params, ``cover_search`` on the kernel of A may prove "no" before
-    any parity guess: at its root by the packing of cycle witnesses
-    (``stats["packing"]`` counts them), or else by its search tree
-    (``stats["search"]`` counts the tree's nodes, set on every row it
-    reaches). Other rows go on to the parity guesses, which must answer
-    "yes" where the tree found a cover. A solve with params skips the search,
-    so its "no" rows still run the recursion.
+    Reduces the terminals to a basis in the dual matroid, then runs
+    ``default_solve`` on the kernel of A, whose packed vectors are cycles,
+    with the parity guesses as its fallback. A solve with params skips the
+    bound and the search tree, so its "no" rows still run the recursion.
     """
+    stats = {} if stats is None else stats
     null_rows = nullspace(inst.a_matrix)
     kept, immediate_no = reduce_terminals_dual(inst, null_rows)
     if immediate_no:
         return None
     term_cols = [inst.col_of[e] for e in inst.terminals]
-    if not kept:
-        certs = dual_span_contains(inst.a_matrix, [], term_cols)
-        if certs is None:
-            raise AssertionError("empty dual basis must span the dropped terminals")
-        return frozenset(), certs
-    if params is not None:
-        return _cover_by_guesses(inst, kept, params, stats)
-    search = cover_search(null_rows, sum(1 << c for c in term_cols), inst.k)
-    if search.packing is not None:
-        if stats is not None:
-            stats["packing"] = len(search.packing)
-        return None
-    if stats is not None:
-        stats["search"] = search.nodes
-    if search.refuted:
-        return None
-    result = _cover_by_guesses(inst, kept, RecursParams(), stats)
-    if result is None and search.cover:
-        raise AssertionError("the parity guesses missed a cover the search tree found")
-    return result
+    return default_solve(len(kept), null_rows if params is None else None,
+                         sum(1 << c for c in term_cols), inst.k,
+                         lambda f: dual_span_contains(inst.a_matrix, f, term_cols),
+                         lambda: _cover_by_guesses(inst, kept, params or RecursParams(), stats),
+                         stats)
 
 
 def _cover_by_guesses(inst: DualInstance, kept: Tuple[int, ...], params: RecursParams,
-                      stats: Optional[Dict[str, int]] = None
+                      stats: Dict[str, int]
                       ) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
     """The parity guesses' first verified (F, certificates) for the terminal basis ``kept``, or None.
 
@@ -849,12 +832,10 @@ def _cover_by_guesses(inst: DualInstance, kept: Tuple[int, ...], params: RecursP
     for combo in itertools.product(sorted(itertools.product((0, 1), repeat=t)),
                                    repeat=len(kept)):
         guess = dict(zip(kept, combo))
-        if stats is not None:
-            stats["guesses"] = stats.get("guesses", 0) + 1
+        stats["guesses"] = stats.get("guesses", 0) + 1
         esc = build_esc(inst, guess, active_terminals=kept, blocked=inst.terminals)
         sol = solve_esc(esc, params)
-        if stats is not None:
-            stats["esc_tables"] = len(params.tables) - tables_before
+        stats["esc_tables"] = len(params.tables) - tables_before
         if sol is None:
             continue
         f_set, _x = sol

@@ -8,7 +8,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import pattern_cover
-from .binmatroid import SpanCertificate, cover_search, span_contains
+from .binmatroid import SpanCertificate, default_solve, span_contains
 from .gf2 import Gf2Matrix, basis, distinct_columns
 from .instances import PrimalInstance
 from .multigraph import MultiGraph, count_simple_cycles, spanning_forest
@@ -526,44 +526,26 @@ def solve(inst: PrimalInstance,
           ) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
     """Full primal pipeline; returns a verified (F, certificate) or None.
 
-    After the terminal reduction, ``cover_search`` on the rows of the reduced
-    A may prove "no" before any guess: at its root by the packing of cocycle
-    witnesses (``stats["packing"]`` counts them), or else by its search tree
-    (``stats["search"]`` counts the tree's nodes, set on every row it
-    reaches). Other rows go on to the guess chain, which must answer "yes"
-    where the tree found a cover.
+    Reduces the terminals to a basis and lowers the budget to the rank of
+    the non-terminal columns, then runs ``default_solve`` on the rows of the
+    reduced A, whose packed vectors are cocycles, with the guess chain as its
+    fallback.
     """
+    stats = {} if stats is None else stats
     reduced = reduce_terminals(inst)
     if reduced.immediate_no:
         return None
-    a = inst.a_matrix
-    term_cols = [inst.col_of[e] for e in inst.terminals]
-    if not reduced.terminals:
-        cert = span_contains(a, [], term_cols)
-        if cert is None:
-            raise AssertionError("empty terminal basis must span the dropped terminals")
-        return frozenset(), cert
     # a minimum F is independent, so no budget above the rank of the columns it draws on helps
     reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
                                           for e in reduced.nonterminal_edges()])))
-    search = cover_search(reduced.a_matrix.row_bits,
-                          sum(1 << reduced.col_of[e] for e in reduced.terminals), reduced.k)
-    if search.packing is not None:
-        if stats is not None:
-            stats["packing"] = len(search.packing)
-        return None
-    if stats is not None:
-        stats["search"] = search.nodes
-    if search.refuted:
-        return None
-    result = _cover_by_guesses(inst, reduced, stats)
-    if result is None and search.cover:
-        raise AssertionError("the guess chain missed a cover the search tree found")
-    return result
+    term_cols = [inst.col_of[e] for e in inst.terminals]
+    return default_solve(len(reduced.terminals), reduced.a_matrix.row_bits,
+                         sum(1 << reduced.col_of[e] for e in reduced.terminals), reduced.k,
+                         lambda f: span_contains(inst.a_matrix, f, term_cols),
+                         lambda: _cover_by_guesses(inst, reduced, stats), stats)
 
 
-def _cover_by_guesses(inst: PrimalInstance, reduced: PrimalInstance,
-                      stats: Optional[Dict[str, int]] = None
+def _cover_by_guesses(inst: PrimalInstance, reduced: PrimalInstance, stats: Dict[str, int]
                       ) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
     """The guess chain's first verified (F, certificate) on ``reduced``, or None.
 
@@ -573,11 +555,9 @@ def _cover_by_guesses(inst: PrimalInstance, reduced: PrimalInstance,
     """
     a = inst.a_matrix
     term_cols = [inst.col_of[e] for e in inst.terminals]
-    if stats is not None:
-        stats.setdefault("guesses", 0)
+    stats.setdefault("guesses", 0)
     for pci, ctx in build_pattern_instances(reduced):
-        if stats is not None:
-            stats["guesses"] += 1
+        stats["guesses"] += 1
         emb = pattern_cover.solve(pci)
         if emb is None:
             continue

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import complete_graph
+from spacecover import binmatroid, dual_solver, pgm_solver
 from spacecover.binmatroid import (cover_search, dual_span_contains, is_cocycle,
                                    packing_refutation, span_contains)
 from spacecover.gf2 import Gf2Matrix, nullspace, spans_all
@@ -172,3 +173,34 @@ def test_cover_search_matches_oracle(mode):
     # a tree whose nodes ignored their refused elements would still decide every
     # row, but its children would overlap and it would visit more nodes
     assert nodes == {"primal": 2451, "dual": 2404}[mode]
+
+
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_node_cap_bounds_every_search_and_the_guesses_decide_past_it(mode, monkeypatch):
+    # refuted nodes count towards the cap as well; a row the tree leaves undecided
+    # goes to the guesses, which are exact
+    monkeypatch.setattr(binmatroid, "SEARCH_NODE_CAP", 5)
+    searches = []
+
+    def recorded(*args):
+        searches.append(cover_search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(binmatroid, "cover_search", recorded)
+    solve = pgm_solver.solve if mode == "primal" else dual_solver.solve
+    oracle = solve_primal_bruteforce if mode == "primal" else solve_dual_bruteforce
+    guessed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        inst = random_instance(mode, rng.randint(4, 12), rng.randint(6, 30), rng.randint(0, 2),
+                               rng.randint(1, 3), rng.randint(1, 4), rng)
+        stats = {}
+        got = solve(inst, stats=stats)
+        # the tree's own answers are checked against the oracle above; the
+        # rows past the cap are the ones whose path this cap changes
+        if "guesses" in stats:
+            assert (got is None) == (oracle(inst) is None)
+            guessed += stats.get("search") == 5
+    assert max(search.nodes for search in searches) == 5
+    assert sum(not search.refuted and not search.cover for search in searches) >= 10
+    assert guessed >= 10

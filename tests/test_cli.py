@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 import spacecover
-from spacecover import cli, pattern_cover, pgm_solver
+from spacecover import cli, dual_solver, pattern_cover, pgm_solver
 from spacecover.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from spacecover.fileio import parse_file, serialize_instance
 from spacecover.gf2 import Gf2Matrix
@@ -82,6 +82,20 @@ def test_solve_json_reports_a_packing_refutation(tmp_path, capsys, text):
     assert payload["answer"] == "no"
     assert payload["stats"]["packing"] > payload["k"] == 1
     assert "guesses" not in payload["stats"]
+
+
+@pytest.mark.parametrize("text, solver", [(TRIANGLE_YES, pgm_solver), (TRIANGLE_DUAL, dual_solver)],
+                         ids=["primal", "dual"])
+def test_solve_exits_two_when_the_guesses_miss_the_tree_cover(tmp_path, capsys, monkeypatch,
+                                                               text, solver):
+    inst = write(tmp_path / "yes.scpm", text)
+    assert main(["solve", inst, "--json"]) == EXIT_YES
+    assert json.loads(capsys.readouterr().out)["stats"]["search"] > 1
+    monkeypatch.setattr(solver, "_cover_by_guesses", lambda *args: None)
+    assert main(["solve", inst, "--json"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:"), captured.err
+    assert "search tree found" in captured.err
 
 
 def test_solve_malformed_exit_two(tmp_path, capsys):

@@ -170,6 +170,18 @@ def test_rows_past_the_node_cap_reach_the_parity_guesses(monkeypatch):
             assert stats["search"] == 1 and stats["guesses"] > 0
 
 
+@pytest.mark.parametrize("params", [None, RecursParams(q=2, p=2, s=16)],
+                         ids=["default", "q-override"])
+def test_empty_terminal_basis_answers_without_a_search_or_guess(params):
+    # the terminal is a bridge, so its column of the kernel is zero and F = ∅ covers it
+    inst = DualInstance(MultiGraph(3, [(0, 1), (1, 2), (1, 2)]), Gf2Matrix(3, 3), [0], 0)
+    stats = {}
+    f, certs = dual_solver.solve(inst, params=params, stats=stats)
+    assert f == frozenset() and stats == {}
+    assert set(certs) == {inst.col_of[0]}
+    assert all(cert.verify(inst.a_matrix) for cert in certs.values())
+
+
 def test_parity_guesses_must_find_the_cover_the_search_tree_found(monkeypatch):
     # three parallel edges, terminal 0: the other two meet both circuits through it
     inst = DualInstance(MultiGraph(2, [(0, 1), (0, 1), (0, 1)]), Gf2Matrix(2, 3), [0], 2)

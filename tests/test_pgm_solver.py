@@ -159,6 +159,15 @@ def test_rows_past_the_node_cap_reach_the_guess_chain(monkeypatch):
             assert stats["search"] == 1 and "guesses" in stats
 
 
+def test_empty_terminal_basis_answers_without_a_search_or_guess():
+    # the terminal is a loop, so its column of A is zero and F = ∅ spans it
+    inst = PrimalInstance(MultiGraph(2, [(0, 1), (1, 1)]), Gf2Matrix(2, 2), [1], 0)
+    stats = {}
+    f, cert = pgm_solver.solve(inst, stats=stats)
+    assert f == frozenset() and stats == {}
+    assert cert.parts == {inst.col_of[1]: frozenset()} and cert.verify(inst.a_matrix)
+
+
 def test_guess_chain_must_find_the_cover_the_search_tree_found(monkeypatch):
     # a triangle: the other two edges cover terminal 0
     inst = PrimalInstance(MultiGraph(3, [(0, 1), (1, 2), (0, 2)]), Gf2Matrix(3, 3), [0], 2)
