@@ -21,10 +21,10 @@ __all__ = [
     "SEARCH_NODE_CAP",
 ]
 
-# The most nodes ``cover_search`` visits; a hard bound, refuted nodes included.
-# The most measured on a decided row is 73 (random rows with n up to 128 and k
-# up to 4, r = 0 grids up to 12 x 12), so the cap only bounds the time an
-# undecided row can cost.
+# The most nodes ``cover_search`` visits, refuted ones and the search for a smaller
+# cover included. Decided rows took at most 71 (random, n <= 128, k <= 4), 54
+# (r = 0 grids up to 16 x 16) and 255 (the paper's reductions at budgets 6 and 9),
+# so the cap only bounds the time an undecided row can cost.
 SEARCH_NODE_CAP = 2000
 
 
@@ -180,76 +180,81 @@ def _packing(space: List[int], terminals: int, budget: int,
 
 
 class CoverSearch(NamedTuple):
-    """What ``cover_search`` found: a refutation, a cover, or neither within the node cap."""
+    """What ``cover_search`` found: a refutation, a least cover, or neither within the node cap."""
 
     nodes: int                      # nodes visited, the root included
     packing: Optional[List[int]]    # the root bound's witnesses when the root refutes
     refuted: bool                   # no cover exists
-    cover: bool                     # some node's F covers every terminal
+    cover: Optional[int]            # a least cover's bits, once no smaller one is left
 
 
 def cover_search(space: List[int], terminals: int, budget: int) -> CoverSearch:
-    """Search for an F of at most ``budget`` candidate elements that covers the terminals.
+    """Search for a least F of at most ``budget`` candidate elements that covers the terminals.
 
     ``space`` and ``terminals`` are as in ``packing_refutation``. A node holds
     F, a refused set R and the vectors of the span that vanish on F: adding c
     to F is one pivot on bit c. The node runs the packing bound with R
-    refused, and its root is ``packing_refutation(space, terminals, budget)``
-    exactly. When no vector has a terminal bit, the terminals lie in the
-    closure of F and the search stops with a cover. Otherwise a node the
-    bound does not refute branches on the candidate bits c1 < c2 < ... of the
-    bound's first witness: child i adds ci to F and refuses c1 ... c(i-1).
-    Every cover that contains F and avoids R meets those bits, so the
-    children split the node's covers and the tree is exact. Depth first, c1's
-    subtree first; the search visits at most ``SEARCH_NODE_CAP`` nodes and
-    stops undecided when nodes are left past it.
+    refused and a budget of the bound less |F|; the root is
+    ``packing_refutation(space, terminals, budget)`` exactly, and its
+    witnesses' count is a least cover's size at least. When no vector has a
+    terminal bit, the terminals lie in the closure of F: F is kept and the
+    bound becomes |F| - 1, so the nodes left search for smaller covers only.
+    Otherwise a node the bound does not refute branches on the candidate bits
+    c1 < c2 < ... of the bound's first witness: child i adds ci to F and
+    refuses c1 ... c(i-1). Every cover that contains F and avoids R meets
+    those bits, so the children split the node's covers and the tree is
+    exact. Depth first, c1's subtree first; past ``SEARCH_NODE_CAP`` nodes
+    the search stops undecided, even with a cover kept.
     """
-    # (the parent's vectors, the bit the node adds to F or 0 at the root, budget left, refused)
-    stack = [(space, 0, budget, 0)]
-    nodes = 0
-    while stack:
+    # (the parent's vectors, the bit the node adds to F or 0 at the root, the parent's F, refused)
+    stack = [(space, 0, 0, 0)]
+    nodes, bound, cover, least = 0, budget, None, 0
+    while stack and bound >= least:
+        rows, bit, f, refused = stack.pop()
+        f |= bit
+        left = bound - f.bit_count()
+        if left < 0:
+            continue
         if nodes >= SEARCH_NODE_CAP:
-            return CoverSearch(nodes, None, False, False)
-        rows, bit, left, refused = stack.pop()
+            return CoverSearch(nodes, None, False, None)
         if bit:
             rows = _pivot(rows, bit)
         nodes += 1
         found, refuted = _packing(rows, terminals, left, refused)
         if refuted:
             if nodes == 1:
-                return CoverSearch(nodes, found, True, False)
+                return CoverSearch(nodes, found, True, None)
             continue
+        if nodes == 1:
+            least = len(found)      # every cover meets each of the root's disjoint witnesses
         if not found:
-            return CoverSearch(nodes, None, False, True)
+            cover, bound = f, f.bit_count() - 1
+            continue
         children = []
         cands = found[0] & ~terminals
         while cands:
             low = cands & -cands
-            children.append((rows, low, left - 1, refused))
+            children.append((rows, low, f, refused))
             refused |= low
             cands ^= low
         stack.extend(reversed(children))
-    return CoverSearch(nodes, None, True, False)
+    return CoverSearch(nodes, None, cover is None, cover)
 
 
 def default_solve(basis_size: int, space: Optional[List[int]], terminals: int, budget: int,
-                  certify: Callable[[List[int]], object], fallback: Callable[[], Optional[tuple]],
+                  certify: Callable[[int], Optional[tuple]],
+                  fallback: Callable[[], Optional[tuple]],
                   stats: Dict[str, int]) -> Optional[tuple]:
     """Both modes' default path after their terminal reduction: (F, certificate) or None.
 
-    An empty terminal basis (``basis_size`` 0) is spanned by F = ∅, whose
-    certificate is ``certify([])``. Otherwise ``cover_search`` runs unless
-    ``space`` is None: it sets ``stats["packing"]`` when its root refutes and
-    ``stats["search"]`` when not, and a refuted row answers "no". The other
-    rows go to ``fallback()``, which must answer "yes" where the tree found a cover.
+    An empty terminal basis (``basis_size`` 0) is covered by F = ∅. Otherwise
+    ``cover_search`` runs unless ``space`` is None: it sets ``stats["packing"]``
+    when its root refutes and ``stats["search"]`` when not. Its refutation
+    answers "no"; ``certify(bits)`` maps each cover's bits to (F, certificate)
+    or None, and the rows the tree leaves undecided go to ``fallback()``.
     """
-    if not basis_size:
-        cert = certify([])
-        if cert is None:
-            raise AssertionError("an empty terminal basis must span the dropped terminals")
-        return frozenset(), cert
-    search = None
-    if space is not None:
+    cover = 0 if not basis_size else None
+    if basis_size and space is not None:
         search = cover_search(space, terminals, budget)
         if search.packing is not None:
             stats["packing"] = len(search.packing)
@@ -257,9 +262,12 @@ def default_solve(basis_size: int, space: Optional[List[int]], terminals: int, b
         stats["search"] = search.nodes
         if search.refuted:
             return None
-    result = fallback()
-    if result is None and search is not None and search.cover:
-        raise AssertionError("the fallback missed a cover the search tree found")
+        cover = search.cover
+    if cover is None:
+        return fallback()
+    result = certify(cover)
+    if result is None:
+        raise AssertionError("the search tree's cover failed its certificate")
     return result
 
 

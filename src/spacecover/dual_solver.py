@@ -8,7 +8,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import eoct
 from .binmatroid import CocycleCertificate, default_solve, dual_span_contains
-from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all
+from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all, support
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
                          good_edge_separation, incidence_matrix, is_connected,
@@ -808,9 +808,15 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
     if immediate_no:
         return None
     term_cols = [inst.col_of[e] for e in inst.terminals]
+    edge_ids = inst.graph.edge_ids()
+
+    def certify(bits: int) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
+        f = frozenset(edge_ids[j] for j in support(bits))
+        certs = dual_span_contains(inst.a_matrix, [inst.col_of[e] for e in f], term_cols)
+        return None if certs is None else (f, certs)
+
     return default_solve(len(kept), null_rows if params is None else None,
-                         sum(1 << c for c in term_cols), inst.k,
-                         lambda f: dual_span_contains(inst.a_matrix, f, term_cols),
+                         sum(1 << c for c in term_cols), inst.k, certify,
                          lambda: _cover_by_guesses(inst, kept, params or RecursParams(), stats),
                          stats)
 

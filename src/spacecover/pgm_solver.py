@@ -9,7 +9,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from . import pattern_cover
 from .binmatroid import SpanCertificate, default_solve, span_contains
-from .gf2 import Gf2Matrix, basis, distinct_columns
+from .gf2 import Gf2Matrix, basis, distinct_columns, support
 from .instances import PrimalInstance
 from .multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from .pattern_cover import PatternCoverInstance
@@ -528,8 +528,8 @@ def solve(inst: PrimalInstance,
 
     Reduces the terminals to a basis and lowers the budget to the rank of
     the non-terminal columns, then runs ``default_solve`` on the rows of the
-    reduced A, whose packed vectors are cocycles, with the guess chain as its
-    fallback.
+    reduced A, whose packed vectors are cocycles and whose bit j is the
+    reduced graph's j-th edge, with the guess chain as its fallback.
     """
     stats = {} if stats is None else stats
     reduced = reduce_terminals(inst)
@@ -539,10 +539,16 @@ def solve(inst: PrimalInstance,
     reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
                                           for e in reduced.nonterminal_edges()])))
     term_cols = [inst.col_of[e] for e in inst.terminals]
+    edge_ids = reduced.graph.edge_ids()
+
+    def certify(bits: int) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
+        f = frozenset(edge_ids[j] for j in support(bits))
+        cert = span_contains(inst.a_matrix, [inst.col_of[e] for e in f], term_cols)
+        return None if cert is None else (f, cert)
+
     return default_solve(len(reduced.terminals), reduced.a_matrix.row_bits,
                          sum(1 << reduced.col_of[e] for e in reduced.terminals), reduced.k,
-                         lambda f: span_contains(inst.a_matrix, f, term_cols),
-                         lambda: _cover_by_guesses(inst, reduced, stats), stats)
+                         certify, lambda: _cover_by_guesses(inst, reduced, stats), stats)
 
 
 def _cover_by_guesses(inst: PrimalInstance, reduced: PrimalInstance, stats: Dict[str, int]

@@ -41,6 +41,25 @@ def complete_graph(n):
     return g
 
 
+def grid_dual(w, k, seed):
+    """A w x w grid with P = 0 whose two terminals are boundary edges drawn by ``random.Random(seed)``."""
+    g = MultiGraph(w * w)
+    boundary = []
+    for r in range(w):
+        for c in range(w):
+            v = r * w + c
+            if c + 1 < w:
+                e = g.add_edge(v, v + 1)
+                if r in (0, w - 1):
+                    boundary.append(e)
+            if r + 1 < w:
+                e = g.add_edge(v, v + w)
+                if c in (0, w - 1):
+                    boundary.append(e)
+    terms = random.Random(seed).sample(boundary, 2)
+    return DualInstance(g, Gf2Matrix(g.n, g.num_edges), terms, k)
+
+
 def path_graph(n):
     g = MultiGraph(n)
     for v in range(n - 1):

@@ -7,7 +7,7 @@ from helpers import complete_graph
 from spacecover import binmatroid, dual_solver, pgm_solver
 from spacecover.binmatroid import (cover_search, dual_span_contains, is_cocycle,
                                    packing_refutation, span_contains)
-from spacecover.gf2 import Gf2Matrix, nullspace, spans_all
+from spacecover.gf2 import Gf2Matrix, nullspace, spans_all, support
 from spacecover.instances import random_instance
 from spacecover.multigraph import incidence_matrix
 from spacecover.oracle import solve_dual_bruteforce, solve_primal_bruteforce
@@ -164,15 +164,22 @@ def test_cover_search_matches_oracle(mode):
                                rng.randint(1, 3), rng.randint(0, 4), rng)
         search = cover_search(*_packing_input(inst), inst.k)
         oracle = solve_primal_bruteforce if mode == "primal" else solve_dual_bruteforce
+        want = oracle(inst)
         # no row this small reaches the node cap, so the tree decides every one
-        assert search.refuted != search.cover
-        assert search.refuted == (oracle(inst) is None)
+        assert search.refuted != (search.cover is not None)
+        assert search.refuted == (want is None)
+        if want is not None:
+            contains = span_contains if mode == "primal" else dual_span_contains
+            assert contains(inst.a_matrix, support(search.cover),
+                            [inst.col_of[e] for e in inst.terminals]) is not None
+            assert search.cover.bit_count() == len(want[0])
         by_tree += search.refuted and search.packing is None
         nodes += search.nodes
     assert by_tree >= 10
     # a tree whose nodes ignored their refused elements would still decide every
-    # row, but its children would overlap and it would visit more nodes
-    assert nodes == {"primal": 2451, "dual": 2404}[mode]
+    # row, but its children would overlap and it would visit more nodes; the
+    # count includes the nodes that search on for a smaller cover
+    assert nodes == {"primal": 2729, "dual": 2581}[mode]
 
 
 @pytest.mark.parametrize("mode", ["primal", "dual"])
@@ -202,5 +209,5 @@ def test_node_cap_bounds_every_search_and_the_guesses_decide_past_it(mode, monke
             assert (got is None) == (oracle(inst) is None)
             guessed += stats.get("search") == 5
     assert max(search.nodes for search in searches) == 5
-    assert sum(not search.refuted and not search.cover for search in searches) >= 10
+    assert sum(not search.refuted and search.cover is None for search in searches) >= 10
     assert guessed >= 10

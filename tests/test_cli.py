@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 import spacecover
-from spacecover import cli, dual_solver, pattern_cover, pgm_solver
+from spacecover import binmatroid, cli, dual_solver, pattern_cover, pgm_solver
 from spacecover.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from spacecover.fileio import parse_file, serialize_instance
 from spacecover.gf2 import Gf2Matrix
@@ -84,18 +84,20 @@ def test_solve_json_reports_a_packing_refutation(tmp_path, capsys, text):
     assert "guesses" not in payload["stats"]
 
 
-@pytest.mark.parametrize("text, solver", [(TRIANGLE_YES, pgm_solver), (TRIANGLE_DUAL, dual_solver)],
+@pytest.mark.parametrize("text, solver, contains",
+                         [(TRIANGLE_YES, pgm_solver, "span_contains"),
+                          (TRIANGLE_DUAL, dual_solver, "dual_span_contains")],
                          ids=["primal", "dual"])
-def test_solve_exits_two_when_the_guesses_miss_the_tree_cover(tmp_path, capsys, monkeypatch,
-                                                               text, solver):
+def test_solve_exits_two_when_the_tree_cover_fails_its_certificate(tmp_path, capsys, monkeypatch,
+                                                                   text, solver, contains):
     inst = write(tmp_path / "yes.scpm", text)
     assert main(["solve", inst, "--json"]) == EXIT_YES
     assert json.loads(capsys.readouterr().out)["stats"]["search"] > 1
-    monkeypatch.setattr(solver, "_cover_by_guesses", lambda *args: None)
+    monkeypatch.setattr(solver, contains, lambda *args: None)
     assert main(["solve", inst, "--json"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:"), captured.err
-    assert "search tree found" in captured.err
+    assert "cover failed its certificate" in captured.err
 
 
 def test_solve_malformed_exit_two(tmp_path, capsys):
@@ -159,6 +161,7 @@ K5_DUAL = ("SCPM v1\nmode dual\nn 5 m 11 k 1\n"
 # backbones, cycle counts and patterns, the dual rows through the recursion
 # (with q = 1 the triangle has no separation). Hash families colour only free
 # pattern vertices, so the square reaches DEMAND_CAP, and K_5 reaches EOCT.
+# The search tree would decide the primal rows itself, so it stops at its root.
 CAP_CASES = {
     "BACKBONE_EDGE_CAP": ("pgm_solver", 1, TRIANGLE_YES, []),
     "CYCLE_COUNT_EDGE_CAP": ("multigraph", 1, TRIANGLE_YES, []),
@@ -176,6 +179,7 @@ def test_solve_refuses_past_each_cap(tmp_path, capsys, monkeypatch, cap):
     # no cached backbone class or family may answer in place of a capped build
     pgm_solver._backbone_classes.cache_clear()
     pattern_cover._hash_family_cached.cache_clear()
+    monkeypatch.setattr(binmatroid, "SEARCH_NODE_CAP", 1)
     monkeypatch.setattr(importlib.import_module("spacecover." + module), cap, value)
     inst = write(tmp_path / "tri.scpm", text)
     assert main(["solve", inst, *extra]) == EXIT_ERROR

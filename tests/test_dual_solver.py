@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from helpers import (all_preliminary, complete_graph, doubled_path_dual,
-                     dual_corpus, esc_from_random_dual, leafy_path_esc)
+                     dual_corpus, esc_from_random_dual, grid_dual, leafy_path_esc)
 from spacecover import binmatroid, dual_solver
 from spacecover.derand import build_universal_set
 from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
@@ -129,7 +130,7 @@ def _assert_matches_oracle(inst, got):
 
 
 def test_solve_matches_oracle_small_corpus():
-    guesses = refuted = by_tree = nodes = 0
+    guesses = refuted = tree_no = tree_yes = nodes = 0
     for inst in dual_corpus(60, seed=201):
         stats = {}
         got = dual_solver.solve(inst, stats=stats)
@@ -137,16 +138,19 @@ def test_solve_matches_oracle_small_corpus():
             assert got is None and "guesses" not in stats and "search" not in stats
             refuted += 1
         elif "search" in stats and "guesses" not in stats:
-            assert got is None
-            by_tree += 1
+            tree_no += got is None
+            tree_yes += got is not None
         guesses += stats.get("guesses", 0)
         nodes += stats.get("search", 0)
         _assert_matches_oracle(inst, got)
-    assert guesses > 0
-    # the packing bound refutes 15 rows; the search tree finds a cover on the rows it reaches
+        if got is not None:
+            assert len(got[0]) == len(solve_dual_bruteforce(inst)[0])
+    # the packing bound refutes 15 rows; the search tree decides every other
+    # row with a nonempty terminal basis, each with a least cover
     assert refuted == 15
-    assert by_tree == 0
+    assert (tree_no, tree_yes) == (0, 11)
     assert nodes == 23
+    assert guesses == 0
 
 
 def test_guess_loop_matches_oracle_small_corpus():
@@ -182,14 +186,51 @@ def test_empty_terminal_basis_answers_without_a_search_or_guess(params):
     assert all(cert.verify(inst.a_matrix) for cert in certs.values())
 
 
-def test_parity_guesses_must_find_the_cover_the_search_tree_found(monkeypatch):
+def test_a_yes_row_the_tree_decides_never_calls_the_fallback(monkeypatch):
     # three parallel edges, terminal 0: the other two meet both circuits through it
     inst = DualInstance(MultiGraph(2, [(0, 1), (0, 1), (0, 1)]), Gf2Matrix(2, 3), [0], 2)
+
+    def no_fallback(*args):
+        raise AssertionError("the parity guesses ran on a row the tree decides")
+
+    monkeypatch.setattr(dual_solver, "_cover_by_guesses", no_fallback)
     stats = {}
-    assert dual_solver.solve(inst, stats=stats) is not None and stats["search"] > 1
-    monkeypatch.setattr(dual_solver, "_cover_by_guesses", lambda *args: None)
-    with pytest.raises(AssertionError, match="search tree found"):
-        dual_solver.solve(inst)
+    f, certs = dual_solver.solve(inst, stats=stats)
+    assert f == frozenset({1, 2}) and set(certs) == {inst.col_of[0]}
+    assert all(cert.verify(inst.a_matrix) for cert in certs.values())
+    assert stats["search"] > 1 and "guesses" not in stats
+
+
+@pytest.mark.parametrize("w, budgets", [(4, (1, 2, 3, 4)), (5, (1, 2, 3))])
+def test_grid_rows_match_the_oracle_with_a_least_cover(w, budgets):
+    # r = 0 grids with two boundary terminals. Time budget: about 4 s, most of
+    # it the 5 x 5 oracle on the two k = 3 rows whose least cover has 3 edges
+    yes = 0
+    for k in budgets:
+        for seed in range(4):
+            inst = grid_dual(w, k, seed)
+            got = dual_solver.solve(inst)
+            want = solve_dual_bruteforce(inst)
+            _assert_matches_oracle(inst, got)
+            if got is not None:
+                assert len(got[0]) == len(want[0])
+                yes += 1
+    assert 0 < yes < 4 * len(budgets)
+
+
+@pytest.mark.parametrize("k, seed", [(3, 2), (4, 0), (5, 2)])
+def test_large_grid_rows_decide_in_the_search_tree(k, seed):
+    # 16 x 16 grids, 480 edges: each row takes at most 0.4 s on a 2-vCPU VM
+    inst = grid_dual(16, k, seed)
+    stats = {}
+    start = time.perf_counter()
+    got = dual_solver.solve(inst, stats=stats)
+    assert time.perf_counter() - start < 1.0
+    assert "guesses" not in stats and stats["search"] > 1
+    f, certs = got
+    assert len(f) <= k and not f & set(inst.terminals)
+    assert set(certs) == {inst.col_of[e] for e in inst.terminals}
+    assert all(cert.verify(inst.a_matrix) for cert in certs.values())
 
 
 def test_threshold_solve_runs_its_parity_guesses_past_the_packing_bound():

@@ -1,8 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
+from spacecover import pgm_solver
 from spacecover.gf2 import rank
 from spacecover.hardness import (McInstance, TdmInstance, from_3dm,
                                  from_multicolored_clique, mc_has_clique,
@@ -92,3 +94,36 @@ def test_3dm_equivalence_small():
         tdm = TdmInstance(1, list(triples))
         got = solve_primal_bruteforce(from_3dm(tdm)) is not None
         assert got == tdm_has_matching(tdm)
+
+
+# Budgets 6 and 9 lie past the guess chain, which would build the 6-edge
+# backbone catalog (or refuse it past BACKBONE_EDGE_CAP); the search tree
+# decides each of these rows in a few hundred nodes.
+PAST_THE_CHAIN = {
+    "mc-3-colours": (lambda rng: random_mc_instance(3, 3, 0.4, rng),
+                     from_multicolored_clique, mc_has_clique),
+    "3dm-q2": (lambda rng: random_3dm_instance(2, 4, rng), from_3dm, tdm_has_matching),
+    "3dm-q3": (lambda rng: random_3dm_instance(3, 9, rng), from_3dm, tdm_has_matching),
+}
+
+
+@pytest.mark.parametrize("family", list(PAST_THE_CHAIN))
+def test_reductions_past_the_guess_chain_decide_in_the_search_tree(family):
+    draw, reduce_, decide = PAST_THE_CHAIN[family]
+    verdicts = set()
+    for seed in range(8):
+        source = draw(random.Random(seed))
+        inst = reduce_(source)
+        assert inst.k >= 6
+        stats = {}
+        start = time.perf_counter()
+        got = pgm_solver.solve(inst, stats=stats)
+        assert time.perf_counter() - start < 1.0, seed
+        assert "guesses" not in stats, seed
+        assert (got is not None) == decide(source), seed
+        if got is not None:
+            f, cert = got
+            assert len(f) <= inst.k and not f & set(inst.terminals)
+            assert cert.verify(inst.a_matrix)
+        verdicts.add(got is not None)
+    assert verdicts == {True, False}

@@ -130,24 +130,27 @@ def _assert_matches_oracle(inst, got):
 
 
 def test_solve_matches_oracle_small_corpus():
-    guesses = refuted = by_tree = nodes = 0
+    guesses = refuted = tree_no = tree_yes = nodes = 0
     for inst in primal_corpus(80, seed=101):
         stats = {}
         got = pgm_solver.solve(inst, stats=stats)
         _assert_matches_oracle(inst, got)
+        if got is not None:
+            assert len(got[0]) == len(solve_primal_bruteforce(inst)[0])
         if "packing" in stats:
             assert got is None and "guesses" not in stats and "search" not in stats
             refuted += 1
         elif "search" in stats and "guesses" not in stats:
-            assert got is None
-            by_tree += 1
+            tree_no += got is None
+            tree_yes += got is not None
         guesses += stats.get("guesses", 0)
         nodes += stats.get("search", 0)
-    # the packing bound refutes these rows before any guess, the search tree one more
+    # the packing bound refutes these rows before any search; the tree decides
+    # every other row with a nonempty terminal basis, so no guess is built
     assert refuted == 18
-    assert by_tree == 1
-    assert nodes == 72
-    assert guesses == 39
+    assert (tree_no, tree_yes) == (1, 23)
+    assert nodes == 79
+    assert guesses == 0
 
 
 def test_rows_past_the_node_cap_reach_the_guess_chain(monkeypatch):
@@ -168,14 +171,18 @@ def test_empty_terminal_basis_answers_without_a_search_or_guess():
     assert cert.parts == {inst.col_of[1]: frozenset()} and cert.verify(inst.a_matrix)
 
 
-def test_guess_chain_must_find_the_cover_the_search_tree_found(monkeypatch):
+def test_a_yes_row_the_tree_decides_never_calls_the_fallback(monkeypatch):
     # a triangle: the other two edges cover terminal 0
     inst = PrimalInstance(MultiGraph(3, [(0, 1), (1, 2), (0, 2)]), Gf2Matrix(3, 3), [0], 2)
+
+    def no_fallback(*args):
+        raise AssertionError("the guess chain ran on a row the tree decides")
+
+    monkeypatch.setattr(pgm_solver, "_cover_by_guesses", no_fallback)
     stats = {}
-    assert pgm_solver.solve(inst, stats=stats) is not None and stats["search"] > 1
-    monkeypatch.setattr(pgm_solver, "_cover_by_guesses", lambda *args: None)
-    with pytest.raises(AssertionError, match="search tree found"):
-        pgm_solver.solve(inst)
+    f, cert = pgm_solver.solve(inst, stats=stats)
+    assert f == frozenset({1, 2}) and cert.verify(inst.a_matrix)
+    assert stats["search"] > 1 and "guesses" not in stats
 
 
 def test_guess_chain_matches_oracle_small_corpus():
