@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .gf2 import Gf2Matrix, in_span, support
+from .instances import SpaceCoverInstance
 
 __all__ = [
     "SpanCertificate",
@@ -64,49 +64,45 @@ def span_contains(a: Gf2Matrix, f: Iterable[int], t: Iterable[int]) -> Optional[
     t_ids = sorted(set(t))
     if set(f_ids) & set(t_ids):
         raise ValueError("solution and terminal sets overlap")
-    f_cols = [a.column(j) for j in f_ids]
-    parts: Dict[int, FrozenSet[int]] = {}
-    for w in t_ids:
-        combo = in_span(f_cols, a.column(w))
-        if combo is None:
-            return None
-        parts[w] = frozenset(f_ids[i] for i in combo)
-    return SpanCertificate(parts)
+    combos = in_span([a.column(j) for j in f_ids], [a.column(w) for w in t_ids])
+    if combos is None:
+        return None
+    return SpanCertificate({w: frozenset(f_ids[i] for i in combo)
+                            for w, combo in zip(t_ids, combos)})
 
 
 def is_cocycle(a: Gf2Matrix, f: Iterable[int]) -> Optional[CocycleCertificate]:
     """Certificate that f is a cocycle: its characteristic vector lies in the row space."""
     f_ids = frozenset(f)
-    combo = in_span(a.row_bits, sum(1 << e for e in f_ids))
-    if combo is None:
+    combos = in_span(a.row_bits, [sum(1 << e for e in f_ids)])
+    if combos is None:
         return None
-    return CocycleCertificate(f_ids, frozenset(combo))
+    return CocycleCertificate(f_ids, combos[0])
 
 
 def dual_span_contains(a: Gf2Matrix, f: Iterable[int], t: Iterable[int]) -> Optional[Dict[int, CocycleCertificate]]:
     """Per-terminal certificates that t lies in the dual span of f, or None.
 
-    For each terminal W we need some F_W subseteq f with F_W + {W} a cocycle;
-    |f| is parameter-small, so subsets are enumerated directly.
+    Terminal w needs a cocycle in f + {w} through w: a sum of rows of A that
+    is 1 at w and 0 at every column outside f. With f's bits cleared from
+    the rows, that is a set X of rows whose sum is exactly ``1 << w``, so one
+    elimination finds X for every terminal, and the cocycle is the support
+    of the sum of X's full rows.
     """
     f_ids = sorted(set(f))
     t_ids = sorted(set(t))
     if set(f_ids) & set(t_ids):
         raise ValueError("solution and terminal sets overlap")
+    f_mask = sum(1 << e for e in f_ids)
+    combos = in_span([row & ~f_mask for row in a.row_bits], [1 << w for w in t_ids])
+    if combos is None:
+        return None
     certs: Dict[int, CocycleCertificate] = {}
-    for w in t_ids:
-        found = None
-        for size in range(len(f_ids) + 1):
-            for sub in itertools.combinations(f_ids, size):
-                cert = is_cocycle(a, set(sub) | {w})
-                if cert is not None:
-                    found = cert
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        certs[w] = found
+    for w, x in zip(t_ids, combos):
+        acc = 0
+        for v in x:
+            acc ^= a.row_bits[v]
+        certs[w] = CocycleCertificate(support(acc), x)
     return certs
 
 
@@ -241,21 +237,25 @@ def cover_search(space: List[int], terminals: int, budget: int) -> CoverSearch:
     return CoverSearch(nodes, None, cover is None, cover)
 
 
-def default_solve(basis_size: int, space: Optional[List[int]], terminals: int, budget: int,
-                  certify: Callable[[int], Optional[tuple]],
-                  fallback: Callable[[], Optional[tuple]],
+def default_solve(inst: SpaceCoverInstance, contains: Callable, basis_size: int,
+                  space: Optional[List[int]], edge_ids: List[int], budget: int,
+                  fallback: Callable[[], Iterable[FrozenSet[int]]],
                   stats: Dict[str, int]) -> Optional[tuple]:
     """Both modes' default path after their terminal reduction: (F, certificate) or None.
 
-    An empty terminal basis (``basis_size`` 0) is covered by F = ∅. Otherwise
+    Bit j of ``space`` and of a cover is edge ``edge_ids[j]``. An empty
+    terminal basis (``basis_size`` 0) is covered by F = ∅. Otherwise
     ``cover_search`` runs unless ``space`` is None: it sets ``stats["packing"]``
     when its root refutes and ``stats["search"]`` when not. Its refutation
-    answers "no"; ``certify(bits)`` maps each cover's bits to (F, certificate)
-    or None, and the rows the tree leaves undecided go to ``fallback()``.
+    answers "no", and its cover must certify, or this raises. The rows the
+    tree leaves undecided take the first F of ``fallback()`` that fits
+    ``inst.k`` and certifies. ``contains`` (``span_contains`` or
+    ``dual_span_contains``) certifies each F on ``inst``'s A and terminals.
     """
     cover = 0 if not basis_size else None
     if basis_size and space is not None:
-        search = cover_search(space, terminals, budget)
+        search = cover_search(space, sum(1 << j for j, e in enumerate(edge_ids)
+                                         if e in inst.terminals), budget)
         if search.packing is not None:
             stats["packing"] = len(search.packing)
             return None
@@ -263,12 +263,16 @@ def default_solve(basis_size: int, space: Optional[List[int]], terminals: int, b
         if search.refuted:
             return None
         cover = search.cover
-    if cover is None:
-        return fallback()
-    result = certify(cover)
-    if result is None:
+    terms = [inst.col_of[e] for e in inst.terminals]
+    candidates = fallback() if cover is None else [frozenset(edge_ids[j] for j in support(cover))]
+    for f in candidates:
+        if len(f) <= inst.k:
+            cert = contains(inst.a_matrix, [inst.col_of[e] for e in f], terms)
+            if cert is not None:
+                return f, cert
+    if cover is not None:
         raise AssertionError("the search tree's cover failed its certificate")
-    return result
+    return None
 
 
 def _pivot(rows: List[int], bit: int) -> List[int]:

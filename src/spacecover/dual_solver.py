@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import eoct
 from .binmatroid import CocycleCertificate, default_solve, dual_span_contains
-from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all, support
+from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
                          good_edge_separation, incidence_matrix, is_connected,
@@ -799,40 +799,30 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
 
     Reduces the terminals to a basis in the dual matroid, then runs
     ``default_solve`` on the kernel of A, whose packed vectors are cycles,
-    with the parity guesses as its fallback. A solve with params skips the
-    bound and the search tree, so its "no" rows still run the recursion.
+    with the parity guesses as its fallback. Every F is certified by
+    ``dual_span_contains`` on ``inst``. A solve with params skips the bound
+    and the search tree, so its "no" rows still run the recursion.
     """
     stats = {} if stats is None else stats
     null_rows = nullspace(inst.a_matrix)
     kept, immediate_no = reduce_terminals_dual(inst, null_rows)
     if immediate_no:
         return None
-    term_cols = [inst.col_of[e] for e in inst.terminals]
-    edge_ids = inst.graph.edge_ids()
-
-    def certify(bits: int) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
-        f = frozenset(edge_ids[j] for j in support(bits))
-        certs = dual_span_contains(inst.a_matrix, [inst.col_of[e] for e in f], term_cols)
-        return None if certs is None else (f, certs)
-
-    return default_solve(len(kept), null_rows if params is None else None,
-                         sum(1 << c for c in term_cols), inst.k, certify,
+    return default_solve(inst, dual_span_contains, len(kept),
+                         null_rows if params is None else None, inst.graph.edge_ids(), inst.k,
                          lambda: _cover_by_guesses(inst, kept, params or RecursParams(), stats),
                          stats)
 
 
 def _cover_by_guesses(inst: DualInstance, kept: Tuple[int, ...], params: RecursParams,
-                      stats: Dict[str, int]
-                      ) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
-    """The parity guesses' first verified (F, certificates) for the terminal basis ``kept``, or None.
+                      stats: Dict[str, int]) -> Iterator[FrozenSet[int]]:
+    """The parity guesses' candidate F's for the terminal basis ``kept``, in guess order.
 
     ``kept`` is the nonempty basis from ``reduce_terminals_dual``. All
     guesses share ``params.tables``, so each distinct tuple of flip maps
     builds one ESC table; ``stats["guesses"]`` counts the guesses and
     ``stats["esc_tables"]`` the tables built here.
     """
-    a = inst.a_matrix
-    term_cols = [inst.col_of[e] for e in inst.terminals]
     tables_before = len(params.tables)
     t, _ = vertex_types(inst.p)
     for combo in itertools.product(sorted(itertools.product((0, 1), repeat=t)),
@@ -842,10 +832,5 @@ def _cover_by_guesses(inst: DualInstance, kept: Tuple[int, ...], params: RecursP
         esc = build_esc(inst, guess, active_terminals=kept, blocked=inst.terminals)
         sol = solve_esc(esc, params)
         stats["esc_tables"] = len(params.tables) - tables_before
-        if sol is None:
-            continue
-        f_set, _x = sol
-        certs = dual_span_contains(a, [inst.col_of[e] for e in f_set], term_cols)
-        if certs is not None and len(f_set) <= inst.k:
-            return frozenset(f_set), certs
-    return None
+        if sol is not None:
+            yield frozenset(sol[0])

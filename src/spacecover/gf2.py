@@ -150,15 +150,16 @@ def rank(m: Gf2Matrix) -> int:
     return len(_echelon(m.row_bits))
 
 
-def in_span(basis_set: List[int], target: int) -> Optional[frozenset]:
-    """Subset of indices of basis_set whose XOR equals target, or None.
+def in_span(vectors: List[int], targets: Iterable[int]) -> Optional[List[frozenset]]:
+    """Per target, a subset of indices of ``vectors`` whose XOR equals it; None if any is outside.
 
-    Deterministic: pivots are chosen greedily in input order, free choices
-    resolved toward the empty combination.
+    One elimination serves every target. Deterministic: pivots are chosen
+    greedily in input order, free choices resolved toward the empty
+    combination, so a target's subset does not depend on the other targets.
     """
     # pairs of (vector bits, tag over input indices), kept in echelon form
     pivots: List[Tuple[int, int, int]] = []  # (pivot bit, vector bits, tag bits)
-    for idx, word in enumerate(basis_set):
+    for idx, word in enumerate(vectors):
         tag = 1 << idx
         for pb, pv, pt in pivots:
             if word & pb:
@@ -166,14 +167,17 @@ def in_span(basis_set: List[int], target: int) -> Optional[frozenset]:
                 tag ^= pt
         if word:
             pivots.append((word & -word, word, tag))
-    res, tag = target, 0
-    for pb, pv, pt in pivots:
-        if res & pb:
-            res ^= pv
-            tag ^= pt
-    if res:
-        return None
-    return frozenset(i for i in range(len(basis_set)) if (tag >> i) & 1)
+    combos = []
+    for res in targets:
+        tag = 0
+        for pb, pv, pt in pivots:
+            if res & pb:
+                res ^= pv
+                tag ^= pt
+        if res:
+            return None
+        combos.append(support(tag))
+    return combos
 
 
 def basis(vectors: List[int]) -> List[int]:

@@ -9,7 +9,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from . import pattern_cover
 from .binmatroid import SpanCertificate, default_solve, span_contains
-from .gf2 import Gf2Matrix, basis, distinct_columns, support
+from .gf2 import Gf2Matrix, basis, distinct_columns
 from .instances import PrimalInstance
 from .multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from .pattern_cover import PatternCoverInstance
@@ -529,7 +529,8 @@ def solve(inst: PrimalInstance,
     Reduces the terminals to a basis and lowers the budget to the rank of
     the non-terminal columns, then runs ``default_solve`` on the rows of the
     reduced A, whose packed vectors are cocycles and whose bit j is the
-    reduced graph's j-th edge, with the guess chain as its fallback.
+    reduced graph's j-th edge, with the guess chain as its fallback. Every F
+    is certified by ``span_contains`` on ``inst``.
     """
     stats = {} if stats is None else stats
     reduced = reduce_terminals(inst)
@@ -538,37 +539,23 @@ def solve(inst: PrimalInstance,
     # a minimum F is independent, so no budget above the rank of the columns it draws on helps
     reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
                                           for e in reduced.nonterminal_edges()])))
-    term_cols = [inst.col_of[e] for e in inst.terminals]
-    edge_ids = reduced.graph.edge_ids()
-
-    def certify(bits: int) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
-        f = frozenset(edge_ids[j] for j in support(bits))
-        cert = span_contains(inst.a_matrix, [inst.col_of[e] for e in f], term_cols)
-        return None if cert is None else (f, cert)
-
-    return default_solve(len(reduced.terminals), reduced.a_matrix.row_bits,
-                         sum(1 << reduced.col_of[e] for e in reduced.terminals), reduced.k,
-                         certify, lambda: _cover_by_guesses(inst, reduced, stats), stats)
+    return default_solve(inst, span_contains, len(reduced.terminals), reduced.a_matrix.row_bits,
+                         reduced.graph.edge_ids(), reduced.k,
+                         lambda: _cover_by_guesses(reduced, stats), stats)
 
 
-def _cover_by_guesses(inst: PrimalInstance, reduced: PrimalInstance, stats: Dict[str, int]
-                      ) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
-    """The guess chain's first verified (F, certificate) on ``reduced``, or None.
+def _cover_by_guesses(reduced: PrimalInstance, stats: Dict[str, int]) -> Iterator[FrozenSet[int]]:
+    """The guess chain's candidate F's on ``reduced``, in guess order.
 
-    ``reduced`` is ``inst`` after ``reduce_terminals``, with at least one
+    ``reduced`` is an instance after ``reduce_terminals``, with at least one
     terminal and its budget lowered to the rank of its non-terminal columns.
-    ``stats["guesses"]`` counts the guesses built, 0 when the chain builds none.
+    Each Pattern Cover answer gives one F: its embedding's host edges and
+    f*_E's. ``stats["guesses"]`` counts the guesses built, 0 when the chain
+    builds none.
     """
-    a = inst.a_matrix
-    term_cols = [inst.col_of[e] for e in inst.terminals]
     stats.setdefault("guesses", 0)
     for pci, ctx in build_pattern_instances(reduced):
         stats["guesses"] += 1
         emb = pattern_cover.solve(pci)
-        if emb is None:
-            continue
-        host_edges = set(emb.edge_map.values()) | set(ctx.f_star_e.values())
-        cert = span_contains(a, [inst.col_of[e] for e in host_edges], term_cols)
-        if cert is not None and len(host_edges) <= inst.k:
-            return frozenset(host_edges), cert
-    return None
+        if emb is not None:
+            yield frozenset(emb.edge_map.values()) | frozenset(ctx.f_star_e.values())

@@ -63,21 +63,34 @@ def test_dual_span_contains_certificates():
 
 
 def test_dual_span_randomized_consistency():
+    # several terminals share one elimination: each certificate is a cocycle through its
+    # own terminal inside f, and "no" leaves some terminal that no subset of f completes
     rng = random.Random(5)
-    for _ in range(30):
-        rows = rng.randrange(2, 5)
-        cols = rng.randrange(3, 7)
+    yes = no = 0
+    for _ in range(2000):
+        rows = rng.randrange(2, 6)
+        cols = rng.randrange(3, 9)
         m = Gf2Matrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
-        w = rng.randrange(cols)
-        f = [j for j in range(cols) if j != w and rng.random() < 0.5]
-        certs = dual_span_contains(m, f, [w])
+        t = rng.sample(range(cols), rng.randint(1, 3))
+        f = [j for j in range(cols) if j not in t and rng.random() < 0.5]
+        certs = dual_span_contains(m, f, t)
         if certs is not None:
-            assert certs[w].verify(m)
+            yes += 1
+            assert set(certs) == set(t)
+            for w, cc in certs.items():
+                assert cc.verify(m)
+                assert w in cc.edge_set
+                assert cc.edge_set - {w} <= set(f)
+                assert is_cocycle(m, cc.edge_set) is not None
         else:
-            # no subset of f completes w to a cocycle
-            for size in range(len(f) + 1):
-                for sub in itertools.combinations(f, size):
-                    assert is_cocycle(m, set(sub) | {w}) is None
+            no += 1
+            assert any(all(is_cocycle(m, set(sub) | {w}) is None
+                           for size in range(len(f) + 1)
+                           for sub in itertools.combinations(f, size))
+                       for w in t)
+    # the draws are fixed, and each verdict is checked above, so these only pin that both
+    # branches run often
+    assert (yes, no) == (786, 1214)
 
 
 def _packing_input(inst):

@@ -58,10 +58,15 @@ def test_spans_all_agrees_with_rank():
 
 def test_in_span_returns_witness():
     vecs = [0b011, 0b110]
-    combo = in_span(vecs, 0b101)
-    assert combo == frozenset({0, 1})
-    assert in_span(vecs, 0b111) is None
-    assert in_span([], 0) == frozenset()
+    assert in_span(vecs, [0b101]) == [frozenset({0, 1})]
+    assert in_span(vecs, [0b111]) is None
+    assert in_span([], [0]) == [frozenset()]
+    assert in_span(vecs, []) == []
+    # several targets share one elimination, each with its own witness
+    assert in_span(vecs, [0b011, 0b101, 0, 0b110]) == [
+        frozenset({0}), frozenset({0, 1}), frozenset(), frozenset({1})]
+    # one target outside the span refuses them all
+    assert in_span(vecs, [0b011, 0b111, 0b110]) is None
 
 
 def test_basis_greedy_order():
@@ -107,16 +112,22 @@ def test_rank_transpose_invariant(m):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices(), st.integers(0, 1 << 30))
-def test_in_span_witness_sums_to_target(m, pick):
+@given(matrices(), st.lists(st.integers(0, 1 << 30), max_size=4))
+def test_in_span_witness_sums_to_target(m, picks):
     vecs = m.row_bits
-    target = 0
-    for i in range(m.rows):
-        if (pick >> i) & 1:
-            target ^= vecs[i]
-    combo = in_span(vecs, target)
-    assert combo is not None
-    acc = 0
-    for i in combo:
-        acc ^= vecs[i]
-    assert acc == target
+    targets = []
+    for pick in picks:
+        target = 0
+        for i in range(m.rows):
+            if (pick >> i) & 1:
+                target ^= vecs[i]
+        targets.append(target)
+    combos = in_span(vecs, targets)
+    assert combos is not None and len(combos) == len(targets)
+    for target, combo in zip(targets, combos):
+        acc = 0
+        for i in combo:
+            acc ^= vecs[i]
+        assert acc == target
+        # a target's witness does not depend on the targets solved with it
+        assert in_span(vecs, [target]) == [combo]

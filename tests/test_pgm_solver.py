@@ -186,7 +186,8 @@ def test_a_yes_row_the_tree_decides_never_calls_the_fallback(monkeypatch):
 
 
 def test_guess_chain_matches_oracle_small_corpus():
-    # every row past the terminal reduction, refuted by the packing bound or not
+    # every row past the terminal reduction, refuted by the packing bound or not; with
+    # no space the driver skips the tree and certifies the F's the chain yields
     stats = {}
     for inst in primal_corpus(80, seed=101):
         reduced = reduce_terminals(inst)
@@ -194,7 +195,11 @@ def test_guess_chain_matches_oracle_small_corpus():
             continue
         reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
                                               for e in reduced.nonterminal_edges()])))
-        _assert_matches_oracle(inst, pgm_solver._cover_by_guesses(inst, reduced, stats))
+        got = binmatroid.default_solve(inst, binmatroid.span_contains, len(reduced.terminals),
+                                       None, reduced.graph.edge_ids(), reduced.k,
+                                       lambda: pgm_solver._cover_by_guesses(reduced, stats),
+                                       stats)
+        _assert_matches_oracle(inst, got)
     assert stats["guesses"] == 120
 
 
