@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
-from .gf2 import Gf2Matrix, in_span, support
+from .gf2 import Gf2Matrix, basis, in_span, support
 from .instances import SpaceCoverInstance
 
 __all__ = [
@@ -15,6 +15,8 @@ __all__ = [
     "is_cocycle",
     "dual_span_contains",
     "packing_refutation",
+    "Reduction",
+    "terminal_reduction",
     "CoverSearch",
     "cover_search",
     "default_solve",
@@ -175,6 +177,36 @@ def _packing(space: List[int], terminals: int, budget: int,
         avoid = best & ~terminals
 
 
+class Reduction(NamedTuple):
+    """What ``terminal_reduction`` reads off the mode's space; bit j is column j of A."""
+
+    space: Optional[List[int]]  # the space's rows for the search tree, None when it does not run
+    basis: Tuple[int, ...]      # the terminals of a greedy basis of their columns, in order
+    no: bool                    # the basis is larger than k, so no F of at most k covers it
+    refused: int                # non-terminal columns equal to a lower one's (0 without the tree)
+    budget: int                 # k, lowered to the rank of the non-terminal columns (k without)
+
+
+def terminal_reduction(inst: SpaceCoverInstance, space: Gf2Matrix, tree: bool = True) -> Reduction:
+    """The terminal reduction of ``inst`` in the binary matroid on the columns of ``space``.
+
+    ``space`` is A (primal) or the kernel of A (dual). A least F is
+    independent, so it holds at most one of each class of parallel
+    (equal-column) elements; ``tree`` False skips the two reads for the tree.
+    """
+    cols = space.columns()
+    kept = tuple(inst.terminals[i] for i in basis([cols[inst.col_of[e]] for e in inst.terminals]))
+    refused, budget = 0, inst.k
+    if tree:
+        first: Dict[int, int] = {}
+        for e in inst.nonterminal_edges():
+            j = inst.col_of[e]
+            if first.setdefault(cols[j], j) != j:
+                refused |= 1 << j
+        budget = min(budget, len(basis(list(first))))
+    return Reduction(space.row_bits if tree else None, kept, len(kept) > inst.k, refused, budget)
+
+
 class CoverSearch(NamedTuple):
     """What ``cover_search`` found: a refutation, a least cover, or neither within the node cap."""
 
@@ -184,14 +216,14 @@ class CoverSearch(NamedTuple):
     cover: Optional[int]            # a least cover's bits, once no smaller one is left
 
 
-def cover_search(space: List[int], terminals: int, budget: int) -> CoverSearch:
+def cover_search(space: List[int], terminals: int, budget: int, refused: int = 0) -> CoverSearch:
     """Search for a least F of at most ``budget`` candidate elements that covers the terminals.
 
-    ``space`` and ``terminals`` are as in ``packing_refutation``. A node holds
-    F, a refused set R and the vectors of the span that vanish on F: adding c
-    to F is one pivot on bit c. The node runs the packing bound with R
-    refused and a budget of the bound less |F|; the root is
-    ``packing_refutation(space, terminals, budget)`` exactly, and its
+    The arguments are as in ``packing_refutation``. A node holds F, a refused
+    set R (``refused`` at the root) and the vectors of the span that vanish
+    on F: adding c to F is one pivot on bit c. The node runs the packing
+    bound with R refused and a budget of the bound less |F|; the root is
+    ``packing_refutation(space, terminals, budget, refused)`` exactly, and its
     witnesses' count is a least cover's size at least. When no vector has a
     terminal bit, the terminals lie in the closure of F: F is kept and the
     bound becomes |F| - 1, so the nodes left search for smaller covers only.
@@ -203,7 +235,7 @@ def cover_search(space: List[int], terminals: int, budget: int) -> CoverSearch:
     the search stops undecided, even with a cover kept.
     """
     # (the parent's vectors, the bit the node adds to F or 0 at the root, the parent's F, refused)
-    stack = [(space, 0, 0, 0)]
+    stack = [(space, 0, 0, refused)]
     nodes, bound, cover, least = 0, budget, None, 0
     while stack and bound >= least:
         rows, bit, f, refused = stack.pop()
@@ -237,25 +269,25 @@ def cover_search(space: List[int], terminals: int, budget: int) -> CoverSearch:
     return CoverSearch(nodes, None, cover is None, cover)
 
 
-def default_solve(inst: SpaceCoverInstance, contains: Callable, basis_size: int,
-                  space: Optional[List[int]], edge_ids: List[int], budget: int,
+def default_solve(inst: SpaceCoverInstance, contains: Callable, red: Reduction,
                   fallback: Callable[[], Iterable[FrozenSet[int]]],
                   stats: Dict[str, int]) -> Optional[tuple]:
-    """Both modes' default path after their terminal reduction: (F, certificate) or None.
+    """Both modes' default path after their terminal reduction ``red``: (F, certificate) or None.
 
-    Bit j of ``space`` and of a cover is edge ``edge_ids[j]``. An empty
-    terminal basis (``basis_size`` 0) is covered by F = ∅. Otherwise
-    ``cover_search`` runs unless ``space`` is None: it sets ``stats["packing"]``
-    when its root refutes and ``stats["search"]`` when not. Its refutation
-    answers "no", and its cover must certify, or this raises. The rows the
-    tree leaves undecided take the first F of ``fallback()`` that fits
-    ``inst.k`` and certifies. ``contains`` (``span_contains`` or
-    ``dual_span_contains``) certifies each F on ``inst``'s A and terminals.
+    A basis larger than k answers "no", and an empty one is covered by
+    F = ∅. Otherwise ``cover_search`` runs on ``red.space`` unless it is
+    None: it sets ``stats["packing"]`` when its root refutes and
+    ``stats["search"]`` when not. Its refutation answers "no", and its cover
+    must certify, or this raises. The rows the tree leaves undecided take the
+    first F of ``fallback()`` that fits ``inst.k`` and certifies with
+    ``contains`` (``span_contains`` or ``dual_span_contains``).
     """
-    cover = 0 if not basis_size else None
-    if basis_size and space is not None:
-        search = cover_search(space, sum(1 << j for j, e in enumerate(edge_ids)
-                                         if e in inst.terminals), budget)
+    if red.no:
+        return None
+    cover = 0 if not red.basis else None
+    terms = [inst.col_of[e] for e in inst.terminals]
+    if red.basis and red.space is not None:
+        search = cover_search(red.space, sum(1 << j for j in terms), red.budget, red.refused)
         if search.packing is not None:
             stats["packing"] = len(search.packing)
             return None
@@ -263,8 +295,8 @@ def default_solve(inst: SpaceCoverInstance, contains: Callable, basis_size: int,
         if search.refuted:
             return None
         cover = search.cover
-    terms = [inst.col_of[e] for e in inst.terminals]
-    candidates = fallback() if cover is None else [frozenset(edge_ids[j] for j in support(cover))]
+    eids = inst.graph.edge_ids()
+    candidates = fallback() if cover is None else [frozenset(eids[j] for j in support(cover))]
     for f in candidates:
         if len(f) <= inst.k:
             cert = contains(inst.a_matrix, [inst.col_of[e] for e in f], terms)

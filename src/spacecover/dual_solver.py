@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import eoct
-from .binmatroid import CocycleCertificate, default_solve, dual_span_contains
-from .gf2 import Gf2Matrix, basis, distinct_rows, nullspace, spans_all
+from .binmatroid import (CocycleCertificate, Reduction, default_solve, dual_span_contains,
+                         terminal_reduction)
+from .gf2 import Gf2Matrix, distinct_rows, nullspace, spans_all
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
                          good_edge_separation, incidence_matrix, is_connected,
@@ -687,13 +688,11 @@ def _lift_breakable(ainst, q_side, p_side, q_table, q_vmap, q_inv_v, q_emap,
 
 
 def build_esc(inst: DualInstance, parity_guess: Dict[int, Tuple[int, ...]],
-              active_terminals: Optional[Iterable[int]] = None,
-              blocked: Optional[Iterable[int]] = None) -> EdgeSetCoverInstance:
-    """Edge-Set Cover instance for one parity guess on the terminal basis."""
+              active_terminals: Optional[Iterable[int]] = None) -> EdgeSetCoverInstance:
+    """Edge-Set Cover instance for one parity guess on the basis, with every terminal blocked."""
     t, class_sets = vertex_types(inst.p)
     classes = {v: i for i, cls in enumerate(class_sets) for v in cls}
     active = list(inst.terminals if active_terminals is None else active_terminals)
-    blocked_set = frozenset(inst.terminals if blocked is None else blocked)
     class_rows = []
     for cls in class_sets:
         v = min(cls)
@@ -708,7 +707,8 @@ def build_esc(inst: DualInstance, parity_guess: Dict[int, Tuple[int, ...]],
                 p_w ^= row
         f = {e: (p_w >> inst.col_of[e]) & 1 for e in eids}
         terms.append(EscTerminal(eid, eid, b, f))
-    return EdgeSetCoverInstance(inst.graph.copy(), inst.k, t, classes, terms, blocked_set)
+    return EdgeSetCoverInstance(inst.graph.copy(), inst.k, t, classes, terms,
+                                frozenset(inst.terminals))
 
 
 def _esc_key(inst: EdgeSetCoverInstance) -> Tuple:
@@ -775,21 +775,10 @@ def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None)
     return frozenset(f_set), x_frozen
 
 
-def reduce_terminals_dual(inst: DualInstance, null_rows: Optional[List[int]] = None
-                          ) -> Tuple[Tuple[int, ...], bool]:
-    """Greedy basis of the terminal columns in the dual matroid.
-
-    Returns (kept terminal edges, immediate-no flag).  All terminals stay in
-    the instance as blocked edges; only the basis carries cut obligations.
-    ``null_rows`` is the kernel of A when the caller already has it.
-    """
-    if null_rows is None:
-        null_rows = nullspace(inst.a_matrix)
-    dual_rep = Gf2Matrix(len(null_rows), inst.a_matrix.cols, null_rows)
-    term_cols = [dual_rep.column(inst.col_of[e]) for e in inst.terminals]
-    keep = basis(term_cols)
-    kept = tuple(inst.terminals[i] for i in keep)
-    return kept, len(kept) > inst.k
+def reduce_terminals_dual(inst: DualInstance, tree: bool = True) -> Reduction:
+    """The terminal reduction in the dual matroid, read off the kernel of A."""
+    null_rows = nullspace(inst.a_matrix)
+    return terminal_reduction(inst, Gf2Matrix(len(null_rows), inst.a_matrix.cols, null_rows), tree)
 
 
 def solve(inst: DualInstance, params: Optional[RecursParams] = None,
@@ -797,21 +786,17 @@ def solve(inst: DualInstance, params: Optional[RecursParams] = None,
           ) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
     """Full dual pipeline; returns a verified (F, per-terminal certificates) or None.
 
-    Reduces the terminals to a basis in the dual matroid, then runs
-    ``default_solve`` on the kernel of A, whose packed vectors are cycles,
-    with the parity guesses as its fallback. Every F is certified by
-    ``dual_span_contains`` on ``inst``. A solve with params skips the bound
-    and the search tree, so its "no" rows still run the recursion.
+    Runs ``default_solve`` on the kernel of A, whose packed vectors are
+    cycles, after ``reduce_terminals_dual``, with the parity guesses as its
+    fallback. Every F is certified by ``dual_span_contains`` on ``inst``. A
+    solve with params skips the search tree and the reduction's reads for
+    it, so its "no" rows still run the recursion.
     """
     stats = {} if stats is None else stats
-    null_rows = nullspace(inst.a_matrix)
-    kept, immediate_no = reduce_terminals_dual(inst, null_rows)
-    if immediate_no:
-        return None
-    return default_solve(inst, dual_span_contains, len(kept),
-                         null_rows if params is None else None, inst.graph.edge_ids(), inst.k,
-                         lambda: _cover_by_guesses(inst, kept, params or RecursParams(), stats),
-                         stats)
+    red = reduce_terminals_dual(inst, tree=params is None)
+    params = params or RecursParams()
+    return default_solve(inst, dual_span_contains, red,
+                         lambda: _cover_by_guesses(inst, red.basis, params, stats), stats)
 
 
 def _cover_by_guesses(inst: DualInstance, kept: Tuple[int, ...], params: RecursParams,
@@ -829,7 +814,7 @@ def _cover_by_guesses(inst: DualInstance, kept: Tuple[int, ...], params: RecursP
                                    repeat=len(kept)):
         guess = dict(zip(kept, combo))
         stats["guesses"] = stats.get("guesses", 0) + 1
-        esc = build_esc(inst, guess, active_terminals=kept, blocked=inst.terminals)
+        esc = build_esc(inst, guess, active_terminals=kept)
         sol = solve_esc(esc, params)
         stats["esc_tables"] = len(params.tables) - tables_before
         if sol is not None:

@@ -64,8 +64,7 @@ class SpaceCoverInstance:
         kept = [self.col_of[eid] for eid in graph.edge_ids()]
         p_cols, a_cols = self.p.columns(), self.a_matrix.columns()
         p = Gf2Matrix.from_columns(self.p.rows, [p_cols[j] for j in kept])
-        terms = self.terminals if terminals is None else tuple(sorted(set(terminals)))
-        terms = tuple(e for e in terms if e in keep)
+        terms = [e for e in (self.terminals if terminals is None else terminals) if e in keep]
         out = type(self)(graph, p, terms, self.k)
         # A's kept columns are the restricted A's columns
         out._a = Gf2Matrix.from_columns(self.graph.n, [a_cols[j] for j in kept])

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .binmatroid import (CocycleCertificate, SpanCertificate, dual_span_contains,
                          span_contains)
+from .gf2 import spans_all
 from .instances import DualInstance, PrimalInstance
 from .multigraph import MultiGraph
 from .pattern_cover import Embedding, PatternCoverInstance
@@ -25,41 +26,54 @@ __all__ = [
 SUBSET_BUDGET = 2_000_000
 
 
-def _guard_subsets(m: int, k: int) -> None:
-    total = sum(math.comb(m, i) for i in range(min(k, m) + 1))
+def _candidate_sets(eids: List[int], k: int):
+    """Every subset of eids of at most k elements, by size, after the guard on their count."""
+    total = sum(math.comb(len(eids), i) for i in range(min(k, len(eids)) + 1))
     if total > SUBSET_BUDGET:
         raise ValueError("brute force guard: %d candidate subsets exceed budget" % total)
-
-
-def _candidate_sets(eids: List[int], k: int):
     for size in range(min(k, len(eids)) + 1):
         yield from itertools.combinations(eids, size)
 
 
-def solve_primal_bruteforce(inst: PrimalInstance) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
-    """Lexicographically first minimum F (by edge id) with T in span(F), or None."""
-    a = inst.a_matrix
-    terms = [inst.col_of[e] for e in inst.terminals]
-    nonterm = inst.nonterminal_edges()
-    _guard_subsets(len(nonterm), inst.k)
-    for sub in _candidate_sets(nonterm, inst.k):
-        cert = span_contains(a, [inst.col_of[e] for e in sub], terms)
-        if cert is not None:
+def _least_cover(inst, covers: Callable[[Tuple[int, ...]], bool], contains: Callable):
+    """The lexicographically first least F (by edge id) with ``covers(F)``, certified, or None.
+
+    Only the answer goes through ``contains``, so the oracle shares no decision with it.
+    """
+    for sub in _candidate_sets(inst.nonterminal_edges(), inst.k):
+        if covers(sub):
+            cert = contains(inst.a_matrix, [inst.col_of[e] for e in sub],
+                            [inst.col_of[e] for e in inst.terminals])
+            if cert is None:
+                raise AssertionError("%s failed on the oracle's answer" % contains.__name__)
             return frozenset(sub), cert
     return None
 
 
+def _spans_terminals(inst: PrimalInstance, sub) -> bool:
+    """Whether the columns of sub span every terminal column."""
+    cols = inst.a_matrix.columns()
+    return spans_all([cols[inst.col_of[e]] for e in sub],
+                     [cols[inst.col_of[e]] for e in inst.terminals])
+
+
+def solve_primal_bruteforce(inst: PrimalInstance) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
+    """Lexicographically first minimum F (by edge id) with T in span(F), or None."""
+    return _least_cover(inst, lambda sub: _spans_terminals(inst, sub), span_contains)
+
+
 def solve_dual_bruteforce(inst: DualInstance) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
-    """Minimum F with T in the dual span of F, via per-terminal cocycle search."""
-    a = inst.a_matrix
-    terms = [inst.col_of[e] for e in inst.terminals]
-    nonterm = inst.nonterminal_edges()
-    _guard_subsets(len(nonterm), inst.k)
-    for sub in _candidate_sets(nonterm, inst.k):
-        certs = dual_span_contains(a, [inst.col_of[e] for e in sub], terms)
-        if certs is not None:
-            return frozenset(sub), certs
-    return None
+    """Lexicographically first minimum F (by edge id) with T in the dual span of F, or None.
+
+    w is in the dual span of F iff ``1 << w`` is a sum of A's rows with F's bits cleared.
+    """
+    targets = [1 << inst.col_of[e] for e in inst.terminals]
+
+    def covers(sub) -> bool:
+        f_mask = sum(1 << inst.col_of[e] for e in sub)
+        return spans_all([row & ~f_mask for row in inst.a_matrix.row_bits], targets)
+
+    return _least_cover(inst, covers, dual_span_contains)
 
 
 def pattern_cover_bruteforce(inst: PatternCoverInstance) -> Optional[Embedding]:
@@ -128,9 +142,7 @@ def _is_bipartite(g: MultiGraph, removed: Set[int]) -> bool:
 
 def eoct_bruteforce(g: MultiGraph, k: int) -> Optional[FrozenSet[int]]:
     """Minimum edge set S (|S| <= k) whose removal makes g bipartite."""
-    eids = g.edge_ids()
-    _guard_subsets(len(eids), k)
-    for sub in _candidate_sets(eids, k):
+    for sub in _candidate_sets(g.edge_ids(), k):
         if _is_bipartite(g, set(sub)):
             return frozenset(sub)
     return None
@@ -138,15 +150,9 @@ def eoct_bruteforce(g: MultiGraph, k: int) -> Optional[FrozenSet[int]]:
 
 def minimal_primal_solutions(inst: PrimalInstance) -> List[FrozenSet[int]]:
     """All inclusion-minimal F with |F| <= k and T in span(F)."""
-    a = inst.a_matrix
-    terms = [inst.col_of[e] for e in inst.terminals]
-    nonterm = inst.nonterminal_edges()
-    _guard_subsets(len(nonterm), inst.k)
     hits: List[FrozenSet[int]] = []
-    for sub in _candidate_sets(nonterm, inst.k):
+    for sub in _candidate_sets(inst.nonterminal_edges(), inst.k):
         fs = frozenset(sub)
-        if any(other <= fs for other in hits):
-            continue
-        if span_contains(a, [inst.col_of[e] for e in sub], terms) is not None:
+        if not any(other <= fs for other in hits) and _spans_terminals(inst, sub):
             hits.append(fs)
     return hits

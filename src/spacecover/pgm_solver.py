@@ -8,8 +8,9 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import pattern_cover
-from .binmatroid import SpanCertificate, default_solve, span_contains
-from .gf2 import Gf2Matrix, basis, distinct_columns
+from .binmatroid import (Reduction, SpanCertificate, default_solve, span_contains,
+                         terminal_reduction)
+from .gf2 import Gf2Matrix, distinct_columns
 from .instances import PrimalInstance
 from .multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from .pattern_cover import PatternCoverInstance
@@ -44,26 +45,9 @@ class GuessContext:
     e_subsets: Dict[int, FrozenSet[int]]    # terminal -> witnessing backbone edge subset
 
 
-def reduce_terminals(inst: PrimalInstance) -> PrimalInstance:
-    """Keep a greedy basis of the terminal columns and drop duplicate non-terminal columns.
-
-    The result carries ``immediate_no`` (terminal basis larger than k).
-    """
-    a_cols, col_of = inst.a_matrix.columns(), inst.col_of
-    term_cols = [a_cols[col_of[e]] for e in inst.terminals]
-    keep_idx = set(basis(term_cols))
-    kept_terms = [e for i, e in enumerate(inst.terminals) if i in keep_idx]
-    # duplicate non-terminal columns: keep the lowest edge id of each value
-    seen: Set[int] = set()
-    kept_edges: Set[int] = set(kept_terms)
-    for eid in inst.nonterminal_edges():
-        key = a_cols[col_of[eid]]
-        if key not in seen:
-            seen.add(key)
-            kept_edges.add(eid)
-    reduced = inst.restrict(kept_edges, terminals=kept_terms)
-    reduced.immediate_no = len(kept_terms) > inst.k
-    return reduced
+def reduce_terminals(inst: PrimalInstance) -> Reduction:
+    """The terminal reduction in the matroid of A, read off A's columns."""
+    return terminal_reduction(inst, inst.a_matrix)
 
 
 def edge_types(p: Gf2Matrix) -> Tuple[int, Dict[int, int]]:
@@ -526,35 +510,35 @@ def solve(inst: PrimalInstance,
           ) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
     """Full primal pipeline; returns a verified (F, certificate) or None.
 
-    Reduces the terminals to a basis and lowers the budget to the rank of
-    the non-terminal columns, then runs ``default_solve`` on the rows of the
-    reduced A, whose packed vectors are cocycles and whose bit j is the
-    reduced graph's j-th edge, with the guess chain as its fallback. Every F
-    is certified by ``span_contains`` on ``inst``.
+    Runs ``default_solve`` on the rows of A, whose packed vectors are
+    cocycles, after ``reduce_terminals``, with the guess chain as its
+    fallback. Every F is certified by ``span_contains`` on ``inst``.
     """
     stats = {} if stats is None else stats
-    reduced = reduce_terminals(inst)
-    if reduced.immediate_no:
-        return None
-    # a minimum F is independent, so no budget above the rank of the columns it draws on helps
-    reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
-                                          for e in reduced.nonterminal_edges()])))
-    return default_solve(inst, span_contains, len(reduced.terminals), reduced.a_matrix.row_bits,
-                         reduced.graph.edge_ids(), reduced.k,
-                         lambda: _cover_by_guesses(reduced, stats), stats)
+    red = reduce_terminals(inst)
+    return default_solve(inst, span_contains, red, lambda: _cover_by_guesses(inst, red, stats),
+                         stats)
 
 
-def _cover_by_guesses(reduced: PrimalInstance, stats: Dict[str, int]) -> Iterator[FrozenSet[int]]:
-    """The guess chain's candidate F's on ``reduced``, in guess order.
+def _chain_instance(inst: PrimalInstance, red: Reduction) -> PrimalInstance:
+    """The guess chain's instance: the basis, the unrefused edges and budget ``red.budget``."""
+    keep = [e for e in inst.nonterminal_edges() if not red.refused >> inst.col_of[e] & 1]
+    reduced = inst.restrict(keep + list(red.basis), terminals=red.basis)
+    reduced.k = red.budget
+    return reduced
 
-    ``reduced`` is an instance after ``reduce_terminals``, with at least one
-    terminal and its budget lowered to the rank of its non-terminal columns.
-    Each Pattern Cover answer gives one F: its embedding's host edges and
-    f*_E's. ``stats["guesses"]`` counts the guesses built, 0 when the chain
-    builds none.
+
+def _cover_by_guesses(inst: PrimalInstance, red: Reduction,
+                      stats: Dict[str, int]) -> Iterator[FrozenSet[int]]:
+    """The guess chain's candidate F's on ``inst`` after ``reduce_terminals``, in guess order.
+
+    ``red`` has a nonempty basis, and the chain runs on ``_chain_instance``,
+    built on the first candidate asked for. Each Pattern Cover answer gives
+    one F: its embedding's host edges and f*_E's. ``stats["guesses"]``
+    counts the guesses built, 0 when the chain builds none.
     """
     stats.setdefault("guesses", 0)
-    for pci, ctx in build_pattern_instances(reduced):
+    for pci, ctx in build_pattern_instances(_chain_instance(inst, red)):
         stats["guesses"] += 1
         emb = pattern_cover.solve(pci)
         if emb is not None:

@@ -6,8 +6,8 @@ import pytest
 from helpers import complete_graph
 from spacecover import binmatroid, dual_solver, pgm_solver
 from spacecover.binmatroid import (cover_search, dual_span_contains, is_cocycle,
-                                   packing_refutation, span_contains)
-from spacecover.gf2 import Gf2Matrix, nullspace, spans_all, support
+                                   packing_refutation, span_contains, terminal_reduction)
+from spacecover.gf2 import Gf2Matrix, nullspace, rank, spans_all, support
 from spacecover.instances import random_instance
 from spacecover.multigraph import incidence_matrix
 from spacecover.oracle import solve_dual_bruteforce, solve_primal_bruteforce
@@ -224,3 +224,82 @@ def test_node_cap_bounds_every_search_and_the_guesses_decide_past_it(mode, monke
     assert max(search.nodes for search in searches) == 5
     assert sum(not search.refuted and search.cover is None for search in searches) >= 10
     assert guessed >= 10
+
+
+def _reduction_rows(mode, count, seed):
+    """Random rows, alternately dense multigraphs (many parallel edges) and sparse ones
+    (paths and few cycles, so many series pairs), with 1-4 terminals."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            n, m = rng.randint(2, 5), rng.randint(6, 12)
+        else:
+            n = rng.randint(4, 10)
+            m = rng.randint(n - 1, n + 2)
+        yield random_instance(mode, n, m, rng.randint(0, 2), rng.randint(1, 4),
+                              rng.randint(0, 4), rng)
+
+
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_terminal_reduction_matches_references(mode):
+    # each field against a plain reference on the space's columns, and the refusal and
+    # the clamp against the oracle's verdict and least |F|
+    refusing = clamped = no_rows = 0
+    for inst in _reduction_rows(mode, 400, 39 if mode == "primal" else 93):
+        space, terms = _packing_input(inst)
+        cols = [sum(((row >> j) & 1) << i for i, row in enumerate(space))
+                for j in range(inst.a_matrix.cols)]
+        red = terminal_reduction(inst, Gf2Matrix(len(space), inst.a_matrix.cols, space))
+        term_cols = [cols[inst.col_of[e]] for e in inst.terminals]
+        nonterm = [inst.col_of[e] for e in inst.nonterminal_edges()]
+        assert len(red.basis) == rank(Gf2Matrix(len(term_cols), len(space), term_cols))
+        assert list(red.basis) == sorted(red.basis) and set(red.basis) <= set(inst.terminals)
+        assert not red.basis or spans_all([cols[inst.col_of[e]] for e in red.basis], term_cols)
+        assert red.no == (len(red.basis) > inst.k)
+        ranked = rank(Gf2Matrix(len(nonterm), len(space), [cols[j] for j in nonterm]))
+        assert red.budget == min(inst.k, ranked)
+        assert red.refused == sum(1 << j for j in nonterm
+                                  if any(cols[i] == cols[j] for i in nonterm if i < j))
+        assert red.space == space
+        assert terminal_reduction(inst, Gf2Matrix(len(space), inst.a_matrix.cols, space),
+                                  tree=False) == red._replace(space=None, refused=0, budget=inst.k)
+        oracle = solve_primal_bruteforce if mode == "primal" else solve_dual_bruteforce
+        want = oracle(inst)
+        if red.no:
+            assert want is None
+            continue
+        search = cover_search(space, terms, red.budget, red.refused)
+        assert search.refuted == (want is None)
+        if want is not None:
+            assert search.cover.bit_count() == len(want[0])
+            assert not search.cover & red.refused
+        refusing += red.refused != 0
+        clamped += red.budget < inst.k
+        no_rows += want is None
+    assert refusing >= 100 and clamped >= 20 and no_rows >= 50
+
+
+def test_chain_instance_search_is_the_search_on_a_with_parallel_columns_refused():
+    # the chain instance deletes the refused columns and the terminals outside the basis,
+    # which only add terminal bits: its tree visits the same nodes and finds the same F
+    rng = random.Random(339)
+    dependent = refusing = covers = 0
+    for i in range(300):
+        n = rng.randint(2, 8)
+        inst = random_instance("primal", n, rng.randint(n, 3 * n), rng.randint(0, 2),
+                               rng.randint(2, 4), rng.randint(1, 4), rng)
+        red = pgm_solver.reduce_terminals(inst)
+        if red.no or not red.basis:
+            continue
+        chain = pgm_solver._chain_instance(inst, red)
+        got = cover_search(*_packing_input(inst), red.budget, red.refused)
+        want = cover_search(*_packing_input(chain), chain.k)
+        assert (got.nodes, got.refuted, got.packing is None) == \
+               (want.nodes, want.refuted, want.packing is None)
+        if got.cover is not None:
+            edges = {inst.graph.edge_ids()[j] for j in support(got.cover)}
+            assert edges == {chain.graph.edge_ids()[j] for j in support(want.cover)}
+            covers += 1
+        dependent += len(red.basis) < len(inst.terminals)
+        refusing += red.refused != 0
+    assert dependent >= 20 and refusing >= 100 and covers >= 50

@@ -96,16 +96,17 @@ def test_reduce_terminals_dual_parallel_edges():
     # two parallel terminals are dependent in the dual: one obligation survives
     g = MultiGraph(3, [(0, 1), (0, 1), (1, 2), (1, 2)])
     inst = DualInstance(g, Gf2Matrix(3, 4), [0, 1], 1)
-    kept, immediate_no = reduce_terminals_dual(inst)
-    assert kept == (0,)
-    assert not immediate_no
+    red = reduce_terminals_dual(inst)
+    assert red.basis == (0,)
+    assert not red.no
 
 
 def test_reduce_terminals_dual_immediate_no():
     g = MultiGraph(3, [(0, 1), (0, 1), (1, 2), (1, 2)])
     inst = DualInstance(g, Gf2Matrix(3, 4), [0, 2], 1)
-    kept, immediate_no = reduce_terminals_dual(inst)
-    assert len(kept) == 2 and immediate_no
+    red = reduce_terminals_dual(inst)
+    assert len(red.basis) == 2 and red.no
+    assert dual_solver.solve(inst) is None
 
 
 def test_coloop_terminal_answered_directly():
@@ -158,12 +159,12 @@ def test_guess_loop_matches_oracle_small_corpus():
     # no space the driver skips the tree and certifies the F's the guesses yield
     stats = {}
     for inst in dual_corpus(60, seed=201):
-        kept, immediate_no = reduce_terminals_dual(inst)
-        if immediate_no or not kept:
+        red = reduce_terminals_dual(inst)
+        if red.no or not red.basis:
             continue
         got = binmatroid.default_solve(
-            inst, binmatroid.dual_span_contains, len(kept), None, inst.graph.edge_ids(), inst.k,
-            lambda: dual_solver._cover_by_guesses(inst, kept, RecursParams(), stats), stats)
+            inst, binmatroid.dual_span_contains, red._replace(space=None),
+            lambda: dual_solver._cover_by_guesses(inst, red.basis, RecursParams(), stats), stats)
         _assert_matches_oracle(inst, got)
     assert stats["guesses"] == 78
 
@@ -719,12 +720,11 @@ def _esc_keys_agree(inst, q):
     Returns the number of keys answered.  Both tables must give every key
     an F of the same size, or both None.
     """
-    kept, _ = reduce_terminals_dual(inst)
+    kept = reduce_terminals_dual(inst).basis
     t, _ = vertex_types(inst.p)
     answered = 0
     for combo in itertools.product(itertools.product((0, 1), repeat=t), repeat=len(kept)):
-        esc = build_esc(inst, dict(zip(kept, combo)), active_terminals=kept,
-                        blocked=inst.terminals)
+        esc = build_esc(inst, dict(zip(kept, combo)), active_terminals=kept)
         got, want = (case(AnnotatedEscInstance(esc), RecursParams(q=q, p=2, s=4))
                      for case in (dual_solver._unbreakable_case, _unbreakable_every_coloring))
         assert got.keys() == want.keys()
@@ -751,9 +751,9 @@ def test_unbreakable_case_matches_universal_set_colorings():
         num_terms, k, q = rng.randrange(1, 3), rng.randrange(0, 3), rng.randrange(1, 3)
         inst = random_instance("dual", n, rng.randrange(n, 3 * n + 1), rng.randrange(0, 2),
                                num_terms, k, rng)
-        kept, immediate_no = reduce_terminals_dual(inst)
-        if (immediate_no or not kept or not is_connected(inst.graph)
-                or n < (q + 2 * (k + 1)) * len(kept)):
+        red = reduce_terminals_dual(inst)
+        if (red.no or not red.basis or not is_connected(inst.graph)
+                or n < (q + 2 * (k + 1)) * len(red.basis)):
             continue
         answered += _esc_keys_agree(inst, q) > 0
         checked += 1

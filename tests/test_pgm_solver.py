@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import primal_corpus
 from spacecover import binmatroid, pgm_solver
-from spacecover.gf2 import Gf2Matrix, basis, distinct_columns, support
+from spacecover.gf2 import Gf2Matrix, distinct_columns, support
 from spacecover.instances import PrimalInstance, random_instance
 from spacecover.multigraph import MultiGraph, count_simple_cycles, spanning_forest
 from spacecover.oracle import solve_primal_bruteforce
@@ -95,17 +95,20 @@ def test_reduce_terminals_drops_dependent_and_duplicates():
     g = MultiGraph(2, [(0, 1), (0, 1), (0, 1), (0, 1)])
     inst = PrimalInstance(g, Gf2Matrix(2, 4), [0, 1], 1)
     red = reduce_terminals(inst)
-    assert red.terminals == (0,)
-    assert not red.immediate_no
-    # the two duplicate non-terminal columns collapse to one survivor
-    assert len(red.nonterminal_edges()) == 1
+    assert red.basis == (0,)
+    assert not red.no
+    # the two duplicate non-terminal columns: the tree refuses the second, and the
+    # chain instance keeps one survivor
+    assert red.refused == 1 << inst.col_of[3]
+    assert len(pgm_solver._chain_instance(inst, red).nonterminal_edges()) == 1
 
 
 def test_reduce_terminals_immediate_no():
     g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
     inst = PrimalInstance(g, Gf2Matrix(3, 3), [0, 1], 1)
     red = reduce_terminals(inst)
-    assert red.immediate_no
+    assert red.no
+    assert pgm_solver.solve(inst) is None
 
 
 def test_solve_empty_terminal_basis():
@@ -117,6 +120,12 @@ def test_solve_empty_terminal_basis():
     f, cert = res
     assert f == frozenset()
     assert cert.verify(inst.a_matrix)
+
+
+def _chain_instance(inst):
+    """The guess chain's instance for ``inst``, or None when the reduction leaves it no guess."""
+    red = reduce_terminals(inst)
+    return None if red.no or not red.basis else pgm_solver._chain_instance(inst, red)
 
 
 def _assert_matches_oracle(inst, got):
@@ -190,14 +199,11 @@ def test_guess_chain_matches_oracle_small_corpus():
     # no space the driver skips the tree and certifies the F's the chain yields
     stats = {}
     for inst in primal_corpus(80, seed=101):
-        reduced = reduce_terminals(inst)
-        if reduced.immediate_no or not reduced.terminals:
+        red = reduce_terminals(inst)
+        if red.no or not red.basis:
             continue
-        reduced.k = min(reduced.k, len(basis([reduced.a_column(e)
-                                              for e in reduced.nonterminal_edges()])))
-        got = binmatroid.default_solve(inst, binmatroid.span_contains, len(reduced.terminals),
-                                       None, reduced.graph.edge_ids(), reduced.k,
-                                       lambda: pgm_solver._cover_by_guesses(reduced, stats),
+        got = binmatroid.default_solve(inst, binmatroid.span_contains, red._replace(space=None),
+                                       lambda: pgm_solver._cover_by_guesses(inst, red, stats),
                                        stats)
         _assert_matches_oracle(inst, got)
     assert stats["guesses"] == 120
@@ -249,7 +255,7 @@ def test_pin_enumeration_with_loops_and_parallel_edges():
     # every non-terminal edge has its own P column, so no edge is deduplicated
     g = MultiGraph(3, [(0, 1), (1, 0), (0, 1), (0, 0), (1, 1), (1, 1), (1, 2), (2, 0)])
     p = Gf2Matrix.from_strings(["01110010", "00010010", "11001001"])
-    inst = reduce_terminals(PrimalInstance(g, p, [2], 3))
+    inst = _chain_instance(PrimalInstance(g, p, [2], 3))
     assert inst.graph.num_edges == 8 and inst.terminals == (2,)
     guesses = list(pgm_solver.build_pattern_instances(inst))
     want = {(ctx.backbone, tuple(ctx.f.items()), tuple(ctx.f_e.items()))
@@ -467,9 +473,9 @@ def test_pattern_instances_match_unpruned_reference(n, r, num_terminals, k, seed
             if (col_pat >> i) & 1:
                 row_bits[i] ^= row_pat
     terminals = rng.sample(range(len(edges)), num_terminals)
-    inst = reduce_terminals(PrimalInstance(MultiGraph(n, edges), Gf2Matrix(n, len(edges), row_bits),
-                                           terminals, k))
-    assume(not inst.immediate_no and inst.terminals)
+    inst = _chain_instance(PrimalInstance(MultiGraph(n, edges), Gf2Matrix(n, len(edges), row_bits),
+                                          terminals, k))
+    assume(inst is not None)
     got = [_guess_record(*guess) for guess in pgm_solver.build_pattern_instances(inst)]
     want = [_guess_record(*guess) for guess in _reference_pattern_instances(inst)]
     assert got == want
@@ -494,9 +500,9 @@ def _bench_size_instance(seed):
                 if (col_pat >> i) & 1:
                     row_bits[i] ^= row_pat
         terminals = rng.sample(range(m), num_terminals)
-        inst = reduce_terminals(PrimalInstance(MultiGraph(n, edges), Gf2Matrix(n, m, row_bits),
-                                               terminals, 3))
-        if not inst.immediate_no and inst.terminals:
+        inst = _chain_instance(PrimalInstance(MultiGraph(n, edges), Gf2Matrix(n, m, row_bits),
+                                              terminals, 3))
+        if inst is not None:
             return inst
 
 
