@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
-from .gf2 import Gf2Matrix, basis, in_span, support
+from .gf2 import Gf2Matrix, _echelon, _fully_reduced, in_span, support
 from .instances import SpaceCoverInstance
 
 __all__ = [
@@ -24,9 +24,9 @@ __all__ = [
 ]
 
 # The most nodes ``cover_search`` visits, refuted ones and the search for a smaller
-# cover included. Decided rows took at most 71 (random, n <= 128, k <= 4), 54
-# (r = 0 grids up to 16 x 16) and 255 (the paper's reductions at budgets 6 and 9),
-# so the cap only bounds the time an undecided row can cost.
+# cover included. Decided rows took at most 72 (random, n 64-128, m = 2n, k <= 4), 97
+# (r = 0 dual grids up to 32 x 32) and 1,167 (the paper's three-colour clique reduction
+# with parts of 4 vertices, seed 5), so the cap only bounds the time an undecided row can cost.
 SEARCH_NODE_CAP = 2000
 
 
@@ -122,59 +122,68 @@ def packing_refutation(space: List[int], terminals: int, budget: int,
     bit, and every cover meets its candidate bits. The witnesses found have
     pairwise disjoint candidate bits, so more than ``budget`` of them refute;
     so does one with no candidate bit, whose terminal lies outside the
-    closure of the candidates. Each round keeps the vectors that vanish on
-    the candidate bits of the witnesses found so far, fully reduces them on
-    the candidate bits, and takes the one with a terminal bit and the fewest
-    candidate bits.
+    closure of the candidates. The space is fully reduced once; each round
+    takes a row with a terminal bit and the fewest candidate bits, the first
+    on a tie, and contracts its candidate bits (``_contract``).
     """
-    found, refuted = _packing(space, terminals, budget, refused)
+    rows = _fully_reduced((word & ~refused for word in space), ~terminals)
+    found, refuted = _packing(rows, terminals, budget)
     return found if refuted else None
 
 
-def _packing(space: List[int], terminals: int, budget: int,
-             refused: int) -> Tuple[List[int], bool]:
-    """The witnesses of ``packing_refutation`` and whether they refute.
+def _contract(rows: List[int], bits: int, terminals: int) -> List[int]:
+    """The form of the part of span(rows) that vanishes on the candidate ``bits``.
 
-    Without a refutation the list stops where no vector with a terminal bit
-    is left, and its first witness has the fewest candidate bits of all.
+    Lowest bit first, the holder of the bit with the highest pivot is added
+    to every other holder, whose lower pivot it leaves in place, and dropped.
+    """
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        held = [((c := w & ~terminals) & -c, i) for i, w in enumerate(rows) if w & bit]
+        if held:
+            i = max(held)[1]
+            top = rows[i]
+            rows = [w ^ top if w & bit else w for w in rows[:i] + rows[i + 1:]]
+    return rows
+
+
+def _refuse(rows: List[int], bit: int, terminals: int) -> List[int]:
+    """The form of span(rows) with the candidate ``bit`` cleared.
+
+    The row whose pivot was ``bit`` moves its pivot to its next candidate
+    bit and is added to the other rows that hold that bit.
+    """
+    out, top = [], 0
+    for w in rows:
+        if w & bit:
+            w ^= bit
+            if not w & ~terminals & (bit - 1):
+                top = w
+        if w:
+            out.append(w)
+    low = top & ~terminals
+    low &= -low
+    return [w ^ top if w & low and w != top else w for w in out] if low else out
+
+
+def _packing(rows: List[int], terminals: int, budget: int) -> Tuple[List[int], bool]:
+    """The witnesses of ``packing_refutation`` on the form ``rows``, and whether they refute.
+
+    Without a refutation the list stops where no row has a terminal bit, and
+    its first witness has the fewest candidate bits of all rows.
     """
     found: List[int] = []
-    rows = [word & ~refused for word in space] if refused else list(space)
-    avoid = 0
     while True:
-        # rows already vanish on earlier witnesses, so only the last one's bits are eliminated
-        pivots: List[Tuple[int, int]] = []
-        free: List[int] = []
-        for word in rows:
-            for bit, p in pivots:
-                if word & bit:
-                    word ^= p
-            if word & avoid:
-                pivots.append((word & avoid & -(word & avoid), word))
-            elif word:
-                free.append(word)
-        reduced: List[Tuple[int, int]] = []
-        for word in free:
-            for bit, p in reduced:
-                if word & bit:
-                    word ^= p
-            rest = word & ~terminals
-            if not rest:
-                if word:
-                    return found + [word], True
-                continue
-            low = rest & -rest
-            reduced = [(bit, p ^ word if p & low else p) for bit, p in reduced]
-            reduced.append((low, word))
-        rows = [p for _bit, p in reduced]
-        best = min((p for p in rows if p & terminals),
-                   key=lambda p: (p & ~terminals).bit_count(), default=None)
+        best = min((w for w in rows if w & terminals),
+                   key=lambda w: (w & ~terminals).bit_count(), default=None)
         if best is None:
             return found, False
         found.append(best)
-        if len(found) > budget:
+        cands = best & ~terminals
+        if not cands or len(found) > budget:
             return found, True
-        avoid = best & ~terminals
+        rows = _contract(rows, cands, terminals)
 
 
 class Reduction(NamedTuple):
@@ -190,20 +199,25 @@ class Reduction(NamedTuple):
 def terminal_reduction(inst: SpaceCoverInstance, space: Gf2Matrix, tree: bool = True) -> Reduction:
     """The terminal reduction of ``inst`` in the binary matroid on the columns of ``space``.
 
-    ``space`` is A (primal) or the kernel of A (dual). A least F is
-    independent, so it holds at most one of each class of parallel
-    (equal-column) elements; ``tree`` False skips the two reads for the tree.
+    ``space`` is A (primal) or the kernel of A (dual). The pivots of an
+    echelon form of its rows on the terminal bits are the greedy basis of the
+    terminal columns in column order, which is ``inst.terminals`` order. A
+    least F is independent, so it holds at most one of each class of parallel
+    (equal-column) elements, and no more elements than the echelon size of
+    the rows on the unrefused non-terminal bits; ``tree`` False skips these
+    two reads, and with them the space's columns.
     """
-    cols = space.columns()
-    kept = tuple(inst.terminals[i] for i in basis([cols[inst.col_of[e]] for e in inst.terminals]))
+    terms = sum(1 << inst.col_of[e] for e in inst.terminals)
+    pivots = {p & -p for p in _echelon(row & terms for row in space.row_bits)}
+    kept = tuple(e for e in inst.terminals if 1 << inst.col_of[e] in pivots)
     refused, budget = 0, inst.k
     if tree:
-        first: Dict[int, int] = {}
+        cols, first = space.columns(), {}
         for e in inst.nonterminal_edges():
             j = inst.col_of[e]
             if first.setdefault(cols[j], j) != j:
                 refused |= 1 << j
-        budget = min(budget, len(basis(list(first))))
+        budget = min(budget, len(_echelon(row & ~(terms | refused) for row in space.row_bits)))
     return Reduction(space.row_bits if tree else None, kept, len(kept) > inst.k, refused, budget)
 
 
@@ -220,35 +234,36 @@ def cover_search(space: List[int], terminals: int, budget: int, refused: int = 0
     """Search for a least F of at most ``budget`` candidate elements that covers the terminals.
 
     The arguments are as in ``packing_refutation``. A node holds F, a refused
-    set R (``refused`` at the root) and the vectors of the span that vanish
-    on F: adding c to F is one pivot on bit c. The node runs the packing
-    bound with R refused and a budget of the bound less |F|; the root is
-    ``packing_refutation(space, terminals, budget, refused)`` exactly, and its
-    witnesses' count is a least cover's size at least. When no vector has a
-    terminal bit, the terminals lie in the closure of F: F is kept and the
-    bound becomes |F| - 1, so the nodes left search for smaller covers only.
-    Otherwise a node the bound does not refute branches on the candidate bits
-    c1 < c2 < ... of the bound's first witness: child i adds ci to F and
-    refuses c1 ... c(i-1). Every cover that contains F and avoids R meets
-    those bits, so the children split the node's covers and the tree is
-    exact. Depth first, c1's subtree first; past ``SEARCH_NODE_CAP`` nodes
-    the search stops undecided, even with a cover kept.
+    set R (``refused`` at the root) and the fully reduced form of the span's
+    vectors that vanish on F, with R's bits cleared: the root eliminates the
+    space once, and a child updates its parent's form by ``_refuse`` and
+    ``_contract``. The node runs the packing bound on its form with a budget
+    of the bound less |F|; the root is ``packing_refutation(space, terminals,
+    budget, refused)`` exactly, and its witnesses' count is a least cover's
+    size at least. When no vector has a terminal bit, the terminals lie in
+    the closure of F: F is kept and the bound becomes |F| - 1, so the nodes
+    left search for smaller covers only. Otherwise a node the bound does not
+    refute branches on the candidate bits c1 < c2 < ... of the bound's first
+    witness: child i refuses c1 ... c(i-1) and adds ci to F. Every cover that
+    contains F and avoids R meets those bits, so the children split the
+    node's covers and the tree is exact. Depth first, c1's subtree first;
+    past ``SEARCH_NODE_CAP`` nodes the search stops undecided, even with a
+    cover kept.
     """
-    # (the parent's vectors, the bit the node adds to F or 0 at the root, the parent's F, refused)
-    stack = [(space, 0, 0, refused)]
+    # (the parent's form less the node's refused bits, the bit the node adds to F, the parent's F)
+    stack = [(_fully_reduced((word & ~refused for word in space), ~terminals), 0, 0)]
     nodes, bound, cover, least = 0, budget, None, 0
     while stack and bound >= least:
-        rows, bit, f, refused = stack.pop()
+        rows, bit, f = stack.pop()
         f |= bit
         left = bound - f.bit_count()
         if left < 0:
             continue
         if nodes >= SEARCH_NODE_CAP:
             return CoverSearch(nodes, None, False, None)
-        if bit:
-            rows = _pivot(rows, bit)
+        rows = _contract(rows, bit, terminals)
         nodes += 1
-        found, refuted = _packing(rows, terminals, left, refused)
+        found, refuted = _packing(rows, terminals, left)
         if refuted:
             if nodes == 1:
                 return CoverSearch(nodes, found, True, None)
@@ -262,9 +277,10 @@ def cover_search(space: List[int], terminals: int, budget: int, refused: int = 0
         cands = found[0] & ~terminals
         while cands:
             low = cands & -cands
-            children.append((rows, low, f, refused))
-            refused |= low
+            children.append((rows, low, f))
             cands ^= low
+            if cands:
+                rows = _refuse(rows, low, terminals)
         stack.extend(reversed(children))
     return CoverSearch(nodes, None, cover is None, cover)
 
@@ -306,9 +322,3 @@ def default_solve(inst: SpaceCoverInstance, contains: Callable, red: Reduction,
         raise AssertionError("the search tree's cover failed its certificate")
     return None
 
-
-def _pivot(rows: List[int], bit: int) -> List[int]:
-    """Vectors spanning the part of span(rows) that vanishes on ``bit``, which some row has."""
-    i = next(i for i, word in enumerate(rows) if word & bit)
-    pivot = rows[i]
-    return rows[:i] + [w ^ pivot if w & bit else w for w in rows[i + 1:]]

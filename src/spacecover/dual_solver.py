@@ -227,7 +227,7 @@ def _balance_words(g: MultiGraph, parities: List[Dict[int, int]]
     """
     eids = g.edge_ids()
     cycles = nullspace(incidence_matrix(g))
-    row = dict(zip(eids, Gf2Matrix(len(cycles), len(eids), cycles).transpose().row_bits))
+    row = dict(zip(eids, Gf2Matrix(len(cycles), len(eids), cycles).columns()))
     odd = []
     for parity in parities:
         odd_edges = sum(1 << j for j, eid in enumerate(eids) if parity[eid])

@@ -1,4 +1,4 @@
-"""GF(2) vectors as packed ints and bit-packed matrices: rank, span, basis, distinct rows/columns.
+"""GF(2) vectors as packed ints and bit-packed matrices: rank, span, nullspace, distinct rows/columns.
 
 A vector is a plain int: bit i is coordinate i.
 """
@@ -13,7 +13,6 @@ __all__ = [
     "to_string",
     "rank",
     "in_span",
-    "basis",
     "distinct_columns",
     "distinct_rows",
     "nullspace",
@@ -83,11 +82,6 @@ class Gf2Matrix:
         if not 0 <= j < self.cols:
             raise IndexError(j)
         return self.columns()[j]
-
-    def transpose(self) -> "Gf2Matrix":
-        t = Gf2Matrix(self.cols, self.rows, list(self.columns()))
-        t._columns = tuple(self.row_bits)
-        return t
 
     def __xor__(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -180,42 +174,34 @@ def in_span(vectors: List[int], targets: Iterable[int]) -> Optional[List[frozens
     return combos
 
 
-def basis(vectors: List[int]) -> List[int]:
-    """Indices of a greedy (first independent kept) basis of the given vectors."""
-    pivots: List[int] = []
-    chosen: List[int] = []
-    for idx, v in enumerate(vectors):
-        word = _reduced(pivots, v)
+def _fully_reduced(rows: Iterable[int], mask: int) -> List[int]:
+    """The rows' span in echelon form, fully reduced on the ``mask`` bits.
+
+    Each row's pivot is its lowest bit in ``mask``, and no other row holds
+    it; rows with no bit in ``mask`` are kept, rows of 0 are not.
+    """
+    pivots: List[Tuple[int, int]] = []  # (pivot, row); pivot 0 for a row with no bit in mask
+    for word in rows:
+        for bit, p in pivots:
+            if word & bit:
+                word ^= p
+        low = word & mask
+        low &= -low
+        if low:
+            for i, (bit, p) in enumerate(pivots):
+                if p & low:
+                    pivots[i] = (bit, p ^ word)
         if word:
-            pivots.append(word)
-            chosen.append(idx)
-    return chosen
+            pivots.append((low, word))
+    return [p for _bit, p in pivots]
 
 
 def nullspace(m: Gf2Matrix) -> List[int]:
     """Basis of the right kernel {x : Mx = 0}, one vector per free column."""
-    pivots: List[Tuple[int, int]] = []  # (pivot column, fully reduced row bits)
-    for word in m.row_bits:
-        for pc, pv in pivots:
-            if (word >> pc) & 1:
-                word ^= pv
-        if word:
-            pc = (word & -word).bit_length() - 1
-            for i, (pc2, pv2) in enumerate(pivots):
-                if (pv2 >> pc) & 1:
-                    pivots[i] = (pc2, pv2 ^ word)
-            pivots.append((pc, word))
-    pivot_cols = {pc for pc, _ in pivots}
-    out: List[int] = []
-    for j in range(m.cols):
-        if j in pivot_cols:
-            continue
-        bits = 1 << j
-        for pc, pv in pivots:
-            if (pv >> j) & 1:
-                bits |= 1 << pc
-        out.append(bits)
-    return out
+    pivots = {(p & -p).bit_length() - 1: p for p in _fully_reduced(m.row_bits, -1)}
+    # free column j, plus each pivot column whose fully reduced row holds j
+    return [1 << j | sum(1 << pc for pc, p in pivots.items() if p >> j & 1)
+            for j in range(m.cols) if j not in pivots]
 
 
 def _distinct(vecs: List[int]) -> Tuple[List[int], Dict[int, int]]:
