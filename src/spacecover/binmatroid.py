@@ -14,7 +14,6 @@ __all__ = [
     "span_contains",
     "is_cocycle",
     "dual_span_contains",
-    "packing_refutation",
     "Reduction",
     "terminal_reduction",
     "CoverSearch",
@@ -108,29 +107,6 @@ def dual_span_contains(a: Gf2Matrix, f: Iterable[int], t: Iterable[int]) -> Opti
     return certs
 
 
-def packing_refutation(space: List[int], terminals: int, budget: int,
-                       refused: int = 0) -> Optional[List[int]]:
-    """Witnesses that no F of at most ``budget`` candidate elements covers the terminals, or None.
-
-    ``space`` spans the vectors that block a cover, all packed: the row space
-    of A in the primal mode (t is in cl(F) iff F meets every cocircuit
-    through t) and the kernel of A in the dual mode (t is in cl*(F) iff F
-    meets every circuit through t). The candidates are the elements in
-    neither the ``terminals`` nor the ``refused`` mask; a refused element may
-    not join F, so its bits are dropped from the space (and from the
-    witnesses returned). A witness is a vector of that span with a terminal
-    bit, and every cover meets its candidate bits. The witnesses found have
-    pairwise disjoint candidate bits, so more than ``budget`` of them refute;
-    so does one with no candidate bit, whose terminal lies outside the
-    closure of the candidates. The space is fully reduced once; each round
-    takes a row with a terminal bit and the fewest candidate bits, the first
-    on a tie, and contracts its candidate bits (``_contract``).
-    """
-    rows = _fully_reduced((word & ~refused for word in space), ~terminals)
-    found, refuted = _packing(rows, terminals, budget)
-    return found if refuted else None
-
-
 def _contract(rows: List[int], bits: int, terminals: int) -> List[int]:
     """The form of the part of span(rows) that vanishes on the candidate ``bits``.
 
@@ -168,10 +144,22 @@ def _refuse(rows: List[int], bit: int, terminals: int) -> List[int]:
 
 
 def _packing(rows: List[int], terminals: int, budget: int) -> Tuple[List[int], bool]:
-    """The witnesses of ``packing_refutation`` on the form ``rows``, and whether they refute.
+    """Witnesses that no F of at most ``budget`` candidate elements covers the terminals.
 
-    Without a refutation the list stops where no row has a terminal bit, and
-    its first witness has the fewest candidate bits of all rows.
+    ``rows`` is the fully reduced form of the vectors that block a cover, all
+    packed: the row space of A in the primal mode (t is in cl(F) iff F meets
+    every cocircuit through t) and the kernel of A in the dual mode (t is in
+    cl*(F) iff F meets every circuit through t), with the refused bits
+    cleared. The candidates are the elements that are neither terminal nor
+    refused. A witness is a vector of the span with a terminal bit, and every
+    cover meets its candidate bits. The witnesses found have pairwise
+    disjoint candidate bits, so more than ``budget`` of them refute; so does
+    one with no candidate bit, whose terminal lies outside the closure of the
+    candidates. Each round takes a row with a terminal bit and the fewest
+    candidate bits, the first on a tie, and contracts its candidate bits
+    (``_contract``). Returns the witnesses and whether they refute; without
+    a refutation the list stops where no row has a terminal bit, and its
+    first witness has the fewest candidate bits of all rows.
     """
     found: List[int] = []
     while True:
@@ -189,7 +177,7 @@ def _packing(rows: List[int], terminals: int, budget: int) -> Tuple[List[int], b
 class Reduction(NamedTuple):
     """What ``terminal_reduction`` reads off the mode's space; bit j is column j of A."""
 
-    space: Optional[List[int]]  # the space's rows for the search tree, None when it does not run
+    form: Optional[List[int]]   # the search tree's root form, None when the tree does not run
     basis: Tuple[int, ...]      # the terminals of a greedy basis of their columns, in order
     no: bool                    # the basis is larger than k, so no F of at most k covers it
     refused: int                # non-terminal columns equal to a lower one's (0 without the tree)
@@ -203,22 +191,27 @@ def terminal_reduction(inst: SpaceCoverInstance, space: Gf2Matrix, tree: bool = 
     echelon form of its rows on the terminal bits are the greedy basis of the
     terminal columns in column order, which is ``inst.terminals`` order. A
     least F is independent, so it holds at most one of each class of parallel
-    (equal-column) elements, and no more elements than the echelon size of
-    the rows on the unrefused non-terminal bits; ``tree`` False skips these
-    two reads, and with them the space's columns.
+    (equal-column) elements, and no more elements than the rank of the
+    unrefused non-terminal columns. With ``tree`` set, the rows with the
+    refused bits cleared are fully reduced on the non-terminal bits once:
+    that form is the search tree's root, that rank is the number of its rows
+    with a non-terminal bit, and the basis is read off its rows, which span
+    the same terminal bits as the space. ``tree`` False skips the form and
+    the refusal, and with them the space's columns.
     """
     terms = sum(1 << inst.col_of[e] for e in inst.terminals)
-    pivots = {p & -p for p in _echelon(row & terms for row in space.row_bits)}
-    kept = tuple(e for e in inst.terminals if 1 << inst.col_of[e] in pivots)
-    refused, budget = 0, inst.k
+    rows, form, refused, budget = space.row_bits, None, 0, inst.k
     if tree:
         cols, first = space.columns(), {}
         for e in inst.nonterminal_edges():
             j = inst.col_of[e]
             if first.setdefault(cols[j], j) != j:
                 refused |= 1 << j
-        budget = min(budget, len(_echelon(row & ~(terms | refused) for row in space.row_bits)))
-    return Reduction(space.row_bits if tree else None, kept, len(kept) > inst.k, refused, budget)
+        rows = form = _fully_reduced((row & ~refused for row in space.row_bits), ~terms)
+        budget = min(budget, sum(1 for row in form if row & ~terms))
+    pivots = {p & -p for p in _echelon(row & terms for row in rows)}
+    kept = tuple(e for e in inst.terminals if 1 << inst.col_of[e] in pivots)
+    return Reduction(form, kept, len(kept) > inst.k, refused, budget)
 
 
 class CoverSearch(NamedTuple):
@@ -230,28 +223,28 @@ class CoverSearch(NamedTuple):
     cover: Optional[int]            # a least cover's bits, once no smaller one is left
 
 
-def cover_search(space: List[int], terminals: int, budget: int, refused: int = 0) -> CoverSearch:
+def cover_search(form: List[int], terminals: int, budget: int) -> CoverSearch:
     """Search for a least F of at most ``budget`` candidate elements that covers the terminals.
 
-    The arguments are as in ``packing_refutation``. A node holds F, a refused
-    set R (``refused`` at the root) and the fully reduced form of the span's
-    vectors that vanish on F, with R's bits cleared: the root eliminates the
-    space once, and a child updates its parent's form by ``_refuse`` and
-    ``_contract``. The node runs the packing bound on its form with a budget
-    of the bound less |F|; the root is ``packing_refutation(space, terminals,
-    budget, refused)`` exactly, and its witnesses' count is a least cover's
-    size at least. When no vector has a terminal bit, the terminals lie in
-    the closure of F: F is kept and the bound becomes |F| - 1, so the nodes
-    left search for smaller covers only. Otherwise a node the bound does not
-    refute branches on the candidate bits c1 < c2 < ... of the bound's first
-    witness: child i refuses c1 ... c(i-1) and adds ci to F. Every cover that
-    contains F and avoids R meets those bits, so the children split the
-    node's covers and the tree is exact. Depth first, c1's subtree first;
-    past ``SEARCH_NODE_CAP`` nodes the search stops undecided, even with a
-    cover kept.
+    ``form`` is a root form as ``_packing`` takes it, ``Reduction.form``,
+    and the search eliminates nothing. A node holds F, a refused set R (the
+    bits cleared from ``form`` at the root) and the fully reduced form of the
+    span's vectors that vanish on F, with R's bits cleared: a child updates
+    its parent's form by ``_refuse`` and ``_contract``. The node runs the
+    packing bound on its form with a budget of the bound less |F|; the
+    root's witnesses are ``_packing(form, terminals, budget)``, and their
+    count is a least cover's size at least. When no vector has a terminal
+    bit, the terminals lie in the closure of F: F is kept and the bound
+    becomes |F| - 1, so the nodes left search for smaller covers only.
+    Otherwise a node the bound does not refute branches on the candidate
+    bits c1 < c2 < ... of the bound's first witness: child i refuses c1 ...
+    c(i-1) and adds ci to F. Every cover that contains F and avoids R meets
+    those bits, so the children split the node's covers and the tree is
+    exact. Depth first, c1's subtree first; past ``SEARCH_NODE_CAP`` nodes
+    the search stops undecided, even with a cover kept.
     """
     # (the parent's form less the node's refused bits, the bit the node adds to F, the parent's F)
-    stack = [(_fully_reduced((word & ~refused for word in space), ~terminals), 0, 0)]
+    stack = [(form, 0, 0)]
     nodes, bound, cover, least = 0, budget, None, 0
     while stack and bound >= least:
         rows, bit, f = stack.pop()
@@ -291,7 +284,7 @@ def default_solve(inst: SpaceCoverInstance, contains: Callable, red: Reduction,
     """Both modes' default path after their terminal reduction ``red``: (F, certificate) or None.
 
     A basis larger than k answers "no", and an empty one is covered by
-    F = ∅. Otherwise ``cover_search`` runs on ``red.space`` unless it is
+    F = ∅. Otherwise ``cover_search`` runs on ``red.form`` unless it is
     None: it sets ``stats["packing"]`` when its root refutes and
     ``stats["search"]`` when not. Its refutation answers "no", and its cover
     must certify, or this raises. The rows the tree leaves undecided take the
@@ -302,8 +295,8 @@ def default_solve(inst: SpaceCoverInstance, contains: Callable, red: Reduction,
         return None
     cover = 0 if not red.basis else None
     terms = [inst.col_of[e] for e in inst.terminals]
-    if red.basis and red.space is not None:
-        search = cover_search(red.space, sum(1 << j for j in terms), red.budget, red.refused)
+    if red.basis and red.form is not None:
+        search = cover_search(red.form, sum(1 << j for j in terms), red.budget)
         if search.packing is not None:
             stats["packing"] = len(search.packing)
             return None

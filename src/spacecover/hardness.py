@@ -167,6 +167,9 @@ def random_mc_instance(k: int, part_size: int, edge_prob: float,
     """Random multicolored-clique instance; intra-class edges are never generated."""
     if not 0 <= edge_prob <= 1:
         raise ValueError("edge probability %s is not in [0, 1]" % edge_prob)
+    for name, value in (("part count", k), ("part size", part_size)):
+        if value < 0:
+            raise ValueError("%s %d is negative" % (name, value))
     parts = [list(range(i * part_size, (i + 1) * part_size)) for i in range(k)]
     n = k * part_size
     edges = []

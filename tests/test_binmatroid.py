@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,8 +6,9 @@ import pytest
 
 from helpers import complete_graph
 from spacecover import binmatroid, dual_solver, pgm_solver
-from spacecover.binmatroid import (cover_search, dual_span_contains, is_cocycle,
-                                   packing_refutation, span_contains, terminal_reduction)
+from spacecover.binmatroid import (cover_search, dual_span_contains, is_cocycle, span_contains,
+                                   terminal_reduction)
+from spacecover.dual_solver import RecursParams
 from spacecover.gf2 import Gf2Matrix, _fully_reduced, nullspace, rank, spans_all, support
 from spacecover.instances import random_instance
 from spacecover.multigraph import incidence_matrix
@@ -100,6 +102,21 @@ def _packing_input(inst):
     return space, sum(1 << inst.col_of[e] for e in inst.terminals)
 
 
+def _form(space, terms, refused=0):
+    """The root form of ``space``: its rows with ``refused`` cleared, fully reduced."""
+    return _fully_reduced((w & ~refused for w in space), ~terms)
+
+
+def _refutation(space, terms, budget, refused=0):
+    """The packing bound's witnesses on the root form of ``space`` when they refute, or None."""
+    found, refuted = binmatroid._packing(_form(space, terms, refused), terms, budget)
+    return found if refuted else None
+
+
+def _search(space, terms, budget, refused=0):
+    return cover_search(_form(space, terms, refused), terms, budget)
+
+
 @pytest.mark.parametrize("mode", ["primal", "dual"])
 def test_packing_refutation_never_refutes_a_yes_row(mode):
     rng = random.Random(26 if mode == "primal" else 62)
@@ -107,7 +124,7 @@ def test_packing_refutation_never_refutes_a_yes_row(mode):
     for _ in range(1000):
         inst = random_instance(mode, rng.randint(3, 9), rng.randint(3, 12), rng.randint(0, 2),
                                rng.randint(1, 3), rng.randint(0, 3), rng)
-        witnesses = packing_refutation(*_packing_input(inst), inst.k)
+        witnesses = _refutation(*_packing_input(inst), inst.k)
         oracle = solve_primal_bruteforce if mode == "primal" else solve_dual_bruteforce
         if oracle(inst) is None:
             no_rows += 1
@@ -128,7 +145,7 @@ def test_packing_witnesses_are_disjoint_and_lie_in_the_space(mode):
                                rng.randint(2, 4), rng)
         a = inst.a_matrix
         space, terms = _packing_input(inst)
-        witnesses = packing_refutation(space, terms, inst.k)
+        witnesses = _refutation(space, terms, inst.k)
         if witnesses is None:
             continue
         refuted += 1
@@ -148,11 +165,11 @@ def test_packing_witnesses_are_disjoint_and_lie_in_the_space(mode):
 def test_packing_refutation_drops_refused_bits():
     # three parallel edges, terminal 0: the kernel holds the circuits {0, 1} and {0, 2}
     space = [0b011, 0b101]
-    assert packing_refutation(space, 0b001, 2) is None
-    assert packing_refutation(space, 0b001, 1) == [0b011, 0b101]
+    assert _refutation(space, 0b001, 2) is None
+    assert _refutation(space, 0b001, 1) == [0b011, 0b101]
     # with edge 1 or edge 2 refused, one circuit has no candidate left
     for refused in (0b010, 0b100):
-        assert packing_refutation(space, 0b001, 2, refused=refused) == [0b001]
+        assert _refutation(space, 0b001, 2, refused=refused) == [0b001]
 
 
 def test_form_updates_match_a_fresh_reduction():
@@ -191,15 +208,15 @@ def test_form_updates_match_a_fresh_reduction():
             pivots = [(w & ~terminals) & -(w & ~terminals) for w in rows]
             assert all(sum(1 for w in rows if w & p) == 1 for p in pivots)
             # each row plus its predecessor: raw vectors whose fresh reduction keeps the
-            # form's order, so the bound read off the form is packing_refutation's on them;
+            # form's order, so the bound read off the form is the bound on their own form;
             # on the tracked raw vectors a tie between witnesses may fall the other way
             mixed = [w ^ rows[i - 1] if i else w for i, w in enumerate(rows)]
             for budget in range(4):
                 found, refuted = binmatroid._packing(rows, terminals, budget)
-                want = packing_refutation(mixed, terminals, budget)
+                want = _refutation(mixed, terminals, budget)
                 assert (found if refuted else None) == want
                 checks += 1
-                agree += (want is None) == (packing_refutation(raw, terminals, budget) is None)
+                agree += (want is None) == (_refutation(raw, terminals, budget) is None)
     assert steps >= 2000 and stopped >= 400
     assert agree >= 0.99 * checks
 
@@ -211,8 +228,8 @@ def test_cover_search_root_is_the_packing_bound(mode):
         inst = random_instance(mode, rng.randint(3, 12), rng.randint(3, 20), rng.randint(0, 2),
                                rng.randint(1, 3), rng.randint(0, 4), rng)
         space, terms = _packing_input(inst)
-        search = cover_search(space, terms, inst.k)
-        assert search.packing == packing_refutation(space, terms, inst.k)
+        search = _search(space, terms, inst.k)
+        assert search.packing == _refutation(space, terms, inst.k)
         if search.packing is not None:
             assert search.refuted and search.nodes == 1
 
@@ -224,7 +241,7 @@ def test_cover_search_matches_oracle(mode):
     for _ in range(1500):
         inst = random_instance(mode, rng.randint(3, 9), rng.randint(3, 12), rng.randint(0, 2),
                                rng.randint(1, 3), rng.randint(0, 4), rng)
-        search = cover_search(*_packing_input(inst), inst.k)
+        search = _search(*_packing_input(inst), inst.k)
         oracle = solve_primal_bruteforce if mode == "primal" else solve_dual_bruteforce
         want = oracle(inst)
         # no row this small reaches the node cap, so the tree decides every one
@@ -275,6 +292,41 @@ def test_node_cap_bounds_every_search_and_the_guesses_decide_past_it(mode, monke
     assert guessed >= 10
 
 
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_a_solve_eliminates_the_space_once(mode, monkeypatch):
+    # the terminal reduction fully reduces the space once, for the tree's root form, and
+    # reads the basis off one echelon of that form; the search eliminates nothing, and a
+    # dual solve with recursion parameters builds no form
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(binmatroid, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    for name in ("_fully_reduced", "_echelon"):
+        monkeypatch.setattr(binmatroid, name, counted(name))
+    solve = pgm_solver.solve if mode == "primal" else dual_solver.solve
+    rng = random.Random(41)
+    searched = 0
+    for _ in range(100):
+        inst = random_instance(mode, rng.randint(3, 9), rng.randint(3, 12), rng.randint(0, 2),
+                               rng.randint(1, 3), rng.randint(0, 4), rng)
+        calls.clear()
+        stats = {}
+        solve(inst, stats=stats)
+        assert calls == {"_fully_reduced": 1, "_echelon": 1}
+        searched += "search" in stats
+        if mode == "dual":
+            calls.clear()
+            dual_solver.solve(inst, params=RecursParams())
+            assert calls == {"_echelon": 1}
+    assert searched >= 20
+
+
 def _reduction_rows(mode, count, seed):
     """Random rows, alternately dense multigraphs (many parallel edges) and sparse ones
     (paths and few cycles, so many series pairs), with 1-4 terminals."""
@@ -309,15 +361,15 @@ def test_terminal_reduction_matches_references(mode):
         assert red.budget == min(inst.k, ranked)
         assert red.refused == sum(1 << j for j in nonterm
                                   if any(cols[i] == cols[j] for i in nonterm if i < j))
-        assert red.space == space
+        assert red.form == _form(space, terms, red.refused)
         assert terminal_reduction(inst, Gf2Matrix(len(space), inst.a_matrix.cols, space),
-                                  tree=False) == red._replace(space=None, refused=0, budget=inst.k)
+                                  tree=False) == red._replace(form=None, refused=0, budget=inst.k)
         oracle = solve_primal_bruteforce if mode == "primal" else solve_dual_bruteforce
         want = oracle(inst)
         if red.no:
             assert want is None
             continue
-        search = cover_search(space, terms, red.budget, red.refused)
+        search = _search(space, terms, red.budget, red.refused)
         assert search.refuted == (want is None)
         if want is not None:
             assert search.cover.bit_count() == len(want[0])
@@ -341,8 +393,8 @@ def test_chain_instance_search_is_the_search_on_a_with_parallel_columns_refused(
         if red.no or not red.basis:
             continue
         chain = pgm_solver._chain_instance(inst, red)
-        got = cover_search(*_packing_input(inst), red.budget, red.refused)
-        want = cover_search(*_packing_input(chain), chain.k)
+        got = _search(*_packing_input(inst), red.budget, red.refused)
+        want = _search(*_packing_input(chain), chain.k)
         assert (got.nodes, got.refuted, got.packing is None) == \
                (want.nodes, want.refuted, want.packing is None)
         if got.cover is not None:

@@ -439,6 +439,8 @@ def test_gen_mc_solvable_roundtrip(tmp_path, capsys):
     (["mc", "OUT", "--edge-prob", "-1"], "edge probability -1.0 is not in [0, 1]"),
     (["mc", "OUT", "--edge-prob", "nan"], "edge probability nan is not in [0, 1]"),
     (["random", "OUT", "--m", "10", "--terminals", "50"], "50 terminals exceed the m = 10 edges"),
+    (["mc", "OUT", "--parts", "-1"], "part count -1 is negative"),
+    (["mc", "OUT", "--parts", "2", "--part-size", "-1"], "part size -1 is negative"),
 ])
 def test_gen_bad_arguments_exit_two(tmp_path, capsys, args, problem):
     out = str(tmp_path / args[1])

@@ -156,14 +156,14 @@ def test_solve_matches_oracle_small_corpus():
 
 def test_guess_loop_matches_oracle_small_corpus():
     # every row past the terminal reduction, refuted by the bound or the tree or not; with
-    # no space the driver skips the tree and certifies the F's the guesses yield
+    # no form the driver skips the tree and certifies the F's the guesses yield
     stats = {}
     for inst in dual_corpus(60, seed=201):
         red = reduce_terminals_dual(inst)
         if red.no or not red.basis:
             continue
         got = binmatroid.default_solve(
-            inst, binmatroid.dual_span_contains, red._replace(space=None),
+            inst, binmatroid.dual_span_contains, red._replace(form=None),
             lambda: dual_solver._cover_by_guesses(inst, red.basis, RecursParams(), stats), stats)
         _assert_matches_oracle(inst, got)
     assert stats["guesses"] == 78

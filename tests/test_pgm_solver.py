@@ -196,13 +196,13 @@ def test_a_yes_row_the_tree_decides_never_calls_the_fallback(monkeypatch):
 
 def test_guess_chain_matches_oracle_small_corpus():
     # every row past the terminal reduction, refuted by the packing bound or not; with
-    # no space the driver skips the tree and certifies the F's the chain yields
+    # no form the driver skips the tree and certifies the F's the chain yields
     stats = {}
     for inst in primal_corpus(80, seed=101):
         red = reduce_terminals(inst)
         if red.no or not red.basis:
             continue
-        got = binmatroid.default_solve(inst, binmatroid.span_contains, red._replace(space=None),
+        got = binmatroid.default_solve(inst, binmatroid.span_contains, red._replace(form=None),
                                        lambda: pgm_solver._cover_by_guesses(inst, red, stats),
                                        stats)
         _assert_matches_oracle(inst, got)
