@@ -23,9 +23,9 @@ __all__ = [
 ]
 
 # The most nodes ``cover_search`` visits, refuted ones and the search for a smaller
-# cover included. Decided rows took at most 72 (random, n 64-128, m = 2n, k <= 4), 97
-# (r = 0 dual grids up to 32 x 32) and 1,167 (the paper's three-colour clique reduction
-# with parts of 4 vertices, seed 5), so the cap only bounds the time an undecided row can cost.
+# cover included. Decided rows took at most 89 (random, n 64-128, m = 2n, k <= 4), 98
+# (r = 0 dual grids up to 32 x 32) and 1,681 (the paper's 3DM reduction at q = 4, seed 2),
+# so the cap only bounds the time an undecided row can cost.
 SEARCH_NODE_CAP = 2000
 
 
@@ -180,38 +180,31 @@ class Reduction(NamedTuple):
     form: Optional[List[int]]   # the search tree's root form, None when the tree does not run
     basis: Tuple[int, ...]      # the terminals of a greedy basis of their columns, in order
     no: bool                    # the basis is larger than k, so no F of at most k covers it
-    refused: int                # non-terminal columns equal to a lower one's (0 without the tree)
     budget: int                 # k, lowered to the rank of the non-terminal columns (k without)
 
 
-def terminal_reduction(inst: SpaceCoverInstance, space: Gf2Matrix, tree: bool = True) -> Reduction:
-    """The terminal reduction of ``inst`` in the binary matroid on the columns of ``space``.
+def terminal_reduction(inst: SpaceCoverInstance, rows: List[int], tree: bool = True) -> Reduction:
+    """The terminal reduction of ``inst`` in the binary matroid whose space has these packed rows.
 
-    ``space`` is A (primal) or the kernel of A (dual). The pivots of an
-    echelon form of its rows on the terminal bits are the greedy basis of the
-    terminal columns in column order, which is ``inst.terminals`` order. A
-    least F is independent, so it holds at most one of each class of parallel
-    (equal-column) elements, and no more elements than the rank of the
-    unrefused non-terminal columns. With ``tree`` set, the rows with the
-    refused bits cleared are fully reduced on the non-terminal bits once:
-    that form is the search tree's root, that rank is the number of its rows
-    with a non-terminal bit, and the basis is read off its rows, which span
-    the same terminal bits as the space. ``tree`` False skips the form and
-    the refusal, and with them the space's columns.
+    ``rows`` span the row space of A (primal) or the kernel of A (dual). The
+    pivots of an echelon form of the rows on the terminal bits are the
+    greedy basis of the terminal columns in column order, which is
+    ``inst.terminals`` order. A least F is independent, so it holds no more
+    elements than the rank of the non-terminal columns. With ``tree`` set,
+    the rows are fully reduced on the non-terminal bits once: that form is
+    the search tree's root, that rank is the number of its rows with a
+    non-terminal bit, and the basis is read off its rows, which span the
+    same terminal bits as the space. ``tree`` False skips the form and the
+    clamp.
     """
     terms = sum(1 << inst.col_of[e] for e in inst.terminals)
-    rows, form, refused, budget = space.row_bits, None, 0, inst.k
+    form, budget = None, inst.k
     if tree:
-        cols, first = space.columns(), {}
-        for e in inst.nonterminal_edges():
-            j = inst.col_of[e]
-            if first.setdefault(cols[j], j) != j:
-                refused |= 1 << j
-        rows = form = _fully_reduced((row & ~refused for row in space.row_bits), ~terms)
+        rows = form = _fully_reduced(rows, ~terms)
         budget = min(budget, sum(1 for row in form if row & ~terms))
     pivots = {p & -p for p in _echelon(row & terms for row in rows)}
     kept = tuple(e for e in inst.terminals if 1 << inst.col_of[e] in pivots)
-    return Reduction(form, kept, len(kept) > inst.k, refused, budget)
+    return Reduction(form, kept, len(kept) > inst.k, budget)
 
 
 class CoverSearch(NamedTuple):
@@ -227,13 +220,13 @@ def cover_search(form: List[int], terminals: int, budget: int) -> CoverSearch:
     """Search for a least F of at most ``budget`` candidate elements that covers the terminals.
 
     ``form`` is a root form as ``_packing`` takes it, ``Reduction.form``,
-    and the search eliminates nothing. A node holds F, a refused set R (the
-    bits cleared from ``form`` at the root) and the fully reduced form of the
-    span's vectors that vanish on F, with R's bits cleared: a child updates
-    its parent's form by ``_refuse`` and ``_contract``. The node runs the
-    packing bound on its form with a budget of the bound less |F|; the
-    root's witnesses are ``_packing(form, terminals, budget)``, and their
-    count is a least cover's size at least. When no vector has a terminal
+    and the search eliminates nothing. A node holds F, a refused set R (empty
+    at the root) and the fully reduced form of the span's vectors that
+    vanish on F, with R's bits cleared: a child updates its parent's form
+    by ``_refuse`` and ``_contract``. The node runs the packing bound on its
+    form with a budget of the bound less |F|; the root's witnesses are
+    ``_packing(form, terminals, budget)``, and their count is a least
+    cover's size at least. When no vector has a terminal
     bit, the terminals lie in the closure of F: F is kept and the bound
     becomes |F| - 1, so the nodes left search for smaller covers only.
     Otherwise a node the bound does not refute branches on the candidate

@@ -777,8 +777,7 @@ def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None)
 
 def reduce_terminals_dual(inst: DualInstance, tree: bool = True) -> Reduction:
     """The terminal reduction in the dual matroid, read off the kernel of A."""
-    null_rows = nullspace(inst.a_matrix)
-    return terminal_reduction(inst, Gf2Matrix(len(null_rows), inst.a_matrix.cols, null_rows), tree)
+    return terminal_reduction(inst, nullspace(inst.a_matrix), tree)
 
 
 def solve(inst: DualInstance, params: Optional[RecursParams] = None,

@@ -46,8 +46,8 @@ class GuessContext:
 
 
 def reduce_terminals(inst: PrimalInstance) -> Reduction:
-    """The terminal reduction in the matroid of A, read off A's columns."""
-    return terminal_reduction(inst, inst.a_matrix)
+    """The terminal reduction in the matroid of A, read off A's rows."""
+    return terminal_reduction(inst, inst.a_matrix.row_bits)
 
 
 def edge_types(p: Gf2Matrix) -> Tuple[int, Dict[int, int]]:
@@ -521,9 +521,15 @@ def solve(inst: PrimalInstance,
 
 
 def _chain_instance(inst: PrimalInstance, red: Reduction) -> PrimalInstance:
-    """The guess chain's instance: the basis, the unrefused edges and budget ``red.budget``."""
-    keep = [e for e in inst.nonterminal_edges() if not red.refused >> inst.col_of[e] & 1]
-    reduced = inst.restrict(keep + list(red.basis), terminals=red.basis)
+    """The guess chain's instance: the basis, the non-terminal edges and budget ``red.budget``.
+
+    Of each class of non-terminal edges with equal A columns it keeps the
+    lowest, as ``build_pattern_instances`` requires.
+    """
+    first: Dict[int, int] = {}
+    for e in inst.nonterminal_edges():
+        first.setdefault(inst.a_column(e), e)
+    reduced = inst.restrict(list(first.values()) + list(red.basis), terminals=red.basis)
     reduced.k = red.budget
     return reduced
 

@@ -60,6 +60,27 @@ def grid_dual(w, k, seed):
     return DualInstance(g, Gf2Matrix(g.n, g.num_edges), terms, k)
 
 
+def relabelled(inst, rng):
+    """inst with vertex ids and edge ids permuted, terminals and P columns carried along."""
+    g = inst.graph
+    vperm = list(range(g.n))
+    rng.shuffle(vperm)
+    order = g.edge_ids()
+    rng.shuffle(order)   # new edge j is old edge order[j]
+    new_g = MultiGraph(g.n, [tuple(vperm[x] for x in g.endpoints(e)) for e in order])
+    row_bits = [0] * g.n
+    for i in range(g.n):
+        for j, e in enumerate(order):
+            row_bits[vperm[i]] |= ((inst.p.row_bits[i] >> inst.col_of[e]) & 1) << j
+    terminals = [j for j, e in enumerate(order) if e in inst.terminals]
+    return type(inst)(new_g, Gf2Matrix(g.n, len(order), row_bits), terminals, inst.k)
+
+
+def answer_size(result):
+    """|F| of a solver's answer, None for "no"."""
+    return None if result is None else len(result[0])
+
+
 def path_graph(n):
     g = MultiGraph(n)
     for v in range(n - 1):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import complete_graph
-from spacecover import binmatroid, dual_solver, pgm_solver
+from spacecover import binmatroid, dual_solver, gf2, pgm_solver
 from spacecover.binmatroid import (cover_search, dual_span_contains, is_cocycle, span_contains,
                                    terminal_reduction)
 from spacecover.dual_solver import RecursParams
@@ -296,35 +296,41 @@ def test_node_cap_bounds_every_search_and_the_guesses_decide_past_it(mode, monke
 def test_a_solve_eliminates_the_space_once(mode, monkeypatch):
     # the terminal reduction fully reduces the space once, for the tree's root form, and
     # reads the basis off one echelon of that form; the search eliminates nothing, and a
-    # dual solve with recursion parameters builds no form
+    # dual solve with recursion parameters builds no form. Nothing transposes a matrix
+    # but a primal certificate and the guesses
     calls = collections.Counter()
 
-    def counted(name):
-        real = getattr(binmatroid, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def count(*args):
             calls[name] += 1
             return real(*args)
-        return count
+        monkeypatch.setattr(module, name, count)
 
     for name in ("_fully_reduced", "_echelon"):
-        monkeypatch.setattr(binmatroid, name, counted(name))
+        counted(binmatroid, name)
+    counted(gf2, "_transposed")
     solve = pgm_solver.solve if mode == "primal" else dual_solver.solve
     rng = random.Random(41)
-    searched = 0
+    searched = untransposed = 0
     for _ in range(100):
         inst = random_instance(mode, rng.randint(3, 9), rng.randint(3, 12), rng.randint(0, 2),
                                rng.randint(1, 3), rng.randint(0, 4), rng)
         calls.clear()
         stats = {}
-        solve(inst, stats=stats)
-        assert calls == {"_fully_reduced": 1, "_echelon": 1}
+        got = solve(inst, stats=stats)
+        assert (calls["_fully_reduced"], calls["_echelon"]) == (1, 1)
+        certified_or_guessed = got is not None if mode == "primal" else "guesses" in stats
+        if not certified_or_guessed:
+            assert calls["_transposed"] == 0
+            untransposed += 1
         searched += "search" in stats
         if mode == "dual":
             calls.clear()
             dual_solver.solve(inst, params=RecursParams())
-            assert calls == {"_echelon": 1}
-    assert searched >= 20
+            assert (calls["_fully_reduced"], calls["_echelon"]) == (0, 1)
+    assert searched >= 20 and untransposed >= 50
 
 
 def _reduction_rows(mode, count, seed):
@@ -343,14 +349,14 @@ def _reduction_rows(mode, count, seed):
 
 @pytest.mark.parametrize("mode", ["primal", "dual"])
 def test_terminal_reduction_matches_references(mode):
-    # each field against a plain reference on the space's columns, and the refusal and
-    # the clamp against the oracle's verdict and least |F|
-    refusing = clamped = no_rows = 0
+    # each field against a plain reference on the space's columns, and the tree on the
+    # root form and the clamp against the oracle's verdict and least |F|
+    parallel = clamped = no_rows = 0
     for inst in _reduction_rows(mode, 400, 39 if mode == "primal" else 93):
         space, terms = _packing_input(inst)
         cols = [sum(((row >> j) & 1) << i for i, row in enumerate(space))
                 for j in range(inst.a_matrix.cols)]
-        red = terminal_reduction(inst, Gf2Matrix(len(space), inst.a_matrix.cols, space))
+        red = terminal_reduction(inst, space)
         term_cols = [cols[inst.col_of[e]] for e in inst.terminals]
         nonterm = [inst.col_of[e] for e in inst.nonterminal_edges()]
         assert len(red.basis) == rank(Gf2Matrix(len(term_cols), len(space), term_cols))
@@ -359,32 +365,31 @@ def test_terminal_reduction_matches_references(mode):
         assert red.no == (len(red.basis) > inst.k)
         ranked = rank(Gf2Matrix(len(nonterm), len(space), [cols[j] for j in nonterm]))
         assert red.budget == min(inst.k, ranked)
-        assert red.refused == sum(1 << j for j in nonterm
-                                  if any(cols[i] == cols[j] for i in nonterm if i < j))
-        assert red.form == _form(space, terms, red.refused)
-        assert terminal_reduction(inst, Gf2Matrix(len(space), inst.a_matrix.cols, space),
-                                  tree=False) == red._replace(form=None, refused=0, budget=inst.k)
+        assert red.form == _form(space, terms)
+        assert terminal_reduction(inst, space, tree=False) == \
+            red._replace(form=None, budget=inst.k)
         oracle = solve_primal_bruteforce if mode == "primal" else solve_dual_bruteforce
         want = oracle(inst)
         if red.no:
             assert want is None
             continue
-        search = _search(space, terms, red.budget, red.refused)
+        search = _search(space, terms, red.budget)
         assert search.refuted == (want is None)
         if want is not None:
             assert search.cover.bit_count() == len(want[0])
-            assert not search.cover & red.refused
-        refusing += red.refused != 0
+        parallel += len({cols[j] for j in nonterm}) < len(nonterm)
         clamped += red.budget < inst.k
         no_rows += want is None
-    assert refusing >= 100 and clamped >= 20 and no_rows >= 50
+    assert parallel >= 100 and clamped >= 20 and no_rows >= 50
 
 
-def test_chain_instance_search_is_the_search_on_a_with_parallel_columns_refused():
-    # the chain instance deletes the refused columns and the terminals outside the basis,
-    # which only add terminal bits: its tree visits the same nodes and finds the same F
+def test_chain_instance_keeps_one_edge_per_parallel_class_and_the_tree_on_it_agrees():
+    # the chain instance keeps the lowest non-terminal edge of each class of equal A
+    # columns and the basis; a least F holds at most one edge per class, so the tree on
+    # it and the tree on A agree on the verdict and the least |F|, though A's tree
+    # branches on the copies as well
     rng = random.Random(339)
-    dependent = refusing = covers = 0
+    dependent = parallel = covers = 0
     for i in range(300):
         n = rng.randint(2, 8)
         inst = random_instance("primal", n, rng.randint(n, 3 * n), rng.randint(0, 2),
@@ -393,14 +398,18 @@ def test_chain_instance_search_is_the_search_on_a_with_parallel_columns_refused(
         if red.no or not red.basis:
             continue
         chain = pgm_solver._chain_instance(inst, red)
-        got = _search(*_packing_input(inst), red.budget, red.refused)
+        nonterm = inst.nonterminal_edges()
+        lowest = {e for e in nonterm
+                  if all(inst.a_column(d) != inst.a_column(e) for d in nonterm if d < e)}
+        assert set(chain.nonterminal_edges()) == lowest
+        assert chain.terminals == red.basis and chain.k == red.budget
+        got = _search(*_packing_input(inst), red.budget)
         want = _search(*_packing_input(chain), chain.k)
-        assert (got.nodes, got.refuted, got.packing is None) == \
-               (want.nodes, want.refuted, want.packing is None)
+        assert (got.refuted, got.packing is None, got.cover is None) == \
+               (want.refuted, want.packing is None, want.cover is None)
         if got.cover is not None:
-            edges = {inst.graph.edge_ids()[j] for j in support(got.cover)}
-            assert edges == {chain.graph.edge_ids()[j] for j in support(want.cover)}
+            assert got.cover.bit_count() == want.cover.bit_count()
             covers += 1
         dependent += len(red.basis) < len(inst.terminals)
-        refusing += red.refused != 0
-    assert dependent >= 20 and refusing >= 100 and covers >= 50
+        parallel += len(lowest) < len(nonterm)
+    assert dependent >= 20 and parallel >= 100 and covers >= 50

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from helpers import (all_preliminary, complete_graph, doubled_path_dual,
-                     dual_corpus, esc_from_random_dual, grid_dual, leafy_path_esc)
+from helpers import (all_preliminary, answer_size, complete_graph, doubled_path_dual,
+                     dual_corpus, esc_from_random_dual, grid_dual, leafy_path_esc, relabelled)
 from spacecover import binmatroid, dual_solver
 from spacecover.derand import build_universal_set
 from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
@@ -240,6 +240,45 @@ def test_large_grid_rows_decide_in_the_search_tree(width, k, seed, limit):
     assert len(f) <= k and not f & set(inst.terminals)
     assert set(certs) == {inst.col_of[e] for e in inst.terminals}
     assert all(cert.verify(inst.a_matrix) for cert in certs.values())
+
+
+def _subdivided(inst, eid):
+    """inst with edge eid = uv replaced by uw and a new edge wv through a new vertex w.
+
+    P's row w is zero, uw keeps uv's P column and wv gets the zero column, so row w of
+    A is the cocycle {uw, wv}: the halves are in series in M, parallel in the dual
+    matroid, and contracting wv gives inst back.
+    """
+    g = inst.graph
+    u, v = g.endpoints(eid)
+    order = g.edge_ids()
+    ends = [(u, g.n) if e == eid else g.endpoints(e) for e in order] + [(g.n, v)]
+    cols = [inst.col_of[e] for e in order]
+    row_bits = [sum((bits >> j & 1) << i for i, j in enumerate(cols)) for bits in inst.p.row_bits]
+    terminals = [i for i, e in enumerate(order) if e in inst.terminals]
+    return DualInstance(MultiGraph(g.n + 1, ends), Gf2Matrix(g.n + 1, len(ends), row_bits + [0]),
+                        terminals, inst.k)
+
+
+def test_relabelling_and_series_halves_keep_the_answer_past_the_oracle():
+    # n 64-128 and m = 2n at k = 4 lie past the oracle's SUBSET_BUDGET, so the answer size
+    # is checked against itself: under a relabelling, under a subdivided edge, whose
+    # halves the dual tree branches on as two parallel elements, and, on a "no" row,
+    # under a lower budget
+    yes = 0
+    for i in range(12):
+        rng = random.Random(3000 + i)
+        n = 64 + 64 * i // 11
+        inst = random_instance("dual", n, 2 * n, i % 3, 1 + i % 3, 4, rng)
+        want = answer_size(dual_solver.solve(inst))
+        assert answer_size(dual_solver.solve(relabelled(inst, rng))) == want, i
+        eid = rng.choice([e for e in inst.nonterminal_edges() if not inst.graph.is_loop(e)])
+        assert answer_size(dual_solver.solve(_subdivided(inst, eid))) == want, i
+        if want is None:
+            inst.k = 3
+            assert dual_solver.solve(inst) is None, i
+        yes += want is not None
+    assert 0 < yes < 12
 
 
 def test_threshold_solve_runs_its_parity_guesses_past_the_packing_bound():
