@@ -197,13 +197,13 @@ def terminal_reduction(inst: SpaceCoverInstance, rows: List[int], tree: bool = T
     same terminal bits as the space. ``tree`` False skips the form and the
     clamp.
     """
-    terms = sum(1 << inst.col_of[e] for e in inst.terminals)
+    terms = sum(1 << e for e in inst.terminals)
     form, budget = None, inst.k
     if tree:
         rows = form = _fully_reduced(rows, ~terms)
         budget = min(budget, sum(1 for row in form if row & ~terms))
     pivots = {p & -p for p in _echelon(row & terms for row in rows)}
-    kept = tuple(e for e in inst.terminals if 1 << inst.col_of[e] in pivots)
+    kept = tuple(e for e in inst.terminals if 1 << e in pivots)
     return Reduction(form, kept, len(kept) > inst.k, budget)
 
 
@@ -287,9 +287,8 @@ def default_solve(inst: SpaceCoverInstance, contains: Callable, red: Reduction,
     if red.no:
         return None
     cover = 0 if not red.basis else None
-    terms = [inst.col_of[e] for e in inst.terminals]
     if red.basis and red.form is not None:
-        search = cover_search(red.form, sum(1 << j for j in terms), red.budget)
+        search = cover_search(red.form, sum(1 << e for e in inst.terminals), red.budget)
         if search.packing is not None:
             stats["packing"] = len(search.packing)
             return None
@@ -297,11 +296,10 @@ def default_solve(inst: SpaceCoverInstance, contains: Callable, red: Reduction,
         if search.refuted:
             return None
         cover = search.cover
-    eids = inst.graph.edge_ids()
-    candidates = fallback() if cover is None else [frozenset(eids[j] for j in support(cover))]
+    candidates = fallback() if cover is None else [support(cover)]
     for f in candidates:
         if len(f) <= inst.k:
-            cert = contains(inst.a_matrix, [inst.col_of[e] for e in f], terms)
+            cert = contains(inst.a_matrix, f, inst.terminals)
             if cert is not None:
                 return f, cert
     if cover is not None:

@@ -705,7 +705,7 @@ def build_esc(inst: DualInstance, parity_guess: Dict[int, Tuple[int, ...]],
         for bit, row in zip(b, class_rows):
             if bit:
                 p_w ^= row
-        f = {e: (p_w >> inst.col_of[e]) & 1 for e in eids}
+        f = {e: (p_w >> e) & 1 for e in eids}
         terms.append(EscTerminal(eid, eid, b, f))
     return EdgeSetCoverInstance(inst.graph.copy(), inst.k, t, classes, terms,
                                 frozenset(inst.terminals))

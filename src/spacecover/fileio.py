@@ -133,7 +133,7 @@ def serialize_instance(inst: SpaceCoverInstance) -> str:
     out.append("pert %d" % len(rows))
     for i, bits in rows:
         out.append("%d %s" % (i, to_string(bits, inst.p.cols)))
-    out.append("terminals %s" % " ".join(str(inst.col_of[e]) for e in inst.terminals))
+    out.append("terminals %s" % " ".join(map(str, inst.terminals)))
     return "\n".join(out) + "\n"
 
 
@@ -173,14 +173,11 @@ def report_from_solution(inst: SpaceCoverInstance, result,
         return ResultReport(mode=inst.mode, answer="no", k=inst.k,
                             solver_ms=solver_ms, stats=stats)
     f_set, cert = result
-    edge_of = {c: e for e, c in inst.col_of.items()}
     if inst.mode == "primal":
-        parts = {str(edge_of[w]): sorted(edge_of[c] for c in part)
-                 for w, part in cert.parts.items()}
+        parts = {str(w): sorted(part) for w, part in cert.parts.items()}
         payload = {"type": "span", "parts": parts}
     else:
-        parts = {str(edge_of[w]): {"edges": sorted(edge_of[c] for c in cc.edge_set),
-                                   "x": sorted(cc.x)}
+        parts = {str(w): {"edges": sorted(cc.edge_set), "x": sorted(cc.x)}
                  for w, cc in cert.items()}
         payload = {"type": "cocycle", "parts": parts}
     return ResultReport(mode=inst.mode, answer="yes", f_edges=sorted(f_set),
@@ -286,8 +283,8 @@ def verify_report(inst: SpaceCoverInstance, report: ResultReport) -> Optional[st
                 return "terminal %d cites edges outside the witness" % term
             acc = 0
             for e in part:
-                acc ^= a.column(inst.col_of[e])
-            if acc != a.column(inst.col_of[term]):
+                acc ^= a.column(e)
+            if acc != a.column(term):
                 return "terminal %d: cited columns do not sum to it" % term
         else:
             edges = set(part.get("edges", []))
@@ -303,7 +300,7 @@ def verify_report(inst: SpaceCoverInstance, report: ResultReport) -> Optional[st
                 acc ^= a.row_bits[v]
             char = 0
             for e in edges:
-                char |= 1 << inst.col_of[e]
+                char |= 1 << e
             if acc != char:
                 return "terminal %d: row sum is not its cocycle vector" % term
     return None

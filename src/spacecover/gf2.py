@@ -34,7 +34,7 @@ def to_string(bits: int, n: int) -> str:
 class Gf2Matrix:
     """A rows x cols matrix over GF(2), stored as one packed int per row."""
 
-    __slots__ = ("rows", "cols", "row_bits", "_columns")
+    __slots__ = ("rows", "cols", "row_bits")
 
     def __init__(self, rows: int, cols: int, row_bits: Optional[List[int]] = None):
         self.rows = rows
@@ -46,7 +46,6 @@ class Gf2Matrix:
             if len(row_bits) != rows:
                 raise ValueError("row count mismatch")
             self.row_bits = [b & mask for b in row_bits]
-        self._columns: Optional[Tuple[int, ...]] = None
 
     @classmethod
     def from_strings(cls, lines: List[str]) -> "Gf2Matrix":
@@ -62,26 +61,15 @@ class Gf2Matrix:
             bits.append(int(line[::-1], 2) if cols else 0)
         return cls(len(lines), cols, bits)
 
-    @classmethod
-    def from_columns(cls, rows: int, columns: List[int]) -> "Gf2Matrix":
-        """The matrix with the given packed columns (bit i = row i), its columns kept."""
-        m = cls(rows, len(columns), _transposed(columns, rows))
-        m._columns = tuple(columns)
-        return m
-
-    def columns(self) -> Tuple[int, ...]:
-        """Every column packed (bit i = row i), from one pass over the set bits.
-
-        Kept after the first call, so the rows must not change after it.
-        """
-        if self._columns is None:
-            self._columns = tuple(_transposed(self.row_bits, self.cols))
-        return self._columns
+    def columns(self) -> List[int]:
+        """Every column packed (bit i = row i), from one pass over the set bits."""
+        return _transposed(self.row_bits, self.cols)
 
     def column(self, j: int) -> int:
+        """Column j packed (bit i = row i), read off bit j of each row."""
         if not 0 <= j < self.cols:
             raise IndexError(j)
-        return self.columns()[j]
+        return sum((row >> j & 1) << i for i, row in enumerate(self.row_bits))
 
     def __xor__(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from .gf2 import Gf2Matrix
 from .instances import PrimalInstance
@@ -106,20 +106,18 @@ def from_multicolored_clique(inst: McInstance) -> PrimalInstance:
             class_edges[i].append(g.add_edge(hubs[i], z))
     for i, j in itertools.combinations(range(k), 2):
         hub_edge[(i, j)] = g.add_edge(hubs[i], hubs[j])
-    eids = g.edge_ids()
-    col_of = {e: idx for idx, e in enumerate(eids)}
     rows = [0] * n
     for i in range(k):
         for e in class_edges[i]:
-            rows[x_sel[i]] |= 1 << col_of[e]
+            rows[x_sel[i]] |= 1 << e
     for (i, j), hub_e in hub_edge.items():
-        rows[x_sel[i]] |= 1 << col_of[hub_e]
-        rows[x_sel[j]] |= 1 << col_of[hub_e]
+        rows[x_sel[i]] |= 1 << hub_e
+        rows[x_sel[j]] |= 1 << hub_e
         y = y_index[(i, j)]
         for e in cross_edges.get((i, j), []):
-            rows[y] |= 1 << col_of[e]
-        rows[y] |= 1 << col_of[hub_e]
-    p = Gf2Matrix(n, len(eids), rows)
+            rows[y] |= 1 << e
+        rows[y] |= 1 << hub_e
+    p = Gf2Matrix(n, g.num_edges, rows)
     terminals = tuple(sorted(hub_edge.values()))
     budget = k + k * (k - 1) // 2
     return PrimalInstance(g, p, terminals, budget)
@@ -148,16 +146,14 @@ def from_3dm(inst: TdmInstance) -> PrimalInstance:
         triple_edges.append((ex, ey, ez))
     loop_a = g.add_edge(vert_a, vert_a)
     loop_b = g.add_edge(vert_b, vert_b)
-    eids = g.edge_ids()
-    col_of = {e: idx for idx, e in enumerate(eids)}
     rows = [0] * n
     # perturbation row u_x + u_y on the first loop, u_x + u_z on the second
     for i in range(q):
-        rows[xs[i]] |= 1 << col_of[loop_a]
-        rows[ys[i]] |= 1 << col_of[loop_a]
-        rows[xs[i]] |= 1 << col_of[loop_b]
-        rows[zs[i]] |= 1 << col_of[loop_b]
-    p = Gf2Matrix(n, len(eids), rows)
+        rows[xs[i]] |= 1 << loop_a
+        rows[ys[i]] |= 1 << loop_a
+        rows[xs[i]] |= 1 << loop_b
+        rows[zs[i]] |= 1 << loop_b
+    p = Gf2Matrix(n, g.num_edges, rows)
     terminals = (loop_a, loop_b)
     return PrimalInstance(g, p, terminals, 3 * q)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from .gf2 import Gf2Matrix, rank
 from .multigraph import MultiGraph, incidence_matrix
@@ -16,17 +16,18 @@ LOOP_PROB = 0.1  # chance that a random edge is a loop
 class SpaceCoverInstance:
     """Shared state of both problem modes: (G, P, T, k) with A = I(G) + P.
 
-    The columns of ``p`` follow the sorted edge-id order of ``graph`` at
-    construction time; ``col_of`` maps edge ids to column indices.
+    The edge ids of ``graph`` are 0..m-1, and edge j is column j of P and of A.
     """
 
     mode = "base"
 
     def __init__(self, graph: MultiGraph, p: Gf2Matrix, terminals: Iterable[int], k: int):
-        eids = graph.edge_ids()
-        if p.rows != graph.n or p.cols != len(eids):
+        m = graph.num_edges
+        if graph.edge_ids() != list(range(m)):
+            raise ValueError("edge ids are not 0..%d" % (m - 1))
+        if p.rows != graph.n or p.cols != m:
             raise ValueError("perturbation shape %dx%d does not match graph %dx%d"
-                             % (p.rows, p.cols, graph.n, len(eids)))
+                             % (p.rows, p.cols, graph.n, m))
         self.graph = graph
         self.p = p
         self.terminals = tuple(sorted(set(terminals)))
@@ -36,7 +37,6 @@ class SpaceCoverInstance:
         if k < 0:
             raise ValueError("negative budget")
         self.k = k
-        self.col_of: Dict[int, int] = {eid: j for j, eid in enumerate(eids)}
         self._a: Optional[Gf2Matrix] = None
 
     @property
@@ -50,7 +50,7 @@ class SpaceCoverInstance:
         return rank(self.p)
 
     def a_column(self, eid: int) -> int:
-        return self.a_matrix.columns()[self.col_of[eid]]
+        return self.a_matrix.column(eid)
 
     def nonterminal_edges(self) -> List[int]:
         tset = set(self.terminals)
@@ -58,17 +58,20 @@ class SpaceCoverInstance:
 
     def restrict(self, keep_edges: Iterable[int],
                  terminals: Optional[Iterable[int]] = None) -> "SpaceCoverInstance":
-        """New instance keeping only the given edges (and their P and A columns)."""
-        keep = set(keep_edges)
-        graph = self.graph.without_edges(set(self.graph.edge_ids()) - keep)
-        kept = [self.col_of[eid] for eid in graph.edge_ids()]
-        p_cols, a_cols = self.p.columns(), self.a_matrix.columns()
-        p = Gf2Matrix.from_columns(self.p.rows, [p_cols[j] for j in kept])
-        terms = [e for e in (self.terminals if terminals is None else terminals) if e in keep]
-        out = type(self)(graph, p, terms, self.k)
-        # A's kept columns are the restricted A's columns
-        out._a = Gf2Matrix.from_columns(self.graph.n, [a_cols[j] for j in kept])
-        return out
+        """New instance on the given edges, its edge j the j-th smallest of them.
+
+        Edge j keeps the endpoints and the P column of that edge; the
+        terminals (those of this instance by default) are the kept ones.
+        """
+        keep = sorted(set(keep_edges))
+        graph = MultiGraph(self.graph.n, [self.graph.endpoints(e) for e in keep])
+        p = Gf2Matrix(self.p.rows, len(keep),
+                      [sum((row >> e & 1) << j for j, e in enumerate(keep))
+                       for row in self.p.row_bits])
+        new_id = {e: j for j, e in enumerate(keep)}
+        terms = [new_id[e] for e in (self.terminals if terminals is None else terminals)
+                 if e in new_id]
+        return type(self)(graph, p, terms, self.k)
 
     def __repr__(self) -> str:
         return "%s(n=%d, m=%d, |T|=%d, k=%d)" % (

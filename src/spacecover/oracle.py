@@ -42,24 +42,23 @@ def _least_cover(inst, covers: Callable[[Tuple[int, ...]], bool], contains: Call
     """
     for sub in _candidate_sets(inst.nonterminal_edges(), inst.k):
         if covers(sub):
-            cert = contains(inst.a_matrix, [inst.col_of[e] for e in sub],
-                            [inst.col_of[e] for e in inst.terminals])
+            cert = contains(inst.a_matrix, sub, inst.terminals)
             if cert is None:
                 raise AssertionError("%s failed on the oracle's answer" % contains.__name__)
             return frozenset(sub), cert
     return None
 
 
-def _spans_terminals(inst: PrimalInstance, sub) -> bool:
-    """Whether the columns of sub span every terminal column."""
+def _spans_terminals(inst: PrimalInstance) -> Callable[[Tuple[int, ...]], bool]:
+    """Whether the columns of a subset span every terminal column; A's columns are read once."""
     cols = inst.a_matrix.columns()
-    return spans_all([cols[inst.col_of[e]] for e in sub],
-                     [cols[inst.col_of[e]] for e in inst.terminals])
+    terms = [cols[w] for w in inst.terminals]
+    return lambda sub: spans_all([cols[e] for e in sub], terms)
 
 
 def solve_primal_bruteforce(inst: PrimalInstance) -> Optional[Tuple[FrozenSet[int], SpanCertificate]]:
     """Lexicographically first minimum F (by edge id) with T in span(F), or None."""
-    return _least_cover(inst, lambda sub: _spans_terminals(inst, sub), span_contains)
+    return _least_cover(inst, _spans_terminals(inst), span_contains)
 
 
 def solve_dual_bruteforce(inst: DualInstance) -> Optional[Tuple[FrozenSet[int], Dict[int, CocycleCertificate]]]:
@@ -67,10 +66,10 @@ def solve_dual_bruteforce(inst: DualInstance) -> Optional[Tuple[FrozenSet[int], 
 
     w is in the dual span of F iff ``1 << w`` is a sum of A's rows with F's bits cleared.
     """
-    targets = [1 << inst.col_of[e] for e in inst.terminals]
+    targets = [1 << e for e in inst.terminals]
 
     def covers(sub) -> bool:
-        f_mask = sum(1 << inst.col_of[e] for e in sub)
+        f_mask = sum(1 << e for e in sub)
         return spans_all([row & ~f_mask for row in inst.a_matrix.row_bits], targets)
 
     return _least_cover(inst, covers, dual_span_contains)
@@ -150,9 +149,10 @@ def eoct_bruteforce(g: MultiGraph, k: int) -> Optional[FrozenSet[int]]:
 
 def minimal_primal_solutions(inst: PrimalInstance) -> List[FrozenSet[int]]:
     """All inclusion-minimal F with |F| <= k and T in span(F)."""
+    covers = _spans_terminals(inst)
     hits: List[FrozenSet[int]] = []
     for sub in _candidate_sets(inst.nonterminal_edges(), inst.k):
         fs = frozenset(sub)
-        if not any(other <= fs for other in hits) and _spans_terminals(inst, sub):
+        if not any(other <= fs for other in hits) and covers(sub):
             hits.append(fs)
     return hits

@@ -400,7 +400,7 @@ def build_pattern_instances(inst: PrimalInstance) -> Iterator[Tuple[PatternCover
     """
     classes, cls_of = distinct_columns(inst.p)
     t = len(classes)
-    type_of = {eid: cls_of[inst.col_of[eid]] + 1 for eid in inst.graph.edge_ids()}
+    type_of = {eid: cls_of[eid] + 1 for eid in inst.graph.edge_ids()}
     term_set = set(inst.terminals)
     # lookup: (host endpoints in either order, type) -> host edge (unique after dedup)
     edge_by_sig: Dict[Tuple[int, int, int], int] = {}
@@ -520,18 +520,21 @@ def solve(inst: PrimalInstance,
                          stats)
 
 
-def _chain_instance(inst: PrimalInstance, red: Reduction) -> PrimalInstance:
-    """The guess chain's instance: the basis, the non-terminal edges and budget ``red.budget``.
+def _chain_instance(inst: PrimalInstance, red: Reduction) -> Tuple[PrimalInstance, List[int]]:
+    """The guess chain's instance and ``keep``: its edge j is edge keep[j] of ``inst``.
 
-    Of each class of non-terminal edges with equal A columns it keeps the
+    It holds the basis, the non-terminal edges and budget ``red.budget``. Of
+    each class of non-terminal edges with equal A columns it keeps the
     lowest, as ``build_pattern_instances`` requires.
     """
+    cols = inst.a_matrix.columns()
     first: Dict[int, int] = {}
     for e in inst.nonterminal_edges():
-        first.setdefault(inst.a_column(e), e)
-    reduced = inst.restrict(list(first.values()) + list(red.basis), terminals=red.basis)
+        first.setdefault(cols[e], e)
+    keep = sorted([*first.values(), *red.basis])
+    reduced = inst.restrict(keep, terminals=red.basis)
     reduced.k = red.budget
-    return reduced
+    return reduced, keep
 
 
 def _cover_by_guesses(inst: PrimalInstance, red: Reduction,
@@ -540,12 +543,14 @@ def _cover_by_guesses(inst: PrimalInstance, red: Reduction,
 
     ``red`` has a nonempty basis, and the chain runs on ``_chain_instance``,
     built on the first candidate asked for. Each Pattern Cover answer gives
-    one F: its embedding's host edges and f*_E's. ``stats["guesses"]``
-    counts the guesses built, 0 when the chain builds none.
+    one F: its embedding's host edges and f*_E's, mapped back to ``inst``'s
+    edges through ``keep``. ``stats["guesses"]`` counts the guesses built,
+    0 when the chain builds none.
     """
     stats.setdefault("guesses", 0)
-    for pci, ctx in build_pattern_instances(_chain_instance(inst, red)):
+    chain, keep = _chain_instance(inst, red)
+    for pci, ctx in build_pattern_instances(chain):
         stats["guesses"] += 1
         emb = pattern_cover.solve(pci)
         if emb is not None:
-            yield frozenset(emb.edge_map.values()) | frozenset(ctx.f_star_e.values())
+            yield frozenset(keep[e] for e in (*emb.edge_map.values(), *ctx.f_star_e.values()))

@@ -71,7 +71,7 @@ def relabelled(inst, rng):
     row_bits = [0] * g.n
     for i in range(g.n):
         for j, e in enumerate(order):
-            row_bits[vperm[i]] |= ((inst.p.row_bits[i] >> inst.col_of[e]) & 1) << j
+            row_bits[vperm[i]] |= ((inst.p.row_bits[i] >> e) & 1) << j
     terminals = [j for j, e in enumerate(order) if e in inst.terminals]
     return type(inst)(new_g, Gf2Matrix(g.n, len(order), row_bits), terminals, inst.k)
 

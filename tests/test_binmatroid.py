@@ -99,7 +99,7 @@ def _packing_input(inst):
     """(space, terminal mask): the rows of A in the primal mode, the kernel of A in the dual."""
     a = inst.a_matrix
     space = a.row_bits if inst.mode == "primal" else nullspace(a)
-    return space, sum(1 << inst.col_of[e] for e in inst.terminals)
+    return space, sum(1 << e for e in inst.terminals)
 
 
 def _form(space, terms, refused=0):
@@ -249,8 +249,7 @@ def test_cover_search_matches_oracle(mode):
         assert search.refuted == (want is None)
         if want is not None:
             contains = span_contains if mode == "primal" else dual_span_contains
-            assert contains(inst.a_matrix, support(search.cover),
-                            [inst.col_of[e] for e in inst.terminals]) is not None
+            assert contains(inst.a_matrix, support(search.cover), inst.terminals) is not None
             assert search.cover.bit_count() == len(want[0])
         by_tree += search.refuted and search.packing is None
         nodes += search.nodes
@@ -297,7 +296,7 @@ def test_a_solve_eliminates_the_space_once(mode, monkeypatch):
     # the terminal reduction fully reduces the space once, for the tree's root form, and
     # reads the basis off one echelon of that form; the search eliminates nothing, and a
     # dual solve with recursion parameters builds no form. Nothing transposes a matrix
-    # but a primal certificate and the guesses
+    # but the guesses: the certificates read their columns off the rows
     calls = collections.Counter()
 
     def counted(module, name):
@@ -321,8 +320,7 @@ def test_a_solve_eliminates_the_space_once(mode, monkeypatch):
         stats = {}
         got = solve(inst, stats=stats)
         assert (calls["_fully_reduced"], calls["_echelon"]) == (1, 1)
-        certified_or_guessed = got is not None if mode == "primal" else "guesses" in stats
-        if not certified_or_guessed:
+        if "guesses" not in stats:
             assert calls["_transposed"] == 0
             untransposed += 1
         searched += "search" in stats
@@ -357,11 +355,11 @@ def test_terminal_reduction_matches_references(mode):
         cols = [sum(((row >> j) & 1) << i for i, row in enumerate(space))
                 for j in range(inst.a_matrix.cols)]
         red = terminal_reduction(inst, space)
-        term_cols = [cols[inst.col_of[e]] for e in inst.terminals]
-        nonterm = [inst.col_of[e] for e in inst.nonterminal_edges()]
+        term_cols = [cols[e] for e in inst.terminals]
+        nonterm = inst.nonterminal_edges()
         assert len(red.basis) == rank(Gf2Matrix(len(term_cols), len(space), term_cols))
         assert list(red.basis) == sorted(red.basis) and set(red.basis) <= set(inst.terminals)
-        assert not red.basis or spans_all([cols[inst.col_of[e]] for e in red.basis], term_cols)
+        assert not red.basis or spans_all([cols[e] for e in red.basis], term_cols)
         assert red.no == (len(red.basis) > inst.k)
         ranked = rank(Gf2Matrix(len(nonterm), len(space), [cols[j] for j in nonterm]))
         assert red.budget == min(inst.k, ranked)
@@ -397,12 +395,12 @@ def test_chain_instance_keeps_one_edge_per_parallel_class_and_the_tree_on_it_agr
         red = pgm_solver.reduce_terminals(inst)
         if red.no or not red.basis:
             continue
-        chain = pgm_solver._chain_instance(inst, red)
+        chain, keep = pgm_solver._chain_instance(inst, red)
         nonterm = inst.nonterminal_edges()
         lowest = {e for e in nonterm
                   if all(inst.a_column(d) != inst.a_column(e) for d in nonterm if d < e)}
-        assert set(chain.nonterminal_edges()) == lowest
-        assert chain.terminals == red.basis and chain.k == red.budget
+        assert {keep[e] for e in chain.nonterminal_edges()} == lowest
+        assert tuple(keep[e] for e in chain.terminals) == red.basis and chain.k == red.budget
         got = _search(*_packing_input(inst), red.budget)
         want = _search(*_packing_input(chain), chain.k)
         assert (got.refuted, got.packing is None, got.cover is None) == \

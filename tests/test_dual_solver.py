@@ -186,7 +186,7 @@ def test_empty_terminal_basis_answers_without_a_search_or_guess(params):
     stats = {}
     f, certs = dual_solver.solve(inst, params=params, stats=stats)
     assert f == frozenset() and stats == {}
-    assert set(certs) == {inst.col_of[0]}
+    assert set(certs) == {0}
     assert all(cert.verify(inst.a_matrix) for cert in certs.values())
 
 
@@ -200,7 +200,7 @@ def test_a_yes_row_the_tree_decides_never_calls_the_fallback(monkeypatch):
     monkeypatch.setattr(dual_solver, "_cover_by_guesses", no_fallback)
     stats = {}
     f, certs = dual_solver.solve(inst, stats=stats)
-    assert f == frozenset({1, 2}) and set(certs) == {inst.col_of[0]}
+    assert f == frozenset({1, 2}) and set(certs) == {0}
     assert all(cert.verify(inst.a_matrix) for cert in certs.values())
     assert stats["search"] > 1 and "guesses" not in stats
 
@@ -238,7 +238,7 @@ def test_large_grid_rows_decide_in_the_search_tree(width, k, seed, limit):
     assert "guesses" not in stats and stats["search"] > 1
     f, certs = got
     assert len(f) <= k and not f & set(inst.terminals)
-    assert set(certs) == {inst.col_of[e] for e in inst.terminals}
+    assert set(certs) == set(inst.terminals)
     assert all(cert.verify(inst.a_matrix) for cert in certs.values())
 
 
@@ -251,13 +251,9 @@ def _subdivided(inst, eid):
     """
     g = inst.graph
     u, v = g.endpoints(eid)
-    order = g.edge_ids()
-    ends = [(u, g.n) if e == eid else g.endpoints(e) for e in order] + [(g.n, v)]
-    cols = [inst.col_of[e] for e in order]
-    row_bits = [sum((bits >> j & 1) << i for i, j in enumerate(cols)) for bits in inst.p.row_bits]
-    terminals = [i for i, e in enumerate(order) if e in inst.terminals]
-    return DualInstance(MultiGraph(g.n + 1, ends), Gf2Matrix(g.n + 1, len(ends), row_bits + [0]),
-                        terminals, inst.k)
+    ends = [(u, g.n) if e == eid else g.endpoints(e) for e in g.edge_ids()] + [(g.n, v)]
+    return DualInstance(MultiGraph(g.n + 1, ends),
+                        Gf2Matrix(g.n + 1, len(ends), inst.p.row_bits + [0]), inst.terminals, inst.k)
 
 
 def test_relabelling_and_series_halves_keep_the_answer_past_the_oracle():
@@ -523,20 +519,37 @@ def test_small_case_traverses_only_balanced_f(monkeypatch):
     assert any(ans is not None for ans in table.values())
 
 
+def _shifted_esc(esc, by):
+    """``esc`` on a copy of its graph whose edge ids are ``by`` higher."""
+    g = MultiGraph(esc.g.n, [(0, 1)] * by + [ends for _, ends in esc.g.edges()])
+    terms = [EscTerminal(term.tid, None if term.edge is None else term.edge + by, term.b,
+                         {e + by: bit for e, bit in term.f.items()}) for term in esc.terminals]
+    return EdgeSetCoverInstance(g.without_edges(range(by)), esc.k, esc.t, esc.classes, terms,
+                                frozenset(e + by for e in esc.blocked))
+
+
 def test_breakable_split_on_shifted_edge_ids():
-    # two copies of one path whose edge ids differ: each separation's
+    # two copies of one path's ESC instance whose edge ids differ: each separation's
     # crossing edges are read as ids of the graph being split
     plain = doubled_path_dual(length=18, dup_at=0, k=1)
-    g = MultiGraph(plain.graph.n, [(0, 1)] * 5 + [ends for _, ends in plain.graph.edges()])
-    padded = DualInstance(g, Gf2Matrix(g.n, g.num_edges), [plain.terminals[0] + 5], 1)
-    shifted = padded.restrict(range(5, g.num_edges))
-    assert shifted.graph.edge_ids() == [eid + 5 for eid in plain.graph.edge_ids()]
-    for inst in (plain, shifted):
+    params = RecursParams(q=2, p=2, s=16)
+    got = dual_solver.solve(plain, params=params)
+    assert (got is None) == (solve_dual_bruteforce(plain) is None)
+    assert params.stats.get("breakable", 0) >= 1
+    answers = 0
+    for b in ((0,), (1,)):
+        esc = build_esc(plain, {plain.terminals[0]: b})
+        shifted = _shifted_esc(esc, 5)
+        assert shifted.g.edge_ids() == [eid + 5 for eid in esc.g.edge_ids()]
         params = RecursParams(q=2, p=2, s=16)
-        got = dual_solver.solve(inst, params=params)
-        want = solve_dual_bruteforce(inst)
-        assert (got is None) == (want is None)
+        want = solve_esc(esc, RecursParams(q=2, p=2, s=16))
+        got = solve_esc(shifted, params)
         assert params.stats.get("breakable", 0) >= 1
+        if got is not None:
+            got = (frozenset(e - 5 for e in got[0]), got[1])
+            answers += 1
+        assert got == want
+    assert answers >= 1
 
 
 def test_preliminary_partition_matches_bruteforce_small():

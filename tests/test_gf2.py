@@ -37,6 +37,19 @@ def test_matrix_transpose_and_column():
     assert [to_string(col, m.rows) for col in m.columns()] == ["10", "11", "01"]
 
 
+def test_column_reads_the_transposition_off_the_rows():
+    # column(j) reads bit j of each row; columns() transposes in one pass
+    rng = random.Random(5)
+    for rows, cols in [(0, 0), (0, 3), (4, 0)] + [(rng.randint(1, 9), rng.randint(1, 70))
+                                                   for _ in range(60)]:
+        m = Gf2Matrix(rows, cols, [rng.getrandbits(cols) if cols else 0 for _ in range(rows)])
+        assert [m.column(j) for j in range(cols)] == list(m.columns())
+        assert len(m.columns()) == cols
+        for j in (-1, cols):
+            with pytest.raises(IndexError):
+                m.column(j)
+
+
 def test_rank_examples():
     assert rank(Gf2Matrix.from_strings(["110", "011", "101"])) == 2
     assert rank(Gf2Matrix.from_strings(["100", "010", "001"])) == 3

@@ -38,29 +38,46 @@ def test_a_matrix_adds_perturbation():
     assert inst.r == 1
 
 
+def test_edge_ids_must_be_the_column_indices():
+    # edge j is column j of P and A, so the ids must be 0..m-1
+    g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
+    for cls in (PrimalInstance, DualInstance):
+        with pytest.raises(ValueError):
+            cls(g.without_edges([1]), Gf2Matrix(3, 2), [], 1)
+        assert cls(g.without_edges([2]), Gf2Matrix(3, 2), [0], 1).nonterminal_edges() == [1]
+
+
 def test_restrict_keeps_column_alignment():
     rng = random.Random(11)
     inst = random_instance("primal", 5, 8, 2, 2, 2, rng)
-    keep = inst.graph.edge_ids()[:5]
+    keep = sorted(rng.sample(inst.graph.edge_ids(), 5))
     sub = inst.restrict(keep)
     assert sub.mode == "primal"
-    for eid in sub.graph.edge_ids():
-        assert sub.p.column(sub.col_of[eid]) == inst.p.column(inst.col_of[eid])
-        assert sub.graph.endpoints(eid) == inst.graph.endpoints(eid)
-    assert set(sub.terminals) == set(inst.terminals) & set(keep)
+    assert sub.graph.edge_ids() == list(range(5))
+    for j, eid in enumerate(keep):
+        assert sub.p.column(j) == inst.p.column(eid)
+        assert sub.graph.endpoints(j) == inst.graph.endpoints(eid)
+    assert {keep[j] for j in sub.terminals} == set(inst.terminals) & set(keep)
 
 
 def test_restrict_takes_the_kept_columns_of_a_and_p():
+    # edge j of the restriction is edge keep[j] of the input: its endpoints and its
+    # columns of P and A
     rng = random.Random(12)
     for _ in range(40):
         inst = random_instance(rng.choice(["primal", "dual"]), rng.randint(1, 8),
                                rng.randint(0, 14), rng.randint(0, 3), 2, 2, rng)
         eids = inst.graph.edge_ids()
-        sub = inst.restrict(rng.sample(eids, rng.randint(0, len(eids))))
+        keep = sorted(rng.sample(eids, rng.randint(0, len(eids))))
+        terms = rng.sample(eids, rng.randint(0, len(eids)))
+        sub = inst.restrict(keep, terminals=terms)
         assert sub.a_matrix == incidence_matrix(sub.graph) ^ sub.p
-        # the kept columns agree with the ones the rows give
-        for m in (sub.p, sub.a_matrix):
-            assert m.columns() == Gf2Matrix(m.rows, m.cols, m.row_bits).columns()
+        assert sub.graph.edge_ids() == list(range(len(keep)))
+        for j, eid in enumerate(keep):
+            assert sub.graph.endpoints(j) == inst.graph.endpoints(eid)
+            assert sub.p.column(j) == inst.p.column(eid)
+            assert sub.a_column(j) == inst.a_column(eid)
+        assert [keep[j] for j in sub.terminals] == sorted(set(terms) & set(keep))
 
 
 def test_random_instance_respects_rank_bound():

@@ -52,11 +52,11 @@ def test_minimal_solutions_are_minimal_and_valid():
     for inst in primal_corpus(30, seed=78, k_max=2):
         sols = minimal_primal_solutions(inst)
         m = inst.a_matrix
-        terms = [inst.col_of[e] for e in inst.terminals]
+        terms = list(inst.terminals)
         for f in sols:
-            assert span_contains(m, [inst.col_of[e] for e in f], terms) is not None
+            assert span_contains(m, f, terms) is not None
             for e in f:
-                rest = [inst.col_of[x] for x in f if x != e]
+                rest = [x for x in f if x != e]
                 assert span_contains(m, rest, terms) is None
         for a in sols:
             for b in sols:
@@ -80,6 +80,6 @@ def test_dual_certificates_reverify():
             continue
         f, certs = res
         m = inst.a_matrix
-        assert set(certs) == {inst.col_of[e] for e in inst.terminals}
+        assert set(certs) == set(inst.terminals)
         for cc in certs.values():
             assert cc.verify(m)

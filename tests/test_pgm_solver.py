@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -99,7 +98,8 @@ def test_reduce_terminals_drops_dependent_and_duplicates():
     assert not red.no
     # the two duplicate non-terminal columns: the chain instance keeps the lower, edge 2,
     # and drops edge 3
-    assert pgm_solver._chain_instance(inst, red).nonterminal_edges() == [2]
+    chain, keep = pgm_solver._chain_instance(inst, red)
+    assert [keep[e] for e in chain.nonterminal_edges()] == [2]
 
 
 def test_reduce_terminals_immediate_no():
@@ -124,7 +124,7 @@ def test_solve_empty_terminal_basis():
 def _chain_instance(inst):
     """The guess chain's instance for ``inst``, or None when the reduction leaves it no guess."""
     red = reduce_terminals(inst)
-    return None if red.no or not red.basis else pgm_solver._chain_instance(inst, red)
+    return None if red.no or not red.basis else pgm_solver._chain_instance(inst, red)[0]
 
 
 def _assert_matches_oracle(inst, got):
@@ -176,7 +176,7 @@ def test_empty_terminal_basis_answers_without_a_search_or_guess():
     stats = {}
     f, cert = pgm_solver.solve(inst, stats=stats)
     assert f == frozenset() and stats == {}
-    assert cert.parts == {inst.col_of[1]: frozenset()} and cert.verify(inst.a_matrix)
+    assert cert.parts == {1: frozenset()} and cert.verify(inst.a_matrix)
 
 
 def test_a_yes_row_the_tree_decides_never_calls_the_fallback(monkeypatch):
@@ -348,7 +348,7 @@ def _reference_pattern_instances(inst):
     """
     t, types = edge_types(inst.p)
     classes, _ = distinct_columns(inst.p)
-    type_of = {eid: types[inst.col_of[eid]] for eid in inst.graph.edge_ids()}
+    type_of = {eid: types[eid] for eid in inst.graph.edge_ids()}
     term_set = set(inst.terminals)
     edge_by_sig = {}
     host_types = {True: set(), False: set()}
@@ -733,8 +733,7 @@ def _with_parallel_copy(inst, eid):
     """inst plus a copy of edge eid with the same endpoints and the same P column."""
     g = inst.graph.copy()
     g.add_edge(*g.endpoints(eid))
-    col = inst.col_of[eid]
-    row_bits = [bits | (((bits >> col) & 1) << inst.p.cols) for bits in inst.p.row_bits]
+    row_bits = [bits | (((bits >> eid) & 1) << inst.p.cols) for bits in inst.p.row_bits]
     return PrimalInstance(g, Gf2Matrix(g.n, inst.p.cols + 1, row_bits), inst.terminals, inst.k)
 
 
