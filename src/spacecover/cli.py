@@ -59,7 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("kind", choices=["mc", "3dm", "random"])
     p_gen.add_argument("out")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--mode", choices=["primal", "dual"], default="primal")
+    p_gen.add_argument("--mode", choices=["primal", "dual"], default="primal",
+                       help="mode of a random instance; the mc and 3dm reductions "
+                            "build primal instances only")
     p_gen.add_argument("--n", type=int, default=6)
     p_gen.add_argument("--m", type=int, default=10)
     p_gen.add_argument("--k", type=int, default=2)
@@ -160,6 +162,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.kind != "random" and args.mode == "dual":
+        print("error: --mode dual: the %s reduction builds primal instances only" % args.kind,
+              file=sys.stderr)
+        return EXIT_ERROR
     rng = random.Random(args.seed)
     try:
         if args.kind == "mc":

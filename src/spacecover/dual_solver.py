@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import eoct
@@ -18,7 +18,6 @@ from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
 __all__ = [
     "EscTerminal",
     "EdgeSetCoverInstance",
-    "AnnotatedEscInstance",
     "RecursParams",
     "vertex_types",
     "contributes",
@@ -39,12 +38,16 @@ class EscTerminal:
     tid: int
     edge: Optional[int]          # edge id in the instance graph; None = dummy
     b: Tuple[int, ...]           # target class parities (used at the root)
-    f: Dict[int, int]            # edge id -> flip bit
+    f: int                       # bit e: the flip of edge e
 
 
 @dataclass
 class EdgeSetCoverInstance:
-    """Graph, budget, vertex classes, terminals, and the edges excluded from F."""
+    """Graph, budget, vertex classes, terminals, and the edges excluded from F.
+
+    The recursion's sub-instances also carry a boundary set W and per-terminal
+    pinned sets; both are empty at the root.
+    """
 
     g: MultiGraph
     k: int
@@ -52,21 +55,14 @@ class EdgeSetCoverInstance:
     classes: Dict[int, int]      # vertex -> class index in [0, t)
     terminals: List[EscTerminal]
     blocked: FrozenSet[int]      # superset of real terminal edges; disjoint from F
+    w: FrozenSet[int] = frozenset()
+    pins: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = field(default_factory=dict)
 
     def class_parities(self, x: FrozenSet[int]) -> Tuple[int, ...]:
         par = [0] * self.t
         for v in x:
             par[self.classes[v]] ^= 1
         return tuple(par)
-
-
-@dataclass
-class AnnotatedEscInstance:
-    """Edge-Set Cover plus a boundary set W and per-terminal pinned sets."""
-
-    esc: EdgeSetCoverInstance
-    w: FrozenSet[int] = frozenset()
-    pins: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = field(default_factory=dict)
 
     def pin(self, tid: int) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         return self.pins.get(tid, (frozenset(), frozenset()))
@@ -96,7 +92,7 @@ class RecursParams:
     # (n, edges) -> good_edge_separation of that graph under q and p; every
     # parity guess of a solve meets the same graphs again
     separations: Dict[Tuple, object] = field(default_factory=dict, init=False)
-    # _esc_key(inst) -> recurs table (connected) or combined parity states
+    # _esc_key(inst) -> root answers, per-terminal class parities -> (F, {tid: X})
     tables: Dict[Tuple, object] = field(default_factory=dict, init=False)
 
     def bump(self, name: str) -> None:
@@ -116,7 +112,7 @@ def vertex_types(p: Gf2Matrix) -> Tuple[int, List[FrozenSet[int]]]:
 def contributes(e_prime: int, e: EscTerminal, x, inst: EdgeSetCoverInstance) -> bool:
     """Whether edge e_prime contributes to (e, (X, complement))."""
     u, v = inst.g.endpoints(e_prime)
-    fe = e.f.get(e_prime, 0)
+    fe = (e.f >> e_prime) & 1
     same_side = (u in x) == (v in x)
     return fe == 1 if same_side else fe == 0
 
@@ -127,23 +123,22 @@ def _required_parity(e_prime: int, e: EscTerminal) -> int:
     It is f(e_prime), flipped on e's own edge: every other edge stays out of
     cont(e, X) exactly at this parity, and e's own edge contributes exactly there.
     """
-    return e.f.get(e_prime, 0) ^ (e_prime == e.edge)
+    return ((e.f >> e_prime) & 1) ^ (e_prime == e.edge)
 
 
 def cont(e: EscTerminal, x, inst: EdgeSetCoverInstance) -> Set[int]:
     return {e2 for e2 in inst.g.edge_ids() if contributes(e2, e, x, inst)}
 
 
-def all_keys(ainst: AnnotatedEscInstance):
+def all_keys(inst: EdgeSetCoverInstance):
     """Every (parity restriction, per-terminal W-partition) key, in sorted order.
 
     Every answer table is built in this order, and its readers rely on it.
     """
-    terms = ainst.esc.terminals
-    t = ainst.esc.t
-    h_options = list(itertools.product(*(itertools.product((0, 1), repeat=t)
+    terms = inst.terminals
+    h_options = list(itertools.product(*(itertools.product((0, 1), repeat=inst.t)
                                          for _ in terms)))
-    w_sorted = sorted(ainst.w)
+    w_sorted = sorted(inst.w)
     subsets = []
     for mask in range(1 << len(w_sorted)):
         subsets.append(frozenset(w_sorted[i] for i in range(len(w_sorted)) if (mask >> i) & 1))
@@ -154,9 +149,8 @@ def all_keys(ainst: AnnotatedEscInstance):
             yield (h, lr)
 
 
-def is_key_solution(ainst: AnnotatedEscInstance, key, f_set, x_map) -> bool:
+def is_key_solution(inst: EdgeSetCoverInstance, key, f_set, x_map) -> bool:
     """Full definition-level check that (F, {X_e}) solves the given key."""
-    inst = ainst.esc
     h, lr = key
     if len(f_set) > inst.k or set(f_set) & set(inst.blocked):
         return False
@@ -174,8 +168,8 @@ def is_key_solution(ainst: AnnotatedEscInstance, key, f_set, x_map) -> bool:
             return False
         if inst.class_parities(frozenset(x)) != tuple(h[i]):
             return False
-        l_set, r_set = lr[i], ainst.w - lr[i]
-        w1, w2 = ainst.pin(term.tid)
+        l_set, r_set = lr[i], inst.w - lr[i]
+        w1, w2 = inst.pin(term.tid)
         if not (l_set <= x and w1 <= x):
             return False
         if (r_set & x) or (w2 & x):
@@ -191,27 +185,22 @@ def _multiplicity_reduce(inst: EdgeSetCoverInstance) -> EdgeSetCoverInstance:
     """Drop parallel same-flip-signature non-blocked edges beyond k+1 copies.
 
     Keeping k+1 copies (not k) preserves every answer: a contributing bundle of
-    k+1 edges can never fit inside F, exactly as in the unreduced graph.
+    k+1 edges can never fit inside F, exactly as in the unreduced graph.  The
+    terminals stay as they are: a dropped edge's flip bit is never read.
     """
     groups: Dict[Tuple, List[int]] = {}
     for eid in inst.g.edge_ids():
         if eid in inst.blocked:
             continue
         u, v = inst.g.endpoints(eid)
-        sig = (min(u, v), max(u, v), tuple(term.f.get(eid, 0) for term in inst.terminals))
+        sig = (min(u, v), max(u, v), tuple((term.f >> eid) & 1 for term in inst.terminals))
         groups.setdefault(sig, []).append(eid)
     drop: Set[int] = set()
     for sig, eids in groups.items():
         eids.sort()
         if len(eids) > inst.k + 1:
             drop.update(eids[inst.k + 1:])
-    if not drop:
-        return inst
-    g2 = inst.g.without_edges(drop)
-    terms = [EscTerminal(t.tid, t.edge, t.b,
-                         {e: b for e, b in t.f.items() if e not in drop})
-             for t in inst.terminals]
-    return EdgeSetCoverInstance(g2, inst.k, inst.t, inst.classes, terms, inst.blocked)
+    return replace(inst, g=inst.g.without_edges(drop)) if drop else inst
 
 
 def _balance_words(g: MultiGraph, parities: List[Dict[int, int]]
@@ -235,7 +224,7 @@ def _balance_words(g: MultiGraph, parities: List[Dict[int, int]]
     return row, odd
 
 
-def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
+def _small_case(inst: EdgeSetCoverInstance, params: RecursParams):
     """Branch (a): enumerate F and propagate per-component side assignments.
 
     A terminal has a side assignment in G - F, every edge at its required
@@ -258,8 +247,8 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
     ``all_keys`` order.
     """
     params.bump("small")
-    inst = _multiplicity_reduce(ainst.esc)
-    table = {key: None for key in all_keys(ainst)}
+    inst = _multiplicity_reduce(inst)
+    table = {key: None for key in all_keys(inst)}
     unsolved = len(table)
     eids = inst.g.edge_ids()
     row, odd = _balance_words(inst.g, [{eid: _required_parity(eid, term) for eid in eids}
@@ -288,13 +277,13 @@ def _small_case(ainst: AnnotatedEscInstance, params: RecursParams):
                 sides = signed_components(range(inst.g.n),
                                           [(u, v, _required_parity(eid, term))
                                            for eid, (u, v) in alive])
-                w1, w2 = ainst.pin(term.tid)
+                w1, w2 = inst.pin(term.tid)
                 by_part: Dict[Tuple, FrozenSet[int]] = {}
                 for flips in itertools.product((0, 1), repeat=len(sides)):
                     fx = frozenset(v for side, flip in zip(sides, flips)
                                    for v, c in side.items() if c ^ flip)
                     if w1 <= fx and not w2 & fx:
-                        by_part.setdefault((inst.class_parities(fx), ainst.w & fx), fx)
+                        by_part.setdefault((inst.class_parities(fx), inst.w & fx), fx)
                 reach.append(by_part)
             for parts in itertools.product(*(by_part.items() for by_part in reach)):
                 key = (tuple(h for (h, _), _ in parts), tuple(lr for (_, lr), _ in parts))
@@ -333,26 +322,25 @@ def preliminary_partition(inst: EdgeSetCoverInstance, term: EscTerminal
 # recursion
 
 
-def recurs(ainst: AnnotatedEscInstance, params: RecursParams):
+def recurs(inst: EdgeSetCoverInstance, params: RecursParams):
     """Complete answer table over all (h, W-partition) keys for a connected instance."""
-    inst = ainst.esc
     if not inst.terminals:
         return {((), ()): (frozenset(), {})}
     n = inst.g.n
     if params.s is None or n <= params.s or not is_connected(inst.g):
-        return _small_case(ainst, params)
+        return _small_case(inst, params)
     key = (n, tuple(inst.g.edges()))
     sep = params.separations.get(key)
     if sep is None:
         sep = params.separations[key] = good_edge_separation(inst.g, params.q, params.p)
     if sep == UNBREAKABLE:
-        return _unbreakable_case(ainst, params)
-    return _breakable_case(ainst, params, sep)
+        return _unbreakable_case(inst, params)
+    return _breakable_case(inst, params, sep)
 
 
-def _restricted_instance(ainst: AnnotatedEscInstance, vmap: Dict[int, int],
+def _restricted_instance(inst: EdgeSetCoverInstance, vmap: Dict[int, int],
                          copies: Optional[Dict[int, int]] = None
-                         ) -> Tuple[AnnotatedEscInstance, Dict[int, int]]:
+                         ) -> Tuple[EdgeSetCoverInstance, Dict[int, int]]:
     """The sub-instance on the vertices that vmap renames; several may share a name.
 
     An edge with both ends in vmap comes in copies[eid] copies (default 1),
@@ -361,7 +349,6 @@ def _restricted_instance(ainst: AnnotatedEscInstance, vmap: Dict[int, int],
     through vmap, losing the vertices it leaves out.  Returns the
     sub-instance and its edge map new -> old.
     """
-    inst = ainst.esc
     sub = MultiGraph(len(set(vmap.values())))
     emap: Dict[int, int] = {}
     for eid, (u, v) in inst.g.edges():
@@ -370,7 +357,7 @@ def _restricted_instance(ainst: AnnotatedEscInstance, vmap: Dict[int, int],
                 emap[sub.add_edge(vmap[u], vmap[v])] = eid
     old_to_new = {old: new for new, old in emap.items()}
     terms = [EscTerminal(term.tid, old_to_new.get(term.edge), term.b,
-                         {new: term.f.get(old, 0) for new, old in emap.items()})
+                         sum(((term.f >> old) & 1) << new for new, old in emap.items()))
              for term in inst.terminals]
     blocked = frozenset(new for new, old in emap.items() if old in inst.blocked)
     classes = {new: inst.classes[old] for old, new in vmap.items()}
@@ -378,9 +365,9 @@ def _restricted_instance(ainst: AnnotatedEscInstance, vmap: Dict[int, int],
     def rename(vertices):
         return frozenset(vmap[v] for v in vertices if v in vmap)
 
-    pins = {term.tid: tuple(map(rename, ainst.pin(term.tid))) for term in inst.terminals}
-    sub_inst = EdgeSetCoverInstance(sub, inst.k, inst.t, classes, terms, blocked)
-    return AnnotatedEscInstance(sub_inst, rename(ainst.w), pins), emap
+    pins = {term.tid: tuple(map(rename, inst.pin(term.tid))) for term in inst.terminals}
+    return EdgeSetCoverInstance(sub, inst.k, inst.t, classes, terms, blocked,
+                                rename(inst.w), pins), emap
 
 
 def _combine_parities(states, options, k: int):
@@ -405,7 +392,7 @@ def _combine_parities(states, options, k: int):
     return new_states
 
 
-def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
+def _unbreakable_case(inst: EdgeSetCoverInstance, params: RecursParams):
     """Branch (b): align preliminary partitions, then recurse into small pockets.
 
     The paper colours the vertices with an (n, nbig, pbig)-universal set to
@@ -421,7 +408,6 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
     attempt is checked by is_key_solution, and the table keeps the least F
     over all attempts, so leaving them out loses no optimum.
     """
-    inst = ainst.esc
     n, k = inst.g.n, inst.k
     terms = inst.terminals
     nbig = (params.q + 2 * (k + 1)) * len(terms)
@@ -429,9 +415,9 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
     if n < nbig:
         # the paper states this branch for graphs of at least nbig vertices;
         # the small case decides smaller ones exactly
-        return _small_case(ainst, params)
+        return _small_case(inst, params)
     params.bump("unbreakable")
-    keys = list(all_keys(ainst))
+    keys = list(all_keys(inst))
     table = {key: None for key in keys}
     prelim = {}
     for term in terms:
@@ -455,7 +441,7 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
         for small in pocket_lists:
             interior = set().union(*small)
             fixed = verts - interior
-            attempt = _assemble_attempt(ainst, params, y_side, fixed, small, adj)
+            attempt = _assemble_attempt(inst, params, y_side, fixed, small, adj)
             if attempt is None:
                 continue
             for key in keys:
@@ -463,16 +449,15 @@ def _unbreakable_case(ainst: AnnotatedEscInstance, params: RecursParams):
                 if cand is None:
                     continue
                 f_set, x_map = cand
-                if not is_key_solution(ainst, key, f_set, x_map):
+                if not is_key_solution(inst, key, f_set, x_map):
                     continue
                 if table[key] is None or len(f_set) < len(table[key][0]):
                     table[key] = (f_set, x_map)
     return table
 
 
-def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
+def _assemble_attempt(inst, params, y_side, fixed, small, adj):
     """Solve one (alignment, pocket list) attempt; returns a per-key assembly closure."""
-    inst = ainst.esc
     k = inst.k
     terms = inst.terminals
     # fixed-region bookkeeping per terminal
@@ -483,7 +468,7 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
         x_t = y_side[term.tid] & fixed
         x_fix[term.tid] = x_t
         fix_par[term.tid] = inst.class_parities(x_t)
-        w1, w2 = ainst.pin(term.tid)
+        w1, w2 = inst.pin(term.tid)
         if not (w1 & fixed) <= x_t or (w2 & x_t):
             return None
         y = y_side[term.tid]
@@ -504,19 +489,19 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
         hood = {w for v in comp for w, _ in adj[v]} - comp_set
         plus = sorted(comp_set | hood)
         vmap = {v: i for i, v in enumerate(plus)}
-        sub_ainst, emap = _restricted_instance(ainst, vmap)
-        sub_ainst.w = frozenset(vmap[v] for v in ainst.w & comp_set)
+        sub, emap = _restricted_instance(inst, vmap)
+        sub.w = frozenset(vmap[v] for v in inst.w & comp_set)
         for term in terms:
-            pin1, pin2 = sub_ainst.pin(term.tid)
+            pin1, pin2 = sub.pin(term.tid)
             y = y_side[term.tid]
-            sub_ainst.pins[term.tid] = (pin1 | {vmap[v] for v in hood & y},
-                                        pin2 | {vmap[v] for v in hood - y})
-        if sub_ainst.esc.g.n >= inst.g.n:
+            sub.pins[term.tid] = (pin1 | {vmap[v] for v in hood & y},
+                                  pin2 | {vmap[v] for v in hood - y})
+        if sub.g.n >= inst.g.n:
             # the closed neighborhood did not shrink; recursion would not progress
             params.bump("pocket_fallback")
-            sub_table = _small_case(sub_ainst, params)
+            sub_table = _small_case(sub, params)
         else:
-            sub_table = recurs(sub_ainst, params)
+            sub_table = recurs(sub, params)
         # each answer adds the sides and parities of the pocket's interior only
         options = []
         for (_, lr_sub), ans in sub_table.items():
@@ -531,7 +516,7 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
     def assemble(key):
         h, lr = key
         for i, term in enumerate(terms):
-            l_set, r_set = lr[i], ainst.w - lr[i]
+            l_set, r_set = lr[i], inst.w - lr[i]
             if not (l_set & fixed) <= x_fix[term.tid]:
                 return None
             if (r_set & fixed) & x_fix[term.tid]:
@@ -556,29 +541,28 @@ def _assemble_attempt(ainst, params, y_side, fixed, small, adj):
     return assemble
 
 
-def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
+def _breakable_case(inst: EdgeSetCoverInstance, params: RecursParams, sep):
     """Branch (c): solve the Q side, collapse redundant vertices, recurse on G*."""
     params.bump("breakable")
-    inst = ainst.esc
     q_side, p_side = (set(sep.x), set(sep.y))
-    if len(q_side & ainst.w) > len(p_side & ainst.w):
+    if len(q_side & inst.w) > len(p_side & inst.w):
         q_side, p_side = p_side, q_side
     u_set = {v for eid in sep.cross for v in inst.g.endpoints(eid) if v in q_side}
-    w_q = frozenset(u_set | (ainst.w & q_side))
+    w_q = frozenset(u_set | (inst.w & q_side))
     q_verts = sorted(q_side)
     vmap = {v: i for i, v in enumerate(q_verts)}
-    q_ainst, emap = _restricted_instance(ainst, vmap)
-    q_ainst.w = frozenset(vmap[v] for v in w_q)
-    q_table = recurs(q_ainst, params)
+    q_inst, emap = _restricted_instance(inst, vmap)
+    q_inst.w = frozenset(vmap[v] for v in w_q)
+    q_table = recurs(q_inst, params)
     if all(ans is None for ans in q_table.values()):
-        return {key: None for key in all_keys(ainst)}
+        return {key: None for key in all_keys(inst)}
     # vertices that must survive: endpoints of answer edges, blocked endpoints, boundary
     v_protect: Set[int] = set(w_q)
     for ans in q_table.values():
         if ans is None:
             continue
         for e in ans[0]:
-            v_protect.update(q_verts[v] for v in q_ainst.esc.g.endpoints(e))
+            v_protect.update(q_verts[v] for v in q_inst.g.endpoints(e))
     for eid in inst.blocked:
         for v in inst.g.endpoints(eid):
             if v in q_side:
@@ -587,7 +571,7 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
     sig_of: Dict[int, Tuple] = {}
     for v in sorted(q_side - v_protect):
         nv = vmap[v]
-        pin_sig = tuple((v in ainst.pin(t.tid)[0], v in ainst.pin(t.tid)[1])
+        pin_sig = tuple((v in inst.pin(t.tid)[0], v in inst.pin(t.tid)[1])
                         for t in inst.terminals)
         side_sig = []
         for ans in q_table.values():
@@ -613,7 +597,7 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
     if not z_set:
         # no shrinkage possible; the unconditional enumeration is the safe fallback
         params.bump("no_shrink")
-        return _small_case(ainst, params)
+        return _small_case(inst, params)
     # G*: each collapsed vertex merges into its representative and its edges come
     # in k+1 copies, except edges inside one redundant set, which never contribute
     keep = sorted(set(range(inst.g.n)) - z_set)
@@ -622,13 +606,13 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
     for eid, (a, b) in inst.g.edges():
         if a in z_set or b in z_set:
             copies[eid] = 0 if a != b and rep_of.get(a, a) == rep_of.get(b, b) else inst.k + 1
-    star_ainst, orig_of_star = _restricted_instance(
-        ainst, {v: new_of[rep_of.get(v, v)] for v in range(inst.g.n)}, copies)
-    star_table = recurs(star_ainst, params)
+    star, orig_of_star = _restricted_instance(
+        inst, {v: new_of[rep_of.get(v, v)] for v in range(inst.g.n)}, copies)
+    star_table = recurs(star, params)
     # lift the G* answers back through the Q-side table
     table = {}
     small_table = None  # the unconditional answers, built on the first failed lift
-    for key in all_keys(ainst):
+    for key in all_keys(inst):
         h, lr = key
         star_key = (h, tuple(frozenset(new_of[v] for v in l) for l in lr))
         ans = star_table.get(star_key)
@@ -636,27 +620,26 @@ def _breakable_case(ainst: AnnotatedEscInstance, params: RecursParams, sep):
             table[key] = None
             continue
         f_star_set, x_star = ans
-        lifted = _lift_breakable(ainst, q_side, p_side, q_table, vmap, q_verts,
+        lifted = _lift_breakable(inst, q_side, p_side, q_table, vmap, q_verts,
                                  emap, new_of, f_star_set, x_star,
                                  orig_of_star, w_q, u_set)
-        if lifted is not None and is_key_solution(ainst, key, lifted[0], lifted[1]):
+        if lifted is not None and is_key_solution(inst, key, lifted[0], lifted[1]):
             table[key] = lifted
         else:
             params.bump("lift_fail")
             if small_table is None:
-                small_table = _small_case(ainst, params)
+                small_table = _small_case(inst, params)
             table[key] = small_table[key]
     return table
 
 
-def _lift_breakable(ainst, q_side, p_side, q_table, q_vmap, q_inv_v, q_emap,
+def _lift_breakable(inst, q_side, p_side, q_table, q_vmap, q_inv_v, q_emap,
                     new_of, f_star_set, x_star, orig_of_star, w_q, u_set):
     """Combine a replacement-graph answer with the matching Q-side answer.
 
     Collapsed vertices come in odd same-side groups, so class parities over
     Q minus the collapsed set equal the parities over all of Q.
     """
-    inst = ainst.esc
     star_inv = {i: v for v, i in new_of.items()}
     # per-terminal sides of the surviving vertices, in original labels
     x_orig = {tid: {star_inv[v] for v in xs} for tid, xs in x_star.items()}
@@ -689,61 +672,56 @@ def _lift_breakable(ainst, q_side, p_side, q_table, q_vmap, q_inv_v, q_emap,
 
 def build_esc(inst: DualInstance, parity_guess: Dict[int, Tuple[int, ...]],
               active_terminals: Optional[Iterable[int]] = None) -> EdgeSetCoverInstance:
-    """Edge-Set Cover instance for one parity guess on the basis, with every terminal blocked."""
+    """Edge-Set Cover instance for one parity guess on the basis, with every terminal blocked.
+
+    A terminal's flip map is the sum of the P rows of the classes its guess
+    makes odd.  The instance shares the host graph, which no solve changes.
+    """
     t, class_sets = vertex_types(inst.p)
     classes = {v: i for i, cls in enumerate(class_sets) for v in cls}
     active = list(inst.terminals if active_terminals is None else active_terminals)
-    class_rows = []
-    for cls in class_sets:
-        v = min(cls)
-        class_rows.append(inst.p.row_bits[v])
-    eids = inst.graph.edge_ids()
+    class_rows = [inst.p.row_bits[min(cls)] for cls in class_sets]
     terms = []
     for eid in active:
         b = tuple(parity_guess[eid])
-        p_w = 0
+        f = 0
         for bit, row in zip(b, class_rows):
             if bit:
-                p_w ^= row
-        f = {e: (p_w >> e) & 1 for e in eids}
+                f ^= row
         terms.append(EscTerminal(eid, eid, b, f))
-    return EdgeSetCoverInstance(inst.graph.copy(), inst.k, t, classes, terms,
-                                frozenset(inst.terminals))
+    return EdgeSetCoverInstance(inst.graph, inst.k, t, classes, terms, frozenset(inst.terminals))
 
 
 def _esc_key(inst: EdgeSetCoverInstance) -> Tuple:
-    """Everything an ESC answer table depends on: all but the root targets b."""
+    """Everything a root instance's answers depend on: all but the root targets b."""
     return (inst.g.n, tuple(inst.g.edges()), inst.k, inst.t,
             tuple(sorted(inst.classes.items())), inst.blocked,
-            tuple((term.tid, term.edge, sum(bit << e for e, bit in term.f.items()))
-                  for term in inst.terminals))
+            tuple((term.tid, term.edge, term.f) for term in inst.terminals))
 
 
-def _esc_answers(ainst: AnnotatedEscInstance, params: RecursParams):
-    """The answers of every root parity target: (connected, answers).
+def _esc_answers(inst: EdgeSetCoverInstance, params: RecursParams):
+    """Every root parity target's answer: per-terminal class parities -> (F, {tid: X}).
 
-    A connected graph gives the recursion's table; a disconnected one gives
-    per-terminal class parities -> (F, {tid: X}), joined over its components.
+    W is empty at the root, so a connected graph's recursion table has one
+    key per parity target; a disconnected graph joins its components' tables
+    over parity splits.
     """
-    inst = ainst.esc
     terms = inst.terminals
     comps = connected_components(inst.g)
     if len(comps) <= 1:
-        return True, recurs(ainst, params)
-    # disconnected: combine per-component tables over parity splits
+        return {h: ans for (h, _), ans in recurs(inst, params).items() if ans is not None}
     states = {tuple(tuple([0] * inst.t) for _ in terms): (frozenset(), {t.tid: set() for t in terms})}
     for comp in sorted(comps, key=min):
         verts = sorted(comp)
-        sub_ainst, emap = _restricted_instance(ainst, {v: i for i, v in enumerate(verts)})
-        sub_table = recurs(sub_ainst, params)
+        sub, emap = _restricted_instance(inst, {v: i for i, v in enumerate(verts)})
         options = [(h_sub, frozenset(emap[e] for e in ans[0]),
                     {tid: {verts[v] for v in xs} for tid, xs in ans[1].items()})
-                   for (h_sub, _), ans in sub_table.items()
+                   for (h_sub, _), ans in recurs(sub, params).items()
                    if ans is not None]
         states = _combine_parities(states, options, inst.k)
         if not states:
             break
-    return False, states
+    return states
 
 
 def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None):
@@ -751,28 +729,23 @@ def solve_esc(inst: EdgeSetCoverInstance, params: Optional[RecursParams] = None)
 
     Without params every component is decided by the small case.  The
     answers for every root are built once per instance content and kept in
-    ``params.tables``; each call reads its own root from them.
+    ``params.tables``; each call reads its own root from them.  Every answer
+    is checked by ``is_key_solution``, and one that fails raises.
     """
     if params is None:
         params = RecursParams()
-    ainst = AnnotatedEscInstance(inst)
-    terms = inst.terminals
-    root = (tuple(term.b for term in terms), tuple(frozenset() for _ in terms))
+    root = tuple(term.b for term in inst.terminals)
     key = _esc_key(inst)
-    stored = params.tables.get(key)
-    if stored is None:
-        stored = params.tables[key] = _esc_answers(ainst, params)
-    connected, answers = stored
-    if connected:
-        return answers.get(root)
-    hit = answers.get(root[0])
+    answers = params.tables.get(key)
+    if answers is None:
+        answers = params.tables[key] = _esc_answers(inst, params)
+    hit = answers.get(root)
     if hit is None:
         return None
-    f_set, x_map = hit
-    x_frozen = {tid: frozenset(xs) for tid, xs in x_map.items()}
-    if not is_key_solution(ainst, root, f_set, x_frozen):
-        return None
-    return frozenset(f_set), x_frozen
+    f_set, x_map = frozenset(hit[0]), {tid: frozenset(xs) for tid, xs in hit[1].items()}
+    if not is_key_solution(inst, (root, tuple(frozenset() for _ in root)), f_set, x_map):
+        raise AssertionError("an Edge-Set Cover answer failed its definition check")
+    return f_set, x_map
 
 
 def reduce_terminals_dual(inst: DualInstance, tree: bool = True) -> Reduction:

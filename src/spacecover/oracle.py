@@ -30,7 +30,8 @@ def _candidate_sets(eids: List[int], k: int):
     """Every subset of eids of at most k elements, by size, after the guard on their count."""
     total = sum(math.comb(len(eids), i) for i in range(min(k, len(eids)) + 1))
     if total > SUBSET_BUDGET:
-        raise ValueError("brute force guard: %d candidate subsets exceed budget" % total)
+        raise ValueError("beyond supported range: %d candidate subsets exceed SUBSET_BUDGET = %d"
+                         % (total, SUBSET_BUDGET))
     for size in range(min(k, len(eids)) + 1):
         yield from itertools.combinations(eids, size)
 

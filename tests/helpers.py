@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from spacecover.dual_solver import AnnotatedEscInstance, build_esc, cont
+from spacecover.dual_solver import build_esc, cont
 from spacecover.gf2 import Gf2Matrix
 from spacecover.instances import DualInstance, random_instance
 from spacecover.multigraph import MultiGraph
@@ -225,5 +225,4 @@ def leafy_path_esc(trial):
         g.add_edge(7, leaf)
     p = Gf2Matrix(g.n, g.num_edges)
     inst = DualInstance(g, p, [dup], 1 + trial % 2)
-    esc = build_esc(inst, {dup: (trial % 2,)})
-    return AnnotatedEscInstance(esc)
+    return build_esc(inst, {dup: (trial % 2,)})

@@ -162,6 +162,7 @@ K5_DUAL = ("SCPM v1\nmode dual\nn 5 m 11 k 1\n"
 # (with q = 1 the triangle has no separation). Hash families colour only free
 # pattern vertices, so the square reaches DEMAND_CAP, and K_5 reaches EOCT.
 # The search tree would decide the primal rows itself, so it stops at its root.
+# The --oracle solve reaches SUBSET_BUDGET on the triangle's four candidate subsets.
 CAP_CASES = {
     "BACKBONE_EDGE_CAP": ("pgm_solver", 1, TRIANGLE_YES, []),
     "CYCLE_COUNT_EDGE_CAP": ("multigraph", 1, TRIANGLE_YES, []),
@@ -170,6 +171,7 @@ CAP_CASES = {
     "EOCT_K_CAP": ("eoct", 0, K5_DUAL, ["--q-override", "1"]),
     "SEPARATION_EXACT_VERTEX_CAP": ("multigraph", 2, TRIANGLE_DUAL, ["--q-override", "1"]),
     "VERTEX_CAP": ("fileio", 2, TRIANGLE_YES, []),
+    "SUBSET_BUDGET": ("oracle", 0, TRIANGLE_YES, ["--oracle"]),
 }
 
 
@@ -441,6 +443,8 @@ def test_gen_mc_solvable_roundtrip(tmp_path, capsys):
     (["random", "OUT", "--m", "10", "--terminals", "50"], "50 terminals exceed the m = 10 edges"),
     (["mc", "OUT", "--parts", "-1"], "part count -1 is negative"),
     (["mc", "OUT", "--parts", "2", "--part-size", "-1"], "part size -1 is negative"),
+    (["mc", "OUT", "--mode", "dual"], "the mc reduction builds primal instances only"),
+    (["3dm", "OUT", "--mode", "dual"], "the 3dm reduction builds primal instances only"),
 ])
 def test_gen_bad_arguments_exit_two(tmp_path, capsys, args, problem):
     out = str(tmp_path / args[1])

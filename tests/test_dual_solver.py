@@ -2,16 +2,16 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from helpers import (all_preliminary, answer_size, complete_graph, doubled_path_dual,
                      dual_corpus, esc_from_random_dual, grid_dual, leafy_path_esc, relabelled)
-from spacecover import binmatroid, dual_solver
+from spacecover import binmatroid, cli, dual_solver, fileio
 from spacecover.derand import build_universal_set
-from spacecover.dual_solver import (AnnotatedEscInstance, EdgeSetCoverInstance,
-                                    EscTerminal, RecursParams, _multiplicity_reduce,
-                                    _required_parity, _small_case, all_keys,
+from spacecover.dual_solver import (EdgeSetCoverInstance, EscTerminal, RecursParams,
+                                    _multiplicity_reduce, _required_parity, _small_case, all_keys,
                                     build_esc, contributes, is_key_solution,
                                     preliminary_partition, recurs,
                                     reduce_terminals_dual, solve_esc, vertex_types)
@@ -31,7 +31,7 @@ def test_vertex_types():
 
 def test_contributes_and_fits_semantics():
     g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
-    term = EscTerminal(0, 0, (0,), {0: 0, 1: 0, 2: 1})
+    term = EscTerminal(0, 0, (0,), 0b100)
     inst = EdgeSetCoverInstance(g, 1, 1, {0: 0, 1: 0, 2: 0}, [term],
                                 frozenset({0}))
     x = frozenset({0})
@@ -39,15 +39,14 @@ def test_contributes_and_fits_semantics():
     assert contributes(0, term, x, inst)
     assert not contributes(1, term, x, inst)
     assert not contributes(2, term, x, inst)
-    ainst = AnnotatedEscInstance(inst)
     even, odd = (((0,),), (frozenset(),)), (((1,),), (frozenset(),))
     # X almost fits: only the terminal's own edge contributes, at the wrong parity
-    assert not is_key_solution(ainst, even, frozenset(), {0: x})
-    assert is_key_solution(ainst, odd, frozenset(), {0: x})
+    assert not is_key_solution(inst, even, frozenset(), {0: x})
+    assert is_key_solution(inst, odd, frozenset(), {0: x})
     # X = {} fits neither: edge 2 contributes and the terminal's own edge does not,
     # so even F = {2} leaves X short of its one blocked hit
     for key in (even, odd):
-        assert not is_key_solution(ainst, key, frozenset({2}), {0: frozenset()})
+        assert not is_key_solution(inst, key, frozenset({2}), {0: frozenset()})
 
 
 def test_build_esc_flip_maps():
@@ -60,22 +59,24 @@ def test_build_esc_flip_maps():
     term = esc.terminals[0]
     assert term.edge == 0 and term.b == (0, 1)
     # parity (0,1) selects the class-2 row, which is zero: all flips are 0
-    assert set(term.f.values()) == {0}
+    assert term.f == 0
+    # parity (1,0) selects the class-1 row: bit e is edge e's flip
     esc2 = build_esc(inst, {0: (1, 0)})
-    assert esc2.terminals[0].f == {0: 1, 1: 1, 2: 0}
+    assert esc2.terminals[0].f == 0b011
     assert esc.blocked == frozenset({0})
+    assert esc.g is esc2.g is inst.graph and not esc.w and not esc.pins
 
 
 def test_multiplicity_reduction_keeps_k_plus_one():
     g = MultiGraph(2, [(0, 1)] * 6)
-    term = EscTerminal(0, 0, (0,), {e: 0 for e in range(6)})
-    from spacecover.dual_solver import EdgeSetCoverInstance, _multiplicity_reduce
-
+    term = EscTerminal(0, 0, (0,), 0)
     inst = EdgeSetCoverInstance(g, 2, 1, {0: 0, 1: 0}, [term], frozenset({0}))
     red = _multiplicity_reduce(inst)
     # the blocked edge survives plus k+1 = 3 of the 5 parallel free copies
     assert red.g.num_edges == 4
     assert 0 in red.g.edge_ids()
+    # the terminals stay as they are: a dropped edge's flip bit is never read
+    assert red.terminals is inst.terminals and g.num_edges == 6
 
 
 def test_threshold_free_params_take_the_small_case(monkeypatch):
@@ -87,7 +88,7 @@ def test_threshold_free_params_take_the_small_case(monkeypatch):
     assert inst.graph.n == 17
     esc = build_esc(inst, {inst.terminals[0]: (1,)})
     params = RecursParams()
-    table = recurs(AnnotatedEscInstance(esc), params)
+    table = recurs(esc, params)
     assert table[(((1,),), (frozenset(),))] is not None
     assert params.stats == {"small": 1}
 
@@ -299,7 +300,7 @@ def test_solve_esc_disconnected_components():
         if len(connected_components(inst.g)) < 2:
             continue
         got = solve_esc(inst)
-        table = _small_case(AnnotatedEscInstance(inst), RecursParams(q=2, p=2, s=10 ** 6))
+        table = _small_case(inst, RecursParams(q=2, p=2, s=10 ** 6))
         root = (tuple(term.b for term in inst.terminals),
                 tuple(frozenset() for _ in inst.terminals))
         want = table[root]
@@ -307,18 +308,72 @@ def test_solve_esc_disconnected_components():
         if got is not None:
             f_set, x_map = got
             assert len(f_set) == len(want[0]) <= inst.k
-            assert is_key_solution(AnnotatedEscInstance(inst), root, f_set, x_map)
+            assert is_key_solution(inst, root, f_set, x_map)
         checked += 1
     assert checked >= 10
 
 
-def exhaustive_key_minima(ainst):
+def _drop_one_f_edge(answers):
+    """``answers`` with the least edge taken out of every nonempty F."""
+    return {key: ans if not ans or not ans[0] else (frozenset(sorted(ans[0])[1:]), ans[1])
+            for key, ans in answers.items()}
+
+
+# three parallel edges, terminal 0, k = 2: only F = {1, 2} covers it, at class parity 1;
+# the disconnected row adds a component {2, 3}, which the parity DP joins
+@pytest.mark.parametrize("ends, target", [([(0, 1)] * 3, "recurs"),
+                                          ([(0, 1)] * 3 + [(2, 3)], "_combine_parities")],
+                         ids=["connected", "disconnected"])
+def test_solve_esc_raises_on_an_answer_that_fails_its_check(tmp_path, capsys, monkeypatch,
+                                                            ends, target):
+    g = MultiGraph(1 + max(max(e) for e in ends), ends)
+    inst = DualInstance(g, Gf2Matrix(g.n, g.num_edges), [0], 2)
+    path = tmp_path / "row.scpm"
+    path.write_text(fileio.serialize_instance(inst), encoding="utf-8")
+    esc = build_esc(inst, {0: (1,)})
+    assert solve_esc(esc)[0] == frozenset({1, 2})
+    assert cli.main(["solve", str(path), "--q-override", "2"]) == cli.EXIT_YES
+    real = getattr(dual_solver, target)
+    monkeypatch.setattr(dual_solver, target, lambda *args: _drop_one_f_edge(real(*args)))
+    with pytest.raises(AssertionError, match="failed its definition check"):
+        solve_esc(esc)
+    capsys.readouterr()
+    assert cli.main(["solve", str(path), "--q-override", "2"]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "failed its definition check" in captured.err, captured.err
+
+
+def test_q_override_solves_leave_the_host_instance_unchanged():
+    # build_esc shares the host graph with every guess's instance; the breakable and
+    # unbreakable rows restrict it to sub-instances of their own, and the bundle of six
+    # parallel edges loses copies to the multiplicity reduction
+    g = complete_graph(6)
+    dup = g.add_edge(0, 1)
+    bundle = MultiGraph(3, [(0, 1)] * 6 + [(1, 2)])
+    rows = [doubled_path_dual(length=18, dup_at=0, k=1),
+            DualInstance(g, Gf2Matrix(6, g.num_edges), [dup], 1),
+            _rank_one(doubled_path_dual(length=17, dup_at=6, k=1), 2),
+            DualInstance(bundle, Gf2Matrix(3, bundle.num_edges), [0], 1)]
+    rng = random.Random(17)
+    rows += [random_instance("dual", 8, 12, 1, 2, 2, rng) for _ in range(20)]
+    stats = {}
+    for inst in rows:
+        before = (inst.graph.n, inst.graph.edges(), list(inst.p.row_bits), inst.terminals)
+        params = RecursParams(q=2, p=2 * (inst.k + 1), s=4)
+        dual_solver.solve(inst, params=params)
+        assert (inst.graph.n, inst.graph.edges(), list(inst.p.row_bits),
+                inst.terminals) == before
+        for name, count in params.stats.items():
+            stats[name] = stats.get(name, 0) + count
+    assert stats["breakable"] and stats["unbreakable"] and stats["small"]
+
+
+def exhaustive_key_minima(inst):
     """Least |F| per key, by trying every F and every per-terminal X.
 
     A terminal's X is judged by is_key_solution on a one-terminal view, under
     the key that X itself induces (its class parities and its part of W).
     """
-    inst = ainst.esc
     n = inst.g.n
     free = [e for e in inst.g.edge_ids() if e not in inst.blocked]
     xs = [frozenset(v for v in range(n) if (mask >> v) & 1) for mask in range(1 << n)]
@@ -327,17 +382,14 @@ def exhaustive_key_minima(ainst):
         for f_set in itertools.combinations(free, size):
             per_term = []
             for term in inst.terminals:
-                one = AnnotatedEscInstance(
-                    EdgeSetCoverInstance(inst.g, inst.k, inst.t, inst.classes,
-                                         [term], inst.blocked),
-                    ainst.w, {term.tid: ainst.pin(term.tid)})
-                per_term.append({(inst.class_parities(x), x & ainst.w) for x in xs
+                one = replace(inst, terminals=[term], pins={term.tid: inst.pin(term.tid)})
+                per_term.append({(inst.class_parities(x), x & inst.w) for x in xs
                                  if is_key_solution(one, ((inst.class_parities(x),),
-                                                          (x & ainst.w,)),
+                                                          (x & inst.w,)),
                                                     f_set, {term.tid: x})})
             reach.append((size, per_term))
     minima = {}
-    for key in all_keys(ainst):
+    for key in all_keys(inst):
         h, lr = key
         minima[key] = next((size for size, per_term in reach
                             if all((h[i], lr[i]) in per_term[i]
@@ -357,24 +409,24 @@ def test_small_case_with_boundary_and_pins_matches_exhaustive_search():
             pinned = rng.sample(range(n), rng.randrange(0, 3))
             w1 = frozenset(v for v in pinned if rng.random() < 0.5)
             pins[term.tid] = (w1, frozenset(pinned) - w1)
-        ainst = AnnotatedEscInstance(inst, w, pins)
-        table = _small_case(ainst, RecursParams())
-        want = exhaustive_key_minima(ainst)
+        inst = replace(inst, w=w, pins=pins)
+        table = _small_case(inst, RecursParams())
+        want = exhaustive_key_minima(inst)
         assert set(table) == set(want)
         for key, ans in table.items():
             assert (ans is None) == (want[key] is None), key
             if ans is not None:
                 assert len(ans[0]) == want[key]
-                assert is_key_solution(ainst, key, ans[0], ans[1])
+                assert is_key_solution(inst, key, ans[0], ans[1])
                 solvable += 1
         checked += 1
     assert checked == 40 and solvable > 0
 
 
-def small_case_per_key_scan(ainst):
+def small_case_per_key_scan(inst):
     """The small case as a scan of every terminal's options for each unsolved key."""
-    inst = _multiplicity_reduce(ainst.esc)
-    keys = list(all_keys(ainst))
+    inst = _multiplicity_reduce(inst)
+    keys = list(all_keys(inst))
     table = {key: None for key in keys}
     unsolved = set(keys)
     nonblocked = [eid for eid in inst.g.edge_ids() if eid not in inst.blocked]
@@ -401,8 +453,8 @@ def small_case_per_key_scan(ainst):
                     h, lr = key
                     choice = {}
                     for i, term in enumerate(inst.terminals):
-                        l_set, r_set = lr[i], ainst.w - lr[i]
-                        w1, w2 = ainst.pin(term.tid)
+                        l_set, r_set = lr[i], inst.w - lr[i]
+                        w1, w2 = inst.pin(term.tid)
                         pick = next((fx for fx, par in per_term[i]
                                      if par == tuple(h[i]) and l_set <= fx and w1 <= fx
                                      and not (r_set & fx) and not (w2 & fx)), None)
@@ -431,9 +483,9 @@ def _assert_matches_per_key_scan(rng, count, w_sizes, **sizes):
             pinned = rng.sample(range(n), rng.randrange(0, 3))
             w1 = frozenset(v for v in pinned if rng.random() < 0.5)
             pins[term.tid] = (w1, frozenset(pinned) - w1)
-        ainst = AnnotatedEscInstance(inst, w, pins)
-        got = _small_case(ainst, RecursParams())
-        want = small_case_per_key_scan(ainst)
+        inst = replace(inst, w=w, pins=pins)
+        got = _small_case(inst, RecursParams())
+        want = small_case_per_key_scan(inst)
         assert list(got) == list(want)
         for key, ans in got.items():
             assert (ans is None) == (want[key] is None), key
@@ -494,7 +546,6 @@ def test_small_case_traverses_only_balanced_f(monkeypatch):
     g.add_edge(7, 8)
     inst = DualInstance(g, Gf2Matrix(g.n, g.num_edges), [term], 2)
     esc = build_esc(inst, {term: (0,)})
-    ainst = AnnotatedEscInstance(esc)
     tried, traversals = [], []
     real_spans_all, real_signed = dual_solver.spans_all, dual_solver.signed_components
 
@@ -508,12 +559,12 @@ def test_small_case_traverses_only_balanced_f(monkeypatch):
 
     monkeypatch.setattr(dual_solver, "spans_all", counting_spans_all)
     monkeypatch.setattr(dual_solver, "signed_components", counting_signed)
-    table = _small_case(ainst, RecursParams())
+    table = _small_case(esc, RecursParams())
     monkeypatch.undo()
     f_count = sum(math.comb(g.num_edges - 1, size) for size in range(3))
     assert len(tried) == 4
     assert len(traversals) <= 0.05 * f_count
-    want = small_case_per_key_scan(ainst)
+    want = small_case_per_key_scan(esc)
     assert list(table) == list(want)
     assert all(table[key] == want[key] for key in want)
     assert any(ans is not None for ans in table.values())
@@ -523,7 +574,7 @@ def _shifted_esc(esc, by):
     """``esc`` on a copy of its graph whose edge ids are ``by`` higher."""
     g = MultiGraph(esc.g.n, [(0, 1)] * by + [ends for _, ends in esc.g.edges()])
     terms = [EscTerminal(term.tid, None if term.edge is None else term.edge + by, term.b,
-                         {e + by: bit for e, bit in term.f.items()}) for term in esc.terminals]
+                         term.f << by) for term in esc.terminals]
     return EdgeSetCoverInstance(g.without_edges(range(by)), esc.k, esc.t, esc.classes, terms,
                                 frozenset(e + by for e in esc.blocked))
 
@@ -718,11 +769,11 @@ def test_failed_lift_answers_from_the_small_case_table(monkeypatch):
     # small case's answer for the whole instance
     monkeypatch.setattr(dual_solver, "_lift_breakable", lambda *args: None)
     for trial in range(10):
-        ainst = leafy_path_esc(trial)
+        esc = leafy_path_esc(trial)
         params = RecursParams(q=2, p=2, s=6)
-        table = recurs(ainst, params)
+        table = recurs(esc, params)
         assert params.stats.get("lift_fail", 0) >= 1, trial
-        ref = _small_case(ainst, RecursParams())
+        ref = _small_case(esc, RecursParams())
         assert table.keys() == ref.keys()
         for key, ans in ref.items():
             assert (table[key] is None) == (ans is None), (trial, key)
@@ -730,16 +781,15 @@ def test_failed_lift_answers_from_the_small_case_table(monkeypatch):
                 assert len(table[key][0]) == len(ans[0]), (trial, key)
 
 
-def _unbreakable_every_coloring(ainst, params):
+def _unbreakable_every_coloring(inst, params):
     """The unbreakable branch as the paper states it: one attempt per colouring.
 
     Each colouring of an (n, nbig, pbig)-universal set gives the small
     components of its zero set as the pocket list.
     """
     params.bump("unbreakable")
-    inst = ainst.esc
     n, k, terms = inst.g.n, inst.k, inst.terminals
-    keys = list(all_keys(ainst))
+    keys = list(all_keys(inst))
     table = {key: None for key in keys}
     prelim = {}
     for term in terms:
@@ -759,12 +809,12 @@ def _unbreakable_every_coloring(ainst, params):
             comps = connected_components(inst.g, verts - {v for v in range(n) if coloring[v]})
             small = [sorted(c) for c in comps if len(c) <= params.q * len(terms)]
             fixed = verts - set().union(*small)
-            attempt = dual_solver._assemble_attempt(ainst, params, y_side, fixed, small, adj)
+            attempt = dual_solver._assemble_attempt(inst, params, y_side, fixed, small, adj)
             if attempt is None:
                 continue
             for key in keys:
                 cand = attempt(key)
-                if cand is None or not is_key_solution(ainst, key, *cand):
+                if cand is None or not is_key_solution(inst, key, *cand):
                     continue
                 if table[key] is None or len(cand[0]) < len(table[key][0]):
                     table[key] = cand
@@ -782,7 +832,7 @@ def _esc_keys_agree(inst, q):
     answered = 0
     for combo in itertools.product(itertools.product((0, 1), repeat=t), repeat=len(kept)):
         esc = build_esc(inst, dict(zip(kept, combo)), active_terminals=kept)
-        got, want = (case(AnnotatedEscInstance(esc), RecursParams(q=q, p=2, s=4))
+        got, want = (case(esc, RecursParams(q=q, p=2, s=4))
                      for case in (dual_solver._unbreakable_case, _unbreakable_every_coloring))
         assert got.keys() == want.keys()
         for key, ans in got.items():
