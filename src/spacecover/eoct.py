@@ -94,8 +94,12 @@ def solve(g: MultiGraph, k: int, parity: Optional[Mapping[int, int]] = None
 
 
 def minimize(g: MultiGraph) -> int:
-    """Minimum edge bipartization size, by increasing-budget calls to solve."""
+    """Minimum edge bipartization size, by increasing-budget calls to solve.
+
+    Raises ValueError when the minimum exceeds EOCT_K_CAP.
+    """
     for k in range(0, min(g.num_edges, EOCT_K_CAP) + 1):
         if solve(g, k) is not None:
             return k
-    raise RuntimeError("minimum exceeds the budget cap")
+    raise ValueError("beyond supported range: minimum edge bipartization exceeds EOCT_K_CAP = %d"
+                     % EOCT_K_CAP)

@@ -81,9 +81,6 @@ class Gf2Matrix:
         return (isinstance(other, Gf2Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.row_bits == other.row_bits)
 
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(self.row_bits)))
-
     def to_strings(self) -> List[str]:
         return [to_string(bits, self.cols) for bits in self.row_bits]
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -225,57 +224,37 @@ def min_cut(g: MultiGraph, edges: Iterable[int], sources: Set[int], sinks: Set[i
             limit: int) -> Tuple[int, Set[int]]:
     """Min edge cut separating sources from sinks in (V, edges).
 
-    Returns (cut value, source-side vertex set X).  Unit capacity per edge;
-    parallel edges accumulate.  Augmenting stops once the flow reaches
-    ``limit``: the result is then (flow, set()) with flow >= limit.
+    Returns (cut value, source-side vertex set X).  Unit-capacity augmenting
+    paths: each breadth-first search starts from all sources at once and stops
+    at the first sink.  Each non-loop edge carries one unit either way; loops
+    carry none.  X is what the last search reaches, the least source side of
+    a minimum cut.  Augmenting stops once the flow reaches ``limit``: the
+    result is then (limit, set()).
     """
-    if not sources or not sinks:
-        # nothing to separate: take full components around the forced side
-        comps = signed_components(range(g.n), ((*g.endpoints(eid), 0) for eid in edges))
-        return 0, {v for side in comps if not sources.isdisjoint(side) for v in side}
-    cap: Dict[Tuple[int, int], int] = {}
+    adj: Dict[int, List[Tuple[int, int, int]]] = {}
+    flow: Dict[int, int] = {}  # eid -> +1 carrying one unit from u to v, -1 from v to u, or 0
     for eid in edges:
         u, v = g.endpoints(eid)
         if u != v:
-            cap[(u, v)] = cap.get((u, v), 0) + 1
-            cap[(v, u)] = cap.get((v, u), 0) + 1
-    s, t = -1, -2
-    big = g.num_edges + 1
-    for v in sources:
-        cap[(s, v)] = big
-        cap[(v, s)] = 0
-    for v in sinks:
-        cap[(v, t)] = cap.get((v, t), 0) + big
-        cap[(t, v)] = 0
-    adj2: Dict[int, List[int]] = {}
-    for (u, v) in cap:
-        adj2.setdefault(u, []).append(v)
-    flow = 0
-    while flow < limit:
-        parent: Dict[int, int] = {}
-        dq = deque([s])
-        seen = {s}
-        while dq and t not in seen:
-            v = dq.popleft()
-            for w in adj2[v]:
-                if w not in seen and cap[(v, w)] > 0:
-                    seen.add(w)
-                    parent[w] = v
-                    dq.append(w)
-        if t not in seen:
-            return flow, {v for v in seen if v >= 0}
-        # augment along the BFS path (reverse arcs exist in cap by construction)
-        path = []
-        v = t
-        while v != s:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min(cap[arc] for arc in path)
-        for u, v in path:
-            cap[(u, v)] -= bottleneck
-            cap[(v, u)] += bottleneck
-        flow += bottleneck
-    return flow, set()
+            adj.setdefault(u, []).append((v, eid, 1))
+            adj.setdefault(v, []).append((u, eid, -1))
+            flow[eid] = 0
+    for value in range(limit):
+        parent: Dict[int, Optional[Tuple[int, int, int]]] = dict.fromkeys(sources)
+        queue = list(sources)
+        for v in queue:
+            if v in sinks:
+                break
+            for w, eid, sign in adj.get(v, ()):
+                if w not in parent and flow[eid] != sign:
+                    parent[w] = (v, eid, sign)
+                    queue.append(w)
+        else:
+            return value, set(parent)
+        while parent[v] is not None:
+            v, eid, sign = parent[v]
+            flow[eid] += sign
+    return limit, set()
 
 
 def _side_ok(edges: List[Tuple[int, int, int]], side: Set[int]) -> bool:

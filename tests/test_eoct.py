@@ -119,3 +119,10 @@ def test_signed_edges_match_exhaustive_sides():
 def test_budget_cap_enforced():
     with pytest.raises(ValueError):
         eoct.solve(complete_graph(3), eoct.EOCT_K_CAP + 1)
+
+
+def test_minimize_refuses_past_the_cap():
+    # K8's minimum edge bipartization is 16 - 4 = 12, K9's is 36 - 20 = 16
+    assert eoct.minimize(complete_graph(8)) == eoct.EOCT_K_CAP == 12
+    with pytest.raises(ValueError, match="beyond supported range.*EOCT_K_CAP = 12"):
+        eoct.minimize(complete_graph(9))

@@ -147,6 +147,8 @@ def test_good_edge_separation_matches_mask_search():
 
 
 def test_flow_limit_caps_only_at_the_limit():
+    bundle = MultiGraph(2, [(0, 1)] * 3)
+    assert min_cut(bundle, bundle.edge_ids(), {0}, {1}, 2) == (2, set())
     rng = random.Random(1202)
     capped = 0
     for _ in range(300):
@@ -162,9 +164,56 @@ def test_flow_limit_caps_only_at_the_limit():
             if value < limit:
                 assert (value, x) == full
             else:
-                assert full[0] >= limit and x == set()
+                assert full[0] >= limit and (value, x) == (limit, set())
                 capped += 1
     assert capped > 0
+
+
+def min_cut_reference(g, edges, sources, sinks):
+    """Reference: the least count of edges crossing X over every X with
+    sources <= X <= V - sinks, and the intersection of every X attaining it."""
+    free = sorted(set(range(g.n)) - sources - sinks)
+    best, least = None, None
+    for mask in range(1 << len(free)):
+        x = sources | {v for i, v in enumerate(free) if mask >> i & 1}
+        count = sum((u in x) != (v in x) for u, v in map(g.endpoints, edges))
+        if best is None or count < best:
+            best, least = count, x
+        elif count == best:
+            least &= x
+    return best, least
+
+
+def test_min_cut_is_the_least_minimum_cut():
+    # 0-1-2-3 is the only shortest path from 0 to 3, and the first search takes it.
+    # Both edge-disjoint paths, 0-1-4-5-3 and 0-6-7-2-3, avoid the edge 1-2, so the
+    # second search must cancel the first one's unit on it
+    reroute = MultiGraph(8, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 3), (0, 6), (6, 7), (7, 2)])
+    cases = [(reroute, reroute.edge_ids(), {0}, {3})]
+    rng = random.Random(1203)
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        g = MultiGraph(n)
+        for _ in range(rng.randrange(2 * n + 1)):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.15 else rng.randrange(n)
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                g.add_edge(u, v)
+        edges = [eid for eid in g.edge_ids() if rng.random() < 0.8]
+        verts = rng.sample(range(n), n)
+        a = rng.randint(0, n)
+        b = rng.randint(a, n)
+        cases.append((g, edges, set(verts[:a]), set(verts[a:b])))
+    seen = {"loop": 0, "parallel": 0, "no sources": 0, "no sinks": 0}
+    for g, edges, sources, sinks in cases:
+        assert min_cut(g, edges, sources, sinks, g.num_edges + 1) == \
+            min_cut_reference(g, edges, sources, sinks), (g.edges(), edges, sources, sinks)
+        pairs = [g.endpoints(eid) for eid in edges]
+        seen["loop"] += any(u == v for u, v in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["no sources"] += not sources
+        seen["no sinks"] += not sinks
+    assert min(seen.values()) >= 100, seen
 
 
 def test_good_edge_separation_requires_connected():
