@@ -13,7 +13,7 @@ from .gf2 import Gf2Matrix, distinct_rows, nullspace, spans_all
 from .instances import DualInstance
 from .multigraph import (MultiGraph, UNBREAKABLE, connected_components,
                          good_edge_separation, incidence_matrix, is_connected,
-                         signed_components)
+                         neighbour_sets, signed_components)
 
 __all__ = [
     "EscTerminal",
@@ -427,11 +427,16 @@ def _unbreakable_case(inst: EdgeSetCoverInstance, params: RecursParams):
         prelim[term.tid] = y[0]
     verts = set(range(n))
     adj = inst.g.adjacency()
+    nbrs = neighbour_sets(inst.g)
     # every D of at most q·|T| vertices with |N(D)| <= pbig, D = {} first
     pocket_lists = []
     for size in range(params.q * len(terms) + 1):
         for d in itertools.combinations(range(n), size):
-            if len({w for v in d for w, _ in adj[v]} - set(d)) <= pbig:
+            inside = hood = 0
+            for v in d:
+                inside |= 1 << v
+                hood |= nbrs[v]
+            if (hood & ~inside).bit_count() <= pbig:
                 pocket_lists.append(tuple(tuple(sorted(c))
                                           for c in connected_components(inst.g, d)))
     for align in itertools.product((0, 1), repeat=len(terms)):

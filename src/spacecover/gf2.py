@@ -183,10 +183,18 @@ def _fully_reduced(rows: Iterable[int], mask: int) -> List[int]:
 
 def nullspace(m: Gf2Matrix) -> List[int]:
     """Basis of the right kernel {x : Mx = 0}, one vector per free column."""
-    pivots = {(p & -p).bit_length() - 1: p for p in _fully_reduced(m.row_bits, -1)}
-    # free column j, plus each pivot column whose fully reduced row holds j
-    return [1 << j | sum(1 << pc for pc, p in pivots.items() if p >> j & 1)
-            for j in range(m.cols) if j not in pivots]
+    kernel = [1 << j for j in range(m.cols)]
+    pivot_cols = 0
+    for p in _fully_reduced(m.row_bits, -1):
+        low = p & -p
+        pivot_cols |= low
+        # p's other bits are free columns: each such kernel vector takes p's pivot column
+        rest = p ^ low
+        while rest:
+            j = rest & -rest
+            kernel[j.bit_length() - 1] |= low
+            rest ^= j
+    return [x for j, x in enumerate(kernel) if not pivot_cols >> j & 1]
 
 
 def _distinct(vecs: List[int]) -> Tuple[List[int], Dict[int, int]]:

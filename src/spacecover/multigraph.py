@@ -6,13 +6,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, support
 
 __all__ = [
     "MultiGraph",
     "EdgeSeparation",
     "UNBREAKABLE",
     "incidence_matrix",
+    "neighbour_sets",
     "signed_components",
     "connected_components",
     "is_connected",
@@ -126,6 +127,16 @@ def incidence_matrix(g: MultiGraph) -> Gf2Matrix:
             row_bits[u] |= 1 << j
             row_bits[v] |= 1 << j
     return Gf2Matrix(g.n, len(eids), row_bits)
+
+
+def neighbour_sets(g: MultiGraph) -> List[int]:
+    """Per vertex, its neighbours across non-loop edges as one packed int (bit w for vertex w)."""
+    nbrs = [0] * g.n
+    for u, v in g._edges.values():
+        if u != v:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+    return nbrs
 
 
 def signed_components(vertices: Iterable[int], edges: Iterable[Tuple[int, int, int]]
@@ -257,41 +268,93 @@ def min_cut(g: MultiGraph, edges: Iterable[int], sources: Set[int], sinks: Set[i
     return limit, set()
 
 
-def _side_ok(edges: List[Tuple[int, int, int]], side: Set[int]) -> bool:
-    return len(signed_components(side, edges)) == 1
+def _closure(nbrs: List[int], start: int, within: int) -> int:
+    """The packed vertices of ``within`` reachable from the packed ``start`` inside ``within``."""
+    reached = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbrs[low.bit_length() - 1] & within & ~reached
+        reached |= new
+        frontier |= new
+    return reached
+
+
+def _two_step_ball(nbrs: List[int], v: int) -> int:
+    """The packed vertices within two steps of v."""
+    ball = nbrs[v] | 1 << v
+    for w in support(nbrs[v]):
+        ball |= nbrs[w]
+    return ball
 
 
 def good_edge_separation(g: MultiGraph, q: int, p: int):
     """A (q,p)-good edge separation of a connected g, or UNBREAKABLE.
 
     Both sides must be connected and larger than q, with at most p crossing
-    edges.  In order: g must be connected; n <= 2q is unbreakable; so is a
-    graph where every 0-v min cut exceeds p, since each separation is a 0-v
-    cut for some v.  Otherwise an exact subset search returns the first
-    separating vertex mask; graphs with more than SEPARATION_EXACT_VERTEX_CAP
-    vertices that reach it are refused with ValueError.
+    edges.  Vertex sets are packed ints, bit v for vertex v.  In order:
+
+    1. g must be connected (ValueError otherwise); n <= 2q is unbreakable.
+    2. Degree tests, where a degree counts non-loop edges and parallel ones
+       count apart, and a vertex's distinct neighbours count parallel edges
+       once:
+       - if some vertex has degree at most p, its edges are a cut of at most
+         p edges, so the flows below cannot prove g unbreakable and are
+         skipped;
+       - otherwise g is unbreakable when every vertex has more than p
+         distinct neighbours and reaches every other within two steps.
+         Proof: let δ(S) be a cut of c <= p edges.  Summing distinct
+         neighbours over S gives |S|(p+1) <= |S|(|S|-1) + c, so
+         |S| >= p + 2 > c, and some a in S touches no cut edge; likewise
+         some b outside S.  Every neighbour of a is in S and every
+         neighbour of b is not, so dist(a, b) >= 3, against the diameter.
+         The test must count distinct neighbours: two 10-fold bundles ab
+         and cd plus the edges ac and bd have diameter 2 and degree 11, yet
+         a 2-edge cut;
+       - otherwise g is unbreakable when every 0-v min cut exceeds p, since
+         each separation is a 0-v cut for some v.
+    3. Graphs with more than SEPARATION_EXACT_VERTEX_CAP vertices that get
+       here are refused with ValueError.
+    4. An exact search over the vertex masks with vertex 0 on the X side
+       returns the first good one.  Its crossing edges are the XOR of the
+       side's incidence rows (an edge inside the side cancels, a loop is a
+       zero column), listed by ascending edge id.
     """
-    if not is_connected(g):
-        raise ValueError("good_edge_separation requires a connected graph")
     n = g.n
+    nbrs = neighbour_sets(g)
+    everything = (1 << n) - 1
+    if _closure(nbrs, everything & 1, everything) != everything:
+        raise ValueError("good_edge_separation requires a connected graph")
     if n <= 2 * q:
         return UNBREAKABLE
-    if all(min_cut(g, g.edge_ids(), {0}, {v}, p + 1)[0] > p for v in range(1, n)):
-        return UNBREAKABLE
+    eids = g.edge_ids()
+    rows = incidence_matrix(g).row_bits
+    if all(row.bit_count() > p for row in rows):
+        if all(nb.bit_count() > p for nb in nbrs) and all(
+                _two_step_ball(nbrs, v) == everything for v in range(n)):
+            return UNBREAKABLE
+        if all(min_cut(g, eids, {0}, {v}, p + 1)[0] > p for v in range(1, n)):
+            return UNBREAKABLE
     if n > SEPARATION_EXACT_VERTEX_CAP:
         raise ValueError("beyond supported range: vertex count %d exceeds "
                          "SEPARATION_EXACT_VERTEX_CAP = %d" % (n, SEPARATION_EXACT_VERTEX_CAP))
-    edges = g.edges()
-    unsigned = [(u, v, 0) for _, (u, v) in edges]
-    everything = set(range(n))
-    # vertex 0 on the X side w.l.o.g.; enumerate the rest.  The crossing count
-    # is the cheap test and rejects most masks, so it runs first.
+    # the crossing count is the cheap test and rejects most masks, so it runs
+    # before the connectivity of the sides
     for mask in range(1 << (n - 1)):
-        side = {0} | {v for v in range(1, n) if (mask >> (v - 1)) & 1}
-        other = everything - side
-        if len(side) <= q or len(other) <= q:
+        side = mask << 1 | 1
+        size = side.bit_count()
+        if size <= q or n - size <= q:
             continue
-        cross = tuple(eid for eid, (u, v) in edges if (u in side) != (v in side))
-        if len(cross) <= p and _side_ok(unsigned, side) and _side_ok(unsigned, other):
-            return EdgeSeparation(frozenset(side), frozenset(other), cross)
+        cross = 0
+        rest = side
+        while rest:
+            low = rest & -rest
+            cross ^= rows[low.bit_length() - 1]
+            rest ^= low
+        if cross.bit_count() > p:
+            continue
+        other = everything ^ side
+        if _closure(nbrs, 1, side) == side and _closure(nbrs, other & -other, other) == other:
+            return EdgeSeparation(support(side), support(other),
+                                  tuple(eids[j] for j in sorted(support(cross))))
     return UNBREAKABLE

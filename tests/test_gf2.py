@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacecover.gf2 import (Gf2Matrix, distinct_columns, distinct_rows,
+from spacecover.gf2 import (Gf2Matrix, _fully_reduced, distinct_columns, distinct_rows,
                             in_span, nullspace, rank, spans_all, support,
                             to_string)
 
@@ -89,6 +89,36 @@ def test_nullspace_dimensions():
     for v in kern:
         for i in range(m.rows):
             assert bin(m.row_bits[i] & v).count("1") % 2 == 0
+
+
+def nullspace_by_pivot_scan(m):
+    """Reference: each free column j plus every pivot column whose fully reduced row holds j."""
+    pivots = {(p & -p).bit_length() - 1: p for p in _fully_reduced(m.row_bits, -1)}
+    return [1 << j | sum(1 << pc for pc, p in pivots.items() if p >> j & 1)
+            for j in range(m.cols) if j not in pivots]
+
+
+def test_nullspace_matches_the_pivot_scan():
+    rng = random.Random(1301)
+    seen = {"zero row": 0, "zero column": 0, "full rank": 0, "empty kernel": 0}
+    for _ in range(1500):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 12)
+        density = rng.random()
+        bits = [sum(1 << j for j in range(cols) if rng.random() < density) for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            bits[rng.randrange(rows)] = 0
+        if cols and rng.random() < 0.3:
+            dead = ~(1 << rng.randrange(cols))
+            bits = [b & dead for b in bits]
+        m = Gf2Matrix(rows, cols, bits)
+        kern = nullspace(m)
+        assert kern == nullspace_by_pivot_scan(m), (rows, cols, bits)
+        assert all(bin(row & x).count("1") % 2 == 0 for row in bits for x in kern)
+        seen["zero row"] += 0 in bits
+        seen["zero column"] += any(not any(b >> j & 1 for b in bits) for j in range(cols))
+        seen["full rank"] += 0 < rank(m) == min(rows, cols)
+        seen["empty kernel"] += not kern
+    assert min(seen.values()) >= 100, seen
 
 
 def test_distinct_rows_and_columns():

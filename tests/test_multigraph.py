@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import complete_graph, path_graph
+from spacecover import multigraph
 from spacecover.gf2 import rank
 from spacecover.multigraph import (UNBREAKABLE, EdgeSeparation, MultiGraph,
                                    connected_components, count_simple_cycles,
                                    good_edge_separation, incidence_matrix, is_connected,
-                                   min_cut, signed_components, spanning_forest)
+                                   min_cut, neighbour_sets, signed_components,
+                                   spanning_forest)
 
 
 def test_stable_edge_ids():
@@ -95,13 +97,17 @@ def test_good_edge_separation_clique_unbreakable():
     assert good_edge_separation(complete_graph(7), q=2, p=2) == UNBREAKABLE
 
 
-def test_good_edge_separation_refuses_past_exact_cap():
+def test_good_edge_separation_refuses_past_exact_cap(monkeypatch):
+    # a vertex of degree 1 skips the flows: the refusal comes before any
+    calls = count_flows(monkeypatch)
     with pytest.raises(ValueError, match="beyond supported range.*SEPARATION_EXACT_VERTEX_CAP"):
         good_edge_separation(path_graph(21), q=2, p=2)
+    assert not calls
 
 
 def test_good_edge_separation_clique_past_exact_cap_unbreakable():
-    # every 0-v cut of K21 has 20 edges, so no mask search is needed
+    # K21 has diameter 1 and 20 distinct neighbours per vertex, so the degree
+    # tests decide before any flow or mask search
     assert good_edge_separation(complete_graph(21), 2, 2) == UNBREAKABLE
 
 
@@ -134,16 +140,151 @@ def random_connected_multigraph(rng, n):
     return g
 
 
-def test_good_edge_separation_matches_mask_search():
+def random_dense_multigraph(rng, n):
+    """Two blocks of bundled edges (1-10 parallel copies) and loops, each complete half the
+    time, joined by random edges, few of them half the time; n >= 2."""
+    split = rng.randint(1, n - 1)
+    g = MultiGraph(n)
+    for lo, hi in ((0, split), (split, n)):
+        density, bundle = rng.choice((1.0, rng.random())), rng.choice((1, 3, 10))
+        for u in range(lo, hi):
+            if u > lo:
+                g.add_edge(rng.randrange(lo, u), u)
+            for v in range(u, hi):
+                if rng.random() < (0.1 if u == v else density):
+                    for _ in range(rng.randint(1, bundle)):
+                        g.add_edge(u, v)
+    for _ in range(rng.randint(1, rng.choice((2, split * (n - split))))):
+        g.add_edge(rng.randrange(split), rng.randrange(split, n))
+    return g
+
+
+def count_flows(monkeypatch):
+    """Route good_edge_separation's min_cut calls through a counter; returns the count list."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return min_cut(*args)
+
+    monkeypatch.setattr(multigraph, "min_cut", counting)
+    return calls
+
+
+def min_degree(g):
+    """The least count of non-loop edges at a vertex, parallel ones counted apart."""
+    return min(row.bit_count() for row in incidence_matrix(g).row_bits)
+
+
+def test_good_edge_separation_matches_mask_search(monkeypatch):
+    calls = count_flows(monkeypatch)
     rng = random.Random(1201)
-    unbreakable = 0
-    for _ in range(400):
-        g = random_connected_multigraph(rng, rng.randint(3, 12))
+    unbreakable = certified = skipped = 0
+    for trial in range(600):
+        if trial % 2:
+            g = random_dense_multigraph(rng, rng.randint(3, 10))
+        else:
+            g = random_connected_multigraph(rng, rng.randint(3, 12))
         q, p = rng.choice((1, 2)), rng.randint(0, 4)
+        calls.clear()
         got = good_edge_separation(g, q, p)
         assert got == mask_search_separation(g, q, p), (g.edges(), q, p)
         unbreakable += got == UNBREAKABLE
-    assert unbreakable >= 50 and 400 - unbreakable >= 50
+        if g.n > 2 * q:
+            if min_degree(g) <= p:
+                assert not calls
+                skipped += 1
+            elif not calls:
+                assert got == UNBREAKABLE
+                certified += 1
+    assert unbreakable >= 50 and 600 - unbreakable >= 50
+    assert certified >= 50 and skipped >= 50, (certified, skipped)
+
+
+def test_dense_certificate_is_sound(monkeypatch):
+    # wherever the degree tests prove g unbreakable without a flow, every cut exceeds p
+    calls = count_flows(monkeypatch)
+    rng = random.Random(1204)
+    fired = 0
+    for _ in range(1000):
+        g = random_dense_multigraph(rng, rng.randint(2, 10))
+        p = rng.randint(0, 6)
+        calls.clear()
+        if good_edge_separation(g, 0, p) != UNBREAKABLE or calls or min_degree(g) <= p:
+            continue
+        fired += 1
+        rows = incidence_matrix(g).row_bits
+        for mask in range(1, 1 << (g.n - 1)):
+            cross = 0
+            for v in range(g.n):
+                if mask >> v & 1:
+                    cross ^= rows[v]
+            assert cross.bit_count() > p, (g.edges(), p, mask)
+    assert fired >= 100, fired
+
+
+def two_bundles():
+    """10-fold bundles 0-1 and 2-3 plus the edges 0-2 and 1-3: diameter 2, degree 11, a 2-edge cut."""
+    return MultiGraph(4, [(0, 1)] * 10 + [(2, 3)] * 10 + [(0, 2), (1, 3)])
+
+
+def cycle(n):
+    g = path_graph(n)
+    g.add_edge(n - 1, 0)
+    return g
+
+
+def two_k5s_and_a_bridge():
+    g = MultiGraph(10)
+    for base in (0, 5):
+        for u in range(base, base + 5):
+            for v in range(u + 1, base + 5):
+                g.add_edge(u, v)
+    g.add_edge(4, 5)
+    return g
+
+
+def cube():
+    return MultiGraph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+
+
+def circular_ladder(length):
+    g = MultiGraph(2 * length)
+    for i in range(length):
+        g.add_edge(i, (i + 1) % length)
+        g.add_edge(length + i, length + (i + 1) % length)
+        g.add_edge(i, length + i)
+    return g
+
+
+def k17_doubled():
+    g = complete_graph(17)
+    g.add_edge(0, 1)
+    return g
+
+
+@pytest.mark.parametrize("g, q, p, breakable, flows", [
+    (two_bundles(), 1, 2, True, 2),           # two distinct neighbours each: no certificate
+    (cycle(5), 1, 2, True, 0),                # a vertex of degree 2 skips the flows
+    (two_k5s_and_a_bridge(), 2, 2, True, 5),  # flows up to the first vertex past the bridge
+    (cube(), 1, 2, False, 7),                 # diameter 3: every flow runs
+    (circular_ladder(11), 2, 2, False, 21),   # past the cap, proved by the flows
+    (k17_doubled(), 2, 2, False, 0),          # diameter 1: the certificate decides
+], ids=["two-bundles", "C5", "two-K5s", "Q3", "C11xK2", "K17-doubled"])
+def test_good_edge_separation_steps_in_order(monkeypatch, g, q, p, breakable, flows):
+    calls = count_flows(monkeypatch)
+    got = good_edge_separation(g, q, p)
+    assert len(calls) == flows
+    if breakable:
+        assert got != UNBREAKABLE and got == mask_search_separation(g, q, p)
+    else:
+        assert got == UNBREAKABLE
+
+
+def test_neighbour_sets_count_parallel_edges_once_and_skip_loops():
+    g = MultiGraph(4, [(0, 1), (1, 0), (2, 2), (1, 2), (3, 3)])
+    assert neighbour_sets(g) == [0b0010, 0b0101, 0b0010, 0]
+    assert neighbour_sets(MultiGraph(0)) == []
 
 
 def test_flow_limit_caps_only_at_the_limit():
